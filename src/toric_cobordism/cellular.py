@@ -14,10 +14,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .charpair import RING_GF2, RING_Z, CharacteristicFunction, CharacteristicPair
-from .exactalg import Gf2Matrix, invariant_factors, rational_rank, solve_rational
+from .exactalg import Gf2Matrix, invariant_factors
 from .polytope import Face, SimplePolytope
 
 
@@ -35,6 +35,11 @@ class StrictModeViolation(CellularError):
 
 class ConsistencyError(CellularError):
     """Two independent computations of the same quantity disagree."""
+
+
+# Largest n = 2k at which the certificate and the orientability check
+# run the brute-force oracle by default.
+ORACLE_MAX_N = 6
 
 
 # ---------------------------------------------------------------------------
@@ -334,91 +339,74 @@ def build_quotient_complex(
     )
 
 
-# -- geometric incidence -----------------------------------------------------
+# -- combinatorial incidence -------------------------------------------------
+#
+# A face F_S is oriented so that the inward normals of its facets S,
+# sorted by their position in ``facet_ids``, followed by the frame of F_S
+# give the ambient orientation.  Moving the new normal n_j past the
+# normals of S that come after it gives
+# [F_S : F_{S+j}] = -(-1)^(number of s in S after j).  A vertex has no
+# frame, so its incidences also carry the sign eps_v of its sorted
+# normals, fixed by making every edge boundary sum to zero.
 
-def _frame(poly: SimplePolytope, face: Face) -> tuple[int, tuple[int, ...]]:
-    """Base vertex and a greedy affine frame from the sorted vertex list."""
-    vs = sorted(face.vertices)
-    base = vs[0]
-    basis: list[int] = []
-    rows: list[list[Fraction]] = []
-    base_c = poly.vertex_coords[base]
-    for v in vs[1:]:
-        if len(basis) == face.dim:
-            break
-        d = [a - b for a, b in zip(poly.vertex_coords[v], base_c)]
-        cand = rows + [d]
-        if rational_rank(cand) == len(cand):
-            rows.append(d)
-            basis.append(v)
-    if len(basis) != face.dim:
-        raise CellularError("face frame has deficient rank")
-    return base, tuple(basis)
-
-
-def _det_fraction(m: list[list[Fraction]]) -> Fraction:
-    a = [row[:] for row in m]
-    k = len(a)
-    det = Fraction(1)
-    for t in range(k):
-        piv = next((i for i in range(t, k) if a[i][t] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != t:
-            a[t], a[piv] = a[piv], a[t]
-            det = -det
-        det *= a[t][t]
-        inv = a[t][t]
-        for i in range(t + 1, k):
-            if a[i][t] != 0:
-                factor = a[i][t] / inv
-                a[i] = [x - factor * y for x, y in zip(a[i], a[t])]
-    return det
+def _vertex_signs(
+    poly: SimplePolytope, sign: Callable[[frozenset[str], str], int]
+) -> list[int]:
+    """eps_v from one walk over the edges from vertex 0, every edge checked."""
+    links: list[list[tuple[int, int]]] = [[] for _ in range(poly.n_vertices)]
+    for e in poly.edges():
+        a, b = sorted(e.vertices)
+        (ja,) = poly.vertex_facets[a] - e.facets
+        (jb,) = poly.vertex_facets[b] - e.facets
+        ratio = -sign(e.facets, ja) * sign(e.facets, jb)
+        links[a].append((b, ratio))
+        links[b].append((a, ratio))
+    eps: list[Optional[int]] = [None] * poly.n_vertices
+    eps[0] = 1
+    stack = [0]
+    while stack:
+        v = stack.pop()
+        for w, ratio in links[v]:
+            if eps[w] is None:
+                eps[w] = ratio * eps[v]
+                stack.append(w)
+            elif eps[w] != ratio * eps[v]:
+                raise ConsistencyError(f"edge {{{v}, {w}}} has a nonzero boundary")
+    if None in eps:
+        raise ConsistencyError("the vertex graph is disconnected")
+    return eps
 
 
-def _incidence_sign(
-    poly: SimplePolytope,
-    face: Face,
-    sub: Face,
-    frames: dict[frozenset[int], tuple[int, tuple[int, ...]]],
-) -> int:
-    """Geometric incidence number of a face and one of its facets.
+def _face_boundaries(cw: QuotientCWComplex) -> dict[int, list[tuple[int, int]]]:
+    """Face index -> [(subface index, incidence number)] over ``cw.face_list``.
 
-    The face's orientation frame is compared with (outward vector,
-    facet frame); the sign of the change-of-basis determinant is the
-    incidence number.
+    Subfaces dropped by a relative complex are skipped; the vertex signs
+    come from the whole polytope, whose vertices the complex may drop.
     """
-    base, basis = frames[face.vertices]
-    base_c = poly.vertex_coords[base]
-    rows = [
-        [a - b for a, b in zip(poly.vertex_coords[v], base_c)] for v in basis
-    ]
-    d = face.dim
+    poly = cw.polytope
+    pos = {fid: i for i, fid in enumerate(poly.facet_ids)}
 
-    nverts = len(face.vertices)
-    bary = [
-        sum(poly.vertex_coords[v][i] for v in face.vertices) / nverts
-        for i in range(len(base_c))
-    ]
-    sbase, sbasis = frames[sub.vertices]
-    sbase_c = poly.vertex_coords[sbase]
-    targets = [[a - b for a, b in zip(sbase_c, bary)]]
-    for v in sbasis:
-        targets.append([a - b for a, b in zip(poly.vertex_coords[v], sbase_c)])
+    def sign(facets: frozenset[str], j: str) -> int:
+        after = sum(1 for s in facets if pos[s] > pos[j])
+        return 1 if after % 2 else -1
 
-    # Gram solve: express each target in the face frame
-    gram = [[sum(x * y for x, y in zip(r1, r2)) for r2 in rows] for r1 in rows]
-    cols = []
-    for t in targets:
-        rhs = [sum(x * y for x, y in zip(r, t)) for r in rows]
-        sol = solve_rational(gram, rhs)
-        if sol is None:
-            raise CellularError("degenerate frame in incidence computation")
-        cols.append(sol)
-    det = _det_fraction([[cols[j][i] for j in range(d)] for i in range(d)])
-    if det == 0:
-        raise CellularError("incidence determinant vanished")
-    return 1 if det > 0 else -1
+    eps = _vertex_signs(poly, sign)
+    index = {f.facets: i for i, f in enumerate(cw.face_list)}
+    boundaries: dict[int, list[tuple[int, int]]] = {}
+    for fi, face in enumerate(cw.face_list):
+        if face.dim == 0:
+            continue
+        subs = []
+        for j in poly.facet_ids:
+            if j in face.facets or (gi := index.get(face.facets | {j})) is None:
+                continue
+            s = sign(face.facets, j)
+            if face.dim == 1:
+                (v,) = cw.face_list[gi].vertices
+                s *= eps[v]
+            subs.append((gi, s))
+        boundaries[fi] = subs
+    return boundaries
 
 
 SparseMatrix = list[dict[int, int]]
@@ -441,39 +429,14 @@ class ChainComplex:
 def chain_complex(cw: QuotientCWComplex, ring: str = RING_Z) -> ChainComplex:
     """Boundary matrices of the quotient complex, with d o d == 0 verified.
 
-    Cell boundaries carry the polytope's geometric incidence signs; the
-    group coordinate is reduced into the smaller face's coset.
+    Cell boundaries carry the polytope's incidence numbers, read off the
+    facet order; the group coordinate is reduced into the smaller face's
+    coset.
     """
-    if not cw.polytope.has_coords():
-        raise CellularError("incidence signs need a rational realization")
     if ring not in (RING_Z, RING_GF2):
         raise CellularError(f"unknown ring {ring!r}")
     poly = cw.polytope
-    frames = {
-        f.vertices: _frame(poly, f) for f in cw.face_list if f.dim >= 1
-    }
-    for f in cw.face_list:
-        if f.dim == 0:
-            frames[f.vertices] = (min(f.vertices), ())
-
-    faces_by_dim: dict[int, list[int]] = {}
-    for idx, f in enumerate(cw.face_list):
-        faces_by_dim.setdefault(f.dim, []).append(idx)
-    masks = {
-        idx: sum(1 << v for v in f.vertices) for idx, f in enumerate(cw.face_list)
-    }
-    # face index -> list of (subface index, sign)
-    face_boundary: dict[int, list[tuple[int, int]]] = {}
-    for d in range(1, poly.dim + 1):
-        for fi in faces_by_dim.get(d, ()):
-            face = cw.face_list[fi]
-            subs = []
-            for gi in faces_by_dim.get(d - 1, ()):
-                if masks[gi] & ~masks[fi]:
-                    continue
-                sign = _incidence_sign(poly, face, cw.face_list[gi], frames)
-                subs.append((gi, sign))
-            face_boundary[fi] = subs
+    face_boundary = _face_boundaries(cw)
 
     cell_index: list[dict[tuple[int, int], int]] = [
         {cell: i for i, cell in enumerate(cw.cells[d])}
@@ -626,7 +589,7 @@ def is_orientable_space(fam, *, use_oracle: Optional[bool] = None) -> bool:
     if (d_n == 0) != formula:
         raise ConsistencyError("d_n parity disagrees with the mod-4 rule")
     if use_oracle is None:
-        use_oracle = n <= 6
+        use_oracle = n <= ORACLE_MAX_N
     if use_oracle:
         table = relative_homology_table(fam, degrees=[n])
         oracle = table[n] == (1, ())

@@ -121,11 +121,15 @@ def cmd_homology(args) -> int:
         print(f"error: cannot read family: {exc}", file=sys.stderr)
         return EXIT_INVALID
     seed = _seed(args)
-    if args.distinguished:
-        functional = cellular.distinguished_functional(fam.polytope, fam.n, seed)
-    else:
-        functional = cellular.draw_functional(fam.polytope, seed)
-    profile = cellular.vertex_indices(fam.polytope, functional, strict=args.strict)
+    try:
+        if args.distinguished:
+            functional = cellular.distinguished_functional(fam.polytope, fam.n, seed)
+        else:
+            functional = cellular.draw_functional(fam.polytope, seed)
+        profile = cellular.vertex_indices(fam.polytope, functional, strict=args.strict)
+    except cellular.CellularError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INVALID
     out: dict = {
         "k": fam.k,
         "n": fam.n,

@@ -440,8 +440,6 @@ def glue_certificate(
     r1: Fraction | str = Fraction(1, 6),
     r2: Fraction | str = Fraction(1, 4),
     seed: int = 0,
-    *,
-    oracle_limit: int = 6,
 ) -> Certificate:
     """End-to-end certificate for one member of the family.
 
@@ -558,9 +556,8 @@ def glue_certificate(
             checks[f"orientable_cover_{fid}"] = orientable_small_cover(
                 fam.boundary[fid]
             )
-        orientable = cellular.is_orientable_space(fam, use_oracle=n <= oracle_limit)
-        checks["total_space_orientable"] = orientable
-        if n <= oracle_limit:
+        checks["total_space_orientable"] = cellular.is_orientable_space(fam)
+        if n <= cellular.ORACLE_MAX_N:
             betti = cellular.small_cover_gf2_betti(fam.boundary["p3"])
             homology_dict["p3_cover_gf2_betti"] = list(betti)
             checks["p3_cover_betti_all_one"] = all(b == 1 for b in betti)

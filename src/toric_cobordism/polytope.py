@@ -300,9 +300,6 @@ class SimplePolytope:
             )
         )
 
-    def faces_of_dim(self, d: int) -> tuple[Face, ...]:
-        return tuple(f for f in self.faces if f.dim == d)
-
     def edges(self) -> tuple[Face, ...]:
         """The 1-faces, computed without the full lattice."""
         found: dict[frozenset[int], Face] = {}

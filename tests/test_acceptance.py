@@ -6,6 +6,7 @@ the run.
 """
 
 import json
+import os
 import random
 import subprocess
 import sys
@@ -290,10 +291,15 @@ def test_criterion_09_property_suites():
 
 
 def _run_cli(args):
+    # the child imports the package from where this process found it,
+    # which pytest's ``pythonpath`` setting does not pass on
+    src = os.path.dirname(os.path.dirname(cellular.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-m", "toric_cobordism.cli", *args],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
 
 

@@ -47,6 +47,13 @@ def torus_pair():
     )
 
 
+def without_coords(pair):
+    data = pair.to_json_dict()
+    for v in data["polytope"]["vertices"]:
+        v["coords"] = None
+    return CharacteristicPair.from_json_dict(data)
+
+
 def klein_pair():
     sq = product(simplex(1), simplex(1))
     return CharacteristicPair(
@@ -57,6 +64,15 @@ def klein_pair():
             {"L.d0": (1, 0), "L.d1": (1, 1), "R.d0": (0, 1), "R.d1": (0, 1)},
         ),
     )
+
+
+CLOSED_PAIRS = [
+    rp2_pair,
+    torus_pair,
+    klein_pair,
+    lambda: build_family(2, "GF2").boundary["p3"],
+]
+CLOSED_IDS = ["rp2", "torus", "klein", "rp3_p3"]
 
 
 class TestFunctionals:
@@ -224,6 +240,35 @@ class TestChainComplex:
             3: (1, ()),
         }
         assert small_cover_gf2_betti(p3) == (1, 1, 1, 1)
+
+    def test_top_cells_enter_facets_negatively(self):
+        # P carries the ambient orientation and F_j the frame (inward
+        # normal n_j, frame of F_j), so the rule gives [P : F_j] = -1.
+        pair = rp2_pair()
+        cc = chain_complex(build_quotient_complex(pair.polytope, pair.chi), "Z")
+        for row in cc.boundaries[2]:
+            assert sorted(row.values()) == [-1, -1, -1]
+
+    @pytest.mark.parametrize("pair_factory", CLOSED_PAIRS, ids=CLOSED_IDS)
+    @pytest.mark.parametrize("bare", [False, True], ids=["coords", "bare"])
+    def test_edge_boundaries_sum_to_zero(self, pair_factory, bare):
+        pair = pair_factory()
+        if bare:
+            pair = without_coords(pair)
+        cc = chain_complex(build_quotient_complex(pair.polytope, pair.chi), "Z")
+        assert all(sum(row.values()) == 0 for row in cc.boundaries[1])
+
+    @pytest.mark.parametrize("pair_factory", CLOSED_PAIRS, ids=CLOSED_IDS)
+    @pytest.mark.parametrize("ring", ["Z", "GF2"])
+    def test_same_tables_without_coords(self, pair_factory, ring):
+        pair = pair_factory()
+        bare = without_coords(pair)
+        assert not bare.polytope.has_coords()
+        tables = [
+            homology(chain_complex(build_quotient_complex(p.polytope, p.chi), ring))
+            for p in (pair, bare)
+        ]
+        assert tables[0] == tables[1]
 
     def test_euler_poincare_consistency(self):
         for pair in (rp2_pair(), torus_pair(), klein_pair()):

@@ -15,6 +15,12 @@ def read(path):
         return json.load(fh)
 
 
+def without_coords(data):
+    for v in data["polytope"]["vertices"]:
+        v["coords"] = None
+    return data
+
+
 @pytest.fixture
 def family_file(tmp_path):
     out = tmp_path / "fam.json"
@@ -90,6 +96,17 @@ class TestHomology:
         assert data["oracle_agrees"] is True
         assert data["d_n"] == 2
 
+    @pytest.mark.parametrize("flags", [[], ["--oracle"]])
+    def test_coordinate_free_family_rejected(self, tmp_path, flags, capsys):
+        fam = tmp_path / "famr.json"
+        main(["construct", "--k", "2", "--ring", "z2", "--out", str(fam)])
+        fam.write_text(json.dumps(without_coords(read(fam))))
+        capsys.readouterr()
+        assert main(["homology", "--in", str(fam), *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "Traceback" not in err
+
     def test_seed_env_override(self, tmp_path, family_file, monkeypatch):
         out = tmp_path / "h7.json"
         monkeypatch.setenv("TORIC_COBORDISM_SEED", "7")
@@ -110,6 +127,20 @@ class TestOracleCommand:
         ) == 0
         table = read(out)["table"]
         assert [row["betti"] for row in table] == [1, 1, 1, 1]
+
+    def test_coordinate_free_pair(self, tmp_path, capsys):
+        from toric_cobordism.family import build_family
+
+        data = build_family(2, "GF2").boundary["p3"].to_json_dict()
+        pair = tmp_path / "p3.json"
+        bare = tmp_path / "p3_bare.json"
+        pair.write_text(json.dumps(data))
+        bare.write_text(json.dumps(without_coords(data)))
+        outputs = []
+        for path in (pair, bare):
+            assert main(["oracle", "--in", str(path), "--ring", "z"]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
 
     def test_family_requires_relative(self, tmp_path, family_file):
         assert main(["oracle", "--in", str(family_file), "--ring", "z"]) == 2
