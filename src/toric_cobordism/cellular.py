@@ -564,8 +564,10 @@ def relative_homology_table(fam, degrees=None) -> HomologyTable:
     space; the table reports the unreduced groups, so degree 0 gains one
     free summand.
     """
-    cc = relative_complex(fam, RING_Z)
-    table = homology(cc, degrees)
+    return _with_basepoint(homology(relative_complex(fam, RING_Z), degrees))
+
+
+def _with_basepoint(table: HomologyTable) -> HomologyTable:
     if 0 in table:
         betti, torsion = table[0]
         table[0] = (betti + 1, torsion)
@@ -608,10 +610,26 @@ def euler_cross_check(fam, functional: LinearFunctional) -> tuple[int, int]:
     counts.  They must be equal; a mismatch falsifies the bookkeeping.
     """
     cw = build_quotient_complex(fam.polytope, _family_mu(fam), fam.boundary.keys())
-    lhs = 1 + cw.euler_characteristic()
     profile = vertex_indices(fam.polytope, functional)
-    rhs = 1 + sum((-1) ** j * c for j, c in profile.pair_counts().items())
-    return lhs, rhs
+    return 1 + cw.euler_characteristic(), _index_euler(profile)
+
+
+def _index_euler(profile: IndexProfile) -> int:
+    return 1 + sum((-1) ** j * c for j, c in profile.pair_counts().items())
+
+
+def relative_oracle(
+    fam, profile: IndexProfile
+) -> tuple[HomologyTable, tuple[int, int]]:
+    """``relative_homology_table`` and ``euler_cross_check`` from one complex.
+
+    The relative complex is built once; its cell counts give the left
+    side of the Euler identity, and ``profile`` (the functional's vertex
+    indices) the right side.
+    """
+    cc = relative_complex(fam, RING_Z)
+    sides = (1 + euler_characteristic(cc), _index_euler(profile))
+    return _with_basepoint(homology(cc)), sides
 
 
 def closed_cover_complex(pair: CharacteristicPair, ring: str = RING_Z) -> ChainComplex:

@@ -11,7 +11,6 @@ per facet.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import product as iproduct
 from typing import Optional, Sequence
 
@@ -19,12 +18,12 @@ from . import exactalg
 from .exactalg import (
     DimensionMismatch,
     Gf2Matrix,
+    Matrix,
     as_matrix,
     det_sign,
     is_direct_summand,
     mat_vec,
     permutation_sign,
-    rational_inverse,
 )
 from .polytope import SimplePolytope, facet_polytope, simplex
 
@@ -307,8 +306,8 @@ class DeltaTranslation:
         )
 
 
-def _apply_delta(ring: str, delta, vec: Sequence[int]) -> tuple[int, ...]:
-    out = mat_vec(as_matrix(delta), vec)
+def _apply_delta(ring: str, delta: Matrix, vec: Sequence[int]) -> tuple[int, ...]:
+    out = mat_vec(delta, vec)
     if ring == RING_GF2:
         return tuple(x % 2 for x in out)
     return normalize_sign_class(out)
@@ -357,13 +356,18 @@ def verify_delta_translation(
     assigned1, assigned2 = pair1.chi.assigned(), pair2.chi.assigned()
     if {t.facet_map[f] for f in assigned1} != set(assigned2):
         return False
-    if not _is_invertible(t.ring, t.delta):
-        return False
-    for f in assigned1:
-        image = _apply_delta(t.ring, t.delta, pair1.chi.vectors[f])
-        if image != pair2.chi.vectors[t.facet_map[f]]:
-            return False
-    return True
+    return _is_invertible(t.ring, t.delta) and _carries_vectors(pair1, pair2, t)
+
+
+def _carries_vectors(
+    pair1: CharacteristicPair, pair2: CharacteristicPair, t: DeltaTranslation
+) -> bool:
+    """delta(chi1(F)) == chi2(map(F)) for every assigned facet F of pair1."""
+    delta = as_matrix(t.delta)
+    return all(
+        _apply_delta(t.ring, delta, v) == pair2.chi.vectors[t.facet_map[f]]
+        for f, v in pair1.chi.vectors.items()
+    )
 
 
 def compose_translations(
@@ -388,50 +392,41 @@ def identity_translation(pair: CharacteristicPair) -> DeltaTranslation:
 
 
 def _independent_assigned_facets(pair: CharacteristicPair) -> Optional[list[str]]:
-    """rank-many assigned facets with linearly independent vectors."""
-    rank = pair.chi.rank
+    """rank-many assigned facets whose vectors are independent over the ring."""
+    rank_of = exactalg.gf2_rank if pair.ring == RING_GF2 else exactalg.integer_rank
     chosen: list[str] = []
-    rows: list[list[Fraction]] = []
     for fid in sorted(pair.chi.vectors):
-        cand = rows + [[Fraction(x) for x in pair.chi.vectors[fid]]]
-        if exactalg.rational_rank(cand) == len(cand):
-            rows = cand
-            chosen.append(fid)
-            if len(chosen) == rank:
+        cand = chosen + [fid]
+        if rank_of([pair.chi.vectors[f] for f in cand]) == len(cand):
+            chosen = cand
+            if len(chosen) == pair.chi.rank:
                 return chosen
     return None
 
 
-def _solve_delta_z(
-    basis_vecs: Sequence[Sequence[int]], image_vecs: Sequence[Sequence[int]]
-) -> Optional[tuple[tuple[int, ...], ...]]:
-    """Integer matrix delta with delta @ b_i = w_i, if unimodular."""
-    minv = rational_inverse([list(map(Fraction, v)) for v in zip(*basis_vecs)])
-    if minv is None:
-        return None
-    w = [list(map(Fraction, v)) for v in zip(*image_vecs)]
-    n = len(basis_vecs)
-    delta = []
-    for r in range(n):
-        row = []
-        for c in range(n):
-            val = sum(w[r][k] * minv[k][c] for k in range(n))
-            if val.denominator != 1:
+def _columns(pair: CharacteristicPair, fids: Sequence[str]) -> Matrix:
+    """The matrix whose columns are the vectors of ``fids``."""
+    return tuple(zip(*(pair.chi.vectors[f] for f in fids)))
+
+
+def _divide_exact(rows: Matrix, adj: Matrix, det: int) -> Optional[Matrix]:
+    """rows @ adj / det, or None at the first entry det does not divide."""
+    cols = tuple(zip(*adj))
+    out = []
+    for row in rows:
+        out_row = []
+        for col in cols:
+            q, r = divmod(sum(x * y for x, y in zip(row, col)), det)
+            if r:
                 return None
-            row.append(int(val))
-        delta.append(tuple(row))
-    delta = tuple(delta)
-    if abs(exactalg.determinant(delta)) != 1:
-        return None
-    return delta
+            out_row.append(q)
+        out.append(tuple(out_row))
+    return tuple(out)
 
 
-def _express_in_basis(
-    basis_vecs: Sequence[Sequence[int]], vec: Sequence[int]
-) -> Optional[tuple[Fraction, ...]]:
-    """Coefficients of ``vec`` in the given basis, over the rationals."""
-    rows = [list(map(Fraction, col)) for col in zip(*basis_vecs)]
-    return exactalg.solve_rational(rows, [Fraction(x) for x in vec])
+def _signed(w: Matrix, signs: Sequence[int]) -> Matrix:
+    """w with column i multiplied by signs[i]."""
+    return tuple(tuple(s * x for s, x in zip(signs, row)) for row in w)
 
 
 def _find_simplex_translation(
@@ -441,51 +436,55 @@ def _find_simplex_translation(
 
     Every facet bijection between simplices is an isomorphism, so the
     search reduces to choosing one leftover facet on each side; delta is
-    solved from the basis columns, and in the Z case the per-column sign
-    pattern is pinned by expressing both leftover vectors in their
-    bases, so no sign enumeration is needed.
+    solved from the basis columns, which are square because the group
+    rank equals the common dimension.  In the Z case the leftover vector v
+    has coefficients adj(B) v / det B in the basis B of the others, and
+    the per-column sign pattern is pinned by comparing the entries of
+    adj(B) v on both sides, so no sign enumeration is needed.
     """
+    ring = pair1.ring
     fids1, fids2 = sorted(pair1.polytope.facet_ids), sorted(pair2.polytope.facet_ids)
+    targets = []
+    for g2 in fids2:
+        b2 = [f for f in fids2 if f != g2]
+        w = _columns(pair2, b2)
+        det2 = u = None
+        if ring == RING_Z:
+            det2, adj2 = exactalg.adjugate(w)
+            u = mat_vec(adj2, pair2.chi.vectors[g2])
+        targets.append((g2, b2, w, det2, u))
     for g1 in fids1:
         b1 = [f for f in fids1 if f != g1]
-        v = [pair1.chi.vectors[f] for f in b1]
-        c = _express_in_basis(v, pair1.chi.vectors[g1])
-        if c is None:
-            continue
-        for g2 in fids2:
-            b2 = [f for f in fids2 if f != g2]
-            w = [pair2.chi.vectors[f] for f in b2]
+        v = _columns(pair1, b1)
+        if ring == RING_GF2:
+            vinv = Gf2Matrix.from_vectors(v).inverse()
+            if vinv is None:
+                continue
+        else:
+            det1, adj1 = exactalg.adjugate(v)
+            if det1 == 0:
+                continue
+            c = mat_vec(adj1, pair1.chi.vectors[g1])
+        for g2, b2, w, det2, u in targets:
             fmap = {f: g for f, g in zip(b1, b2)}
             fmap[g1] = g2
-            if pair1.ring == RING_GF2:
-                delta = _solve_delta_gf2(v, w)
-                if delta is None:
-                    continue
-                t = DeltaTranslation(RING_GF2, fmap, delta)
+            if ring == RING_GF2:
+                delta = Gf2Matrix.from_vectors(w).mul(vinv).row_tuples()
             else:
-                u = _express_in_basis(w, pair2.chi.vectors[g2])
-                if u is None or any(abs(a) != abs(b) for a, b in zip(c, u)):
+                # equal |det| is what makes delta unimodular
+                if abs(det2) != abs(det1):
                     continue
-                signs = [1 if a == b else -1 for a, b in zip(c, u)]
-                delta = _solve_delta_z(
-                    v, [tuple(s * x for x in wv) for s, wv in zip(signs, w)]
-                )
+                if any(abs(a) != abs(b) for a, b in zip(c, u)):
+                    continue
+                eps = 1 if det1 == det2 else -1
+                signs = [1 if b == eps * a else -1 for a, b in zip(c, u)]
+                delta = _divide_exact(_signed(w, signs), adj1, det1)
                 if delta is None:
                     continue
-                t = DeltaTranslation(RING_Z, fmap, delta)
+            t = DeltaTranslation(ring, fmap, delta)
             if verify_delta_translation(pair1, pair2, t):
                 return t
     return None
-
-
-def _solve_delta_gf2(basis_vecs, image_vecs) -> Optional[tuple[tuple[int, ...], ...]]:
-    # delta @ V = W where the columns of V are the basis vectors
-    vmat = Gf2Matrix.from_vectors(list(zip(*basis_vecs)))
-    vinv = vmat.inverse()
-    if vinv is None:
-        return None
-    wmat = Gf2Matrix.from_vectors(list(zip(*image_vecs)))
-    return wmat.mul(vinv).row_tuples()
 
 
 def find_delta_translation(
@@ -496,28 +495,44 @@ def find_delta_translation(
 ) -> Optional[DeltaTranslation]:
     """Search for a translation carrying pair1 to pair2.
 
-    Backtracks over facet bijections (combinatorial isomorphisms); for
-    each one delta is solved from rank-many independent facet vectors,
-    with sign enumeration capped at 2^(rank+1) per bijection in the Z
-    case.  Found translations are re-verified before being returned.
-    Intended for small polytopes; raises SearchCapExceeded beyond the
-    bijection cap.
+    Pairs of different group rank have none.  Otherwise backtracks over
+    facet bijections (combinatorial isomorphisms).  The matrix B whose
+    columns are rank-many independent facet vectors of pair1 is
+    inverted once per search: over GF(2) directly, over Z as
+    (det B, adj B) by fraction-free elimination.  A bijection sends B to
+    the matrix W of the image vectors, and delta = W S B^-1 for a
+    diagonal sign pattern S; over GF(2) S = I, over Z the first sign is
+    pinned to +1 (delta and -delta give the same sign classes), so
+    2^(rank-1) patterns are tried per bijection.  Since |det delta| =
+    |det W| / |det B| for every S, a bijection with |det W| != |det B|
+    is skipped without trying any pattern.  A candidate must carry every
+    assigned vector onto its image, and is then re-verified in full
+    before being returned.  Intended for small polytopes; raises
+    SearchCapExceeded beyond the bijection cap.
     """
     if pair1.ring != pair2.ring:
         raise RingMismatch("pairs live over different rings")
+    if pair1.chi.rank != pair2.chi.rank:
+        return None
     if (
         pair1.polytope.is_simplex_lattice()
         and pair2.polytope.is_simplex_lattice()
         and pair1.is_closed()
         and pair2.is_closed()
+        and pair1.chi.rank == pair1.polytope.dim == pair2.polytope.dim
     ):
         return _find_simplex_translation(pair1, pair2)
 
-    rank = pair1.chi.rank
+    ring = pair1.ring
     basis = _independent_assigned_facets(pair1)
     if basis is None:
         raise InvalidPair("pair1 has no independent spanning facet set")
-    basis_vecs = [pair1.chi.vectors[f] for f in basis]
+    b = _columns(pair1, basis)
+    if ring == RING_GF2:
+        binv = Gf2Matrix.from_vectors(b).inverse()
+    else:
+        det_b, adj_b = exactalg.adjugate(b)
+    patterns = [(1,) + signs for signs in iproduct((1, -1), repeat=len(basis) - 1)]
     assigned1 = pair1.chi.assigned()
     assigned2 = pair2.chi.assigned()
 
@@ -530,26 +545,21 @@ def find_delta_translation(
             )
         if {fmap[f] for f in assigned1} != set(assigned2):
             continue
-        image_vecs = [pair2.chi.vectors[fmap[f]] for f in basis]
-        if pair1.ring == RING_GF2:
-            delta = _solve_delta_gf2(basis_vecs, image_vecs)
+        w = _columns(pair2, [fmap[f] for f in basis])
+        if ring == RING_GF2:
+            candidates = [Gf2Matrix.from_vectors(w).mul(binv).row_tuples()]
+        elif abs(exactalg.determinant(w)) != abs(det_b):
+            continue
+        else:
+            candidates = (_divide_exact(_signed(w, s), adj_b, det_b) for s in patterns)
+        for delta in candidates:
             if delta is None:
                 continue
-            t = DeltaTranslation(RING_GF2, fmap, delta)
-            if verify_delta_translation(pair1, pair2, t):
+            t = DeltaTranslation(ring, fmap, delta)
+            if _carries_vectors(pair1, pair2, t) and verify_delta_translation(
+                pair1, pair2, t
+            ):
                 return t
-        else:
-            for signs in iproduct((1, -1), repeat=rank - 1):
-                full = (1,) + signs
-                delta = _solve_delta_z(
-                    basis_vecs,
-                    [tuple(s * x for x in w) for s, w in zip(full, image_vecs)],
-                )
-                if delta is None:
-                    continue
-                t = DeltaTranslation(RING_Z, fmap, delta)
-                if verify_delta_translation(pair1, pair2, t):
-                    return t
     return None
 
 

@@ -149,9 +149,8 @@ def cmd_homology(args) -> int:
         out["d_n"] = d_n
         out["orientable"] = fam.n % 4 == 2
         if args.oracle:
-            table = cellular.relative_homology_table(fam)
+            table, (lhs, rhs) = cellular.relative_oracle(fam, profile)
             out["relative_table"] = cellular.table_to_json(table)
-            lhs, rhs = cellular.euler_cross_check(fam, functional)
             out["euler_identity"] = {"cells": lhs, "index_pairs": rhs}
             top_ok = (table[fam.n] == (1, ())) == (fam.n % 4 == 2)
             if lhs != rhs or not top_ok:

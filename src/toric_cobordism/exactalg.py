@@ -1,16 +1,14 @@
-"""Exact integer, rational and GF(2) linear algebra.
+"""Exact integer and GF(2) linear algebra.
 
-All arithmetic is done over arbitrary precision integers,
-``fractions.Fraction`` or bit packed GF(2) rows.  No floating point
-appears anywhere in the package; every result of this module is exact
-and deterministic, and all functions are pure (safe to call
-concurrently).
+All arithmetic is done over arbitrary precision integers or bit packed
+GF(2) rows.  No floating point appears anywhere in the package; every
+result of this module is exact and deterministic, and all functions are
+pure (safe to call concurrently).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 Matrix = tuple[tuple[int, ...], ...]
@@ -84,6 +82,45 @@ def determinant(m: Iterable[Iterable[int]]) -> int:
             a[i][t] = 0
         prev = piv
     return sign * a[k - 1][k - 1]
+
+
+def adjugate(m: Iterable[Iterable[int]]) -> tuple[int, Matrix]:
+    """(det M, adj M) by fraction-free Gauss-Jordan elimination.
+
+    Bareiss's exact division, applied above and below each pivot of
+    [M | I], ends at [d I | E] with d the last pivot and E = d M^-1;
+    d = s det M for the sign s of the row swaps, so adj M = s E.  A
+    singular M has no full set of pivots and takes its adjugate from
+    cofactors instead.
+    """
+    rows = [list(map(int, row)) for row in m]
+    k = len(rows)
+    if any(len(row) != k for row in rows):
+        raise DimensionMismatch("non-square matrix")
+    a = [row + [int(i == j) for j in range(k)] for i, row in enumerate(rows)]
+    sign, prev = 1, 1
+    for t in range(k):
+        piv = next((i for i in range(t, k) if a[i][t]), None)
+        if piv is None:
+            # adj M[i][j] is the cofactor of entry (j, i)
+            return 0, tuple(
+                tuple(
+                    (-1) ** (i + j)
+                    * determinant([r[:i] + r[i + 1:] for q, r in enumerate(rows) if q != j])
+                    for j in range(k)
+                )
+                for i in range(k)
+            )
+        if piv != t:
+            a[t], a[piv] = a[piv], a[t]
+            sign = -sign
+        p, pivot_row = a[t][t], a[t]
+        for i in range(k):
+            if i != t:
+                f = a[i][t]
+                a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], pivot_row)]
+        prev = p
+    return sign * prev, tuple(tuple(sign * x for x in row[k:]) for row in a)
 
 
 def det_sign(m: Iterable[Iterable[int]]) -> int:
@@ -518,81 +555,3 @@ def solve_gf2(a: Iterable[Sequence[int]] | Gf2Matrix, b: Sequence[int]) -> Optio
 
 def gf2_rank(vectors: Iterable[Sequence[int]]) -> int:
     return Gf2Matrix.from_vectors(vectors).rank()
-
-
-# ---------------------------------------------------------------------------
-# rational elimination
-# ---------------------------------------------------------------------------
-
-def _rref(a: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    nr = len(a)
-    nc = len(a[0]) if nr else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(nc):
-        piv = next((i for i in range(r, nr) if a[i][c] != 0), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        inv = a[r][c]
-        a[r] = [x / inv for x in a[r]]
-        for i in range(nr):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivots.append(c)
-        r += 1
-        if r == nr:
-            break
-    return a, pivots
-
-
-def solve_rational(
-    a: Sequence[Sequence[Fraction | int]], b: Sequence[Fraction | int]
-) -> Optional[tuple[Fraction, ...]]:
-    """Unique solution of A x = b over the rationals, or None.
-
-    None is returned both for inconsistent and for underdetermined
-    systems; the caller only ever needs the uniquely-solvable case.
-    """
-    nr = len(a)
-    if nr == 0:
-        return None
-    nc = len(a[0])
-    aug = [
-        [Fraction(x) for x in row] + [Fraction(bv)] for row, bv in zip(a, b)
-    ]
-    reduced, pivots = _rref(aug)
-    if any(p == nc for p in pivots):
-        return None  # inconsistent
-    if len(pivots) < nc:
-        return None  # underdetermined
-    x = [Fraction(0)] * nc
-    for r, c in enumerate(pivots):
-        x[c] = reduced[r][nc]
-    return tuple(x)
-
-
-def rational_inverse(
-    a: Sequence[Sequence[Fraction | int]],
-) -> Optional[list[list[Fraction]]]:
-    n = len(a)
-    if any(len(row) != n for row in a):
-        raise DimensionMismatch("non-square matrix")
-    aug = [
-        [Fraction(x) for x in row]
-        + [Fraction(1 if i == j else 0) for j in range(n)]
-        for i, row in enumerate(a)
-    ]
-    reduced, pivots = _rref(aug)
-    if len(pivots) != n or pivots != list(range(n)):
-        return None
-    return [row[n:] for row in reduced]
-
-
-def rational_rank(a: Sequence[Sequence[Fraction | int]]) -> int:
-    if not a:
-        return 0
-    rows = [[Fraction(x) for x in row] for row in a]
-    _, pivots = _rref(rows)
-    return len(pivots)

@@ -15,19 +15,9 @@ from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .exactalg import rational_rank, solve_rational
-
 
 class PolytopeError(ValueError):
     pass
-
-
-class EmptySystem(PolytopeError):
-    """The halfspace system has no feasible point."""
-
-
-class UnboundedSystem(PolytopeError):
-    """The halfspace system admits an unbounded direction."""
 
 
 class NotSimple(PolytopeError):
@@ -71,104 +61,6 @@ class HalfspaceSystem:
             )
 
         return HalfspaceSystem(ambient, conv(inequalities), conv(equalities))
-
-
-def enumerate_vertices(
-    system: HalfspaceSystem, *, detect_unbounded: bool = True
-) -> list[Coords]:
-    """All vertices of the polyhedron, by exhaustive basis enumeration.
-
-    Every subset of inequalities of size (ambient - #independent
-    equalities) is intersected with the equalities and solved exactly;
-    feasible unique solutions are collected.  An empty system raises
-    EmptySystem (feasibility decided by exact Fourier-Motzkin
-    elimination); a feasible system with an extreme ray, or with no
-    vertex at all, raises UnboundedSystem.
-    """
-    eqs = [list(h.normal) for h in system.equalities]
-    eq_rank = rational_rank(eqs) if eqs else 0
-    eff_dim = system.ambient - eq_rank
-    ineqs = system.inequalities
-    if eff_dim < 0:
-        raise PolytopeError("over-constrained equality system")
-
-    base_rows = [list(h.normal) for h in system.equalities]
-    base_rhs = [h.offset for h in system.equalities]
-
-    seen: set[Coords] = set()
-    vertices: list[Coords] = []
-    for subset in combinations(range(len(ineqs)), eff_dim):
-        rows = base_rows + [list(ineqs[i].normal) for i in subset]
-        rhs = base_rhs + [ineqs[i].offset for i in subset]
-        point = solve_rational(rows, rhs)
-        if point is None:
-            continue
-        if all(h.value(point) >= 0 for h in ineqs):
-            if point not in seen:
-                seen.add(point)
-                vertices.append(point)
-
-    if not vertices:
-        if _feasible(system):
-            raise UnboundedSystem("feasible but without vertices")
-        raise EmptySystem("no feasible point")
-
-    if detect_unbounded and eff_dim >= 1:
-        for subset in combinations(range(len(ineqs)), eff_dim - 1):
-            rows = base_rows + [list(ineqs[i].normal) for i in subset]
-            direction = _kernel_direction(rows, system.ambient)
-            if direction is None:
-                continue
-            for d in (direction, tuple(-x for x in direction)):
-                if all(
-                    sum(a * x for a, x in zip(h.normal, d)) >= 0 for h in ineqs
-                ):
-                    raise UnboundedSystem("extreme ray found")
-    return sorted(vertices)
-
-
-def _feasible(system: HalfspaceSystem) -> bool:
-    """Exact Fourier-Motzkin feasibility of a halfspace system."""
-    rows: list[tuple[tuple[Fraction, ...], Fraction]] = []
-    for h in system.inequalities:
-        rows.append((tuple(h.normal), h.offset))
-    for h in system.equalities:
-        rows.append((tuple(h.normal), h.offset))
-        rows.append((tuple(-c for c in h.normal), -h.offset))
-    for var in range(system.ambient):
-        pos, neg, rest = [], [], []
-        for normal, off in rows:
-            c = normal[var]
-            if c > 0:
-                pos.append((normal, off))
-            elif c < 0:
-                neg.append((normal, off))
-            else:
-                rest.append((normal, off))
-        new_rows = rest
-        for pn, po in pos:
-            for nn, no in neg:
-                a, b = pn[var], -nn[var]
-                normal = tuple(b * x + a * y for x, y in zip(pn, nn))
-                new_rows.append((normal, b * po + a * no))
-        # drop duplicates to keep the blowup in check
-        rows = list(dict.fromkeys(new_rows))
-    return all(off <= 0 for _, off in rows)
-
-
-def _kernel_direction(rows: list[list[Fraction]], ambient: int) -> Optional[Coords]:
-    """A nonzero kernel vector when the kernel is one dimensional."""
-    if rational_rank(rows) != ambient - 1:
-        return None
-    # solve rows . d = 0 with one coordinate pinned to 1
-    for pin in range(ambient):
-        sys_rows = [list(r) for r in rows]
-        sys_rows.append([Fraction(1 if j == pin else 0) for j in range(ambient)])
-        rhs = [Fraction(0)] * len(rows) + [Fraction(1)]
-        d = solve_rational(sys_rows, rhs)
-        if d is not None:
-            return d
-    return None
 
 
 @dataclass(frozen=True)
@@ -475,14 +367,6 @@ def simplex(n: int) -> SimplePolytope:
         coords = [Fraction(1 if i == j else 0) for i in range(n + 1)]
         vertices.append((coords, {f"d{i}" for i in range(n + 1) if i != j}))
     return SimplePolytope(n, facets, vertices)
-
-
-def simplex_system(n: int) -> HalfspaceSystem:
-    ineqs = [
-        (tuple(1 if i == j else 0 for i in range(n + 1)), 0) for j in range(n + 1)
-    ]
-    eqs = [(tuple(1 for _ in range(n + 1)), 1)]
-    return HalfspaceSystem.make(n + 1, ineqs, eqs)
 
 
 def delta_q_system(n: int, r1: Fraction, r2: Fraction) -> HalfspaceSystem:

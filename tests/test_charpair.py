@@ -22,7 +22,7 @@ from toric_cobordism.charpair import (
 )
 from toric_cobordism.exactalg import identity_matrix, mat_vec
 from toric_cobordism.family import build_family
-from toric_cobordism.polytope import simplex
+from toric_cobordism.polytope import SimplePolytope, product, simplex
 
 
 def gf2_pair(vectors):
@@ -36,8 +36,6 @@ RP2 = gf2_pair([(1, 0), (0, 1), (1, 1)])
 
 
 def square_pair():
-    from toric_cobordism.polytope import product
-
     sq = product(simplex(1), simplex(1))
     vectors = {
         "L.d0": (1, 0),
@@ -283,3 +281,150 @@ class TestSignClasses:
         back = CharacteristicPair.from_json_dict(p.to_json_dict())
         assert back.chi.vectors == p.chi.vectors
         assert back.polytope.incidence_key() == p.polytope.incidence_key()
+
+
+def renamed(pair, rng):
+    """pair with permuted facet ids and a seeded unimodular basis change.
+
+    The facets stay listed in the source's order under their new ids.
+    """
+    rank = pair.chi.rank
+    u = [[int(i == j) for j in range(rank)] for i in range(rank)]
+    for _ in range(2 * rank):
+        i, j = rng.sample(range(rank), 2)
+        c = rng.choice((1, -1))
+        u[i] = [a + c * b for a, b in zip(u[i], u[j])]
+    rng.shuffle(u)
+    poly = pair.polytope
+    ids = list(poly.facet_ids)
+    rename = dict(zip(ids, rng.sample(ids, len(ids))))
+    moved = SimplePolytope(
+        poly.dim,
+        [(rename[f], poly.facet_tags[f]) for f in ids],
+        [
+            (coords, {rename[f] for f in fs})
+            for coords, fs in zip(poly.vertex_coords, poly.vertex_facets)
+        ],
+    )
+    vectors = {rename[f]: mat_vec(u, v) for f, v in pair.chi.vectors.items()}
+    return CharacteristicPair(
+        moved, CharacteristicFunction(pair.ring, rank, vectors)
+    )
+
+
+def product_pair(k):
+    """The standard Z pair over simplex(k-1) x simplex(k), rank 2k-1."""
+    left = standard_pair("complex_projective", k - 1).chi.vectors
+    right = standard_pair("complex_projective", k).chi.vectors
+    vectors = {f"L.{f}": v + (0,) * k for f, v in left.items()}
+    vectors.update({f"R.{f}": (0,) * (k - 1) + v for f, v in right.items()})
+    return CharacteristicPair(
+        product(simplex(k - 1), simplex(k)),
+        CharacteristicFunction("Z", 2 * k - 1, vectors),
+    )
+
+
+def scaled(pair, diagonal):
+    """pair with coordinate i of every vector multiplied by diagonal[i]."""
+    vectors = {
+        f: tuple(d * x for d, x in zip(diagonal, v))
+        for f, v in pair.chi.vectors.items()
+    }
+    return CharacteristicPair(
+        pair.polytope, CharacteristicFunction(pair.ring, pair.chi.rank, vectors)
+    )
+
+
+# find_delta_translation(p1, p2) of the family boundary pieces, as the
+# search with one Fraction solve per sign pattern found them
+FAMILY_WITNESSES = {
+    2: ({"d0": "d3", "d1": "d4", "d2": "d2", "d3": "d0", "d4": "d1"},
+        ((0, 0, 1), (0, 1, 0), (1, 0, 0))),
+    3: ({"d0": "d4", "d1": "d5", "d2": "d6", "d3": "d3", "d4": "d0", "d5": "d1", "d6": "d2"},
+        ((0, 0, 0, 1, 0), (0, 0, 0, 0, 1), (0, 0, 1, 0, 0), (1, 0, 0, 0, 0), (0, 1, 0, 0, 0))),
+}
+
+
+class TestTranslationSearch:
+    @pytest.mark.parametrize("ring", ("Z", "GF2"))
+    @pytest.mark.parametrize("k", (2, 3, 4))
+    def test_finds_renamed_partner(self, ring, k):
+        fam = build_family(k, ring)
+        p1 = fam.boundary["p1"]
+        target = renamed(fam.boundary["p2"], random.Random(100 * k + len(ring)))
+        t = find_delta_translation(p1, target)
+        assert t is not None and verify_delta_translation(p1, target, t)
+
+    @pytest.mark.parametrize("k", (2, 3))
+    def test_product_pair_is_not_equivalent(self, k):
+        p1 = build_family(k, "Z").boundary["p1"]
+        target = renamed(product_pair(k), random.Random(k))
+        assert find_delta_translation(p1, target) is None
+
+    @pytest.mark.parametrize("k", (2, 3))
+    def test_rational_but_not_unimodular(self, k):
+        p1 = build_family(k, "Z").boundary["p1"]
+        rank = p1.chi.rank
+        doubled = scaled(p1, (2,) + (1,) * (rank - 1))
+        # delta would be diag(1/2, 1, ...) times a translation of p1
+        assert find_delta_translation(doubled, p1) is None
+        # delta would be integral with determinant 2
+        assert find_delta_translation(p1, doubled) is None
+
+    def test_equal_determinants_but_not_integral(self):
+        p1 = build_family(2, "Z").boundary["p1"]
+        # both sides have |det| 2, but every rational delta has entries 1/2
+        a, b = scaled(p1, (2, 1, 1)), scaled(p1, (1, 2, 1))
+        assert find_delta_translation(a, b) is None
+
+    @pytest.mark.parametrize("ring", ("Z", "GF2"))
+    @pytest.mark.parametrize("k", (2, 3))
+    def test_pinned_family_witness(self, ring, k):
+        fam = build_family(k, ring)
+        fmap, delta = FAMILY_WITNESSES[k]
+        t = find_delta_translation(fam.boundary["p1"], fam.boundary["p2"])
+        assert t.to_json_dict() == DeltaTranslation(ring, fmap, delta).to_json_dict()
+
+    @pytest.mark.parametrize("k", (2, 3))
+    def test_pinned_product_witness(self, k):
+        # block sign changes fix every sign class, so several sign patterns
+        # work for the identity bijection: the first one tried must win
+        p = product_pair(k)
+        t = find_delta_translation(p, p)
+        assert t == identity_translation(p)
+
+    @pytest.mark.parametrize("ring", ("Z", "GF2"))
+    def test_rank_mismatch(self, ring):
+        p1 = build_family(2, ring).boundary["p1"]
+        padded = CharacteristicPair(
+            p1.polytope,
+            CharacteristicFunction(
+                ring, 4, {f: v + (0,) for f, v in p1.chi.vectors.items()}
+            ),
+        )
+        assert find_delta_translation(p1, padded) is None
+        assert find_delta_translation(padded, p1) is None
+
+    def test_simplex_pair_of_higher_rank(self):
+        # the closed-form simplex search needs rank == dimension; this
+        # pair goes through the bijection search instead
+        tri = CharacteristicPair(
+            simplex(2),
+            CharacteristicFunction(
+                "Z", 3, {"d0": (1, 0, 0), "d1": (0, 1, 0), "d2": (0, 0, 1)}
+            ),
+        )
+        assert find_delta_translation(tri, tri) == identity_translation(tri)
+        assert find_delta_translation(tri, standard_pair("complex_projective", 3)) is None
+
+    def test_gf2_basis_independent_mod_2(self):
+        # the first three vectors in facet order are independent over Q
+        # but sum to zero mod 2, so a basis chosen over Q is no GF(2) basis
+        cube = product(product(simplex(1), simplex(1)), simplex(1))
+        ids = sorted(cube.facet_ids)
+        vectors = [(1, 1, 0), (0, 1, 1), (1, 0, 1), (1, 0, 0), (0, 0, 1), (0, 0, 1)]
+        pair = CharacteristicPair(
+            cube, CharacteristicFunction("GF2", 3, dict(zip(ids, vectors)))
+        )
+        assert validate(pair)
+        assert find_delta_translation(pair, pair) == identity_translation(pair)

@@ -5,6 +5,7 @@ import pytest
 from toric_cobordism.exactalg import (
     DimensionMismatch,
     Gf2Matrix,
+    adjugate,
     as_matrix,
     det_sign,
     determinant,
@@ -14,10 +15,8 @@ from toric_cobordism.exactalg import (
     is_direct_summand,
     mat_mul,
     permutation_sign,
-    rational_inverse,
     smith_normal_form,
     solve_gf2,
-    solve_rational,
 )
 
 
@@ -216,16 +215,54 @@ class TestDeterminant:
             assert determinant(m) == cof
 
 
-class TestRational:
-    def test_solve_unique(self):
-        assert solve_rational([[2, 0], [0, 4]], [1, 1]) == (
-            pytest.approx(0.5),
-            pytest.approx(0.25),
+class TestAdjugate:
+    @staticmethod
+    def cofactor_adjugate(m):
+        k = len(m)
+        return tuple(
+            tuple(
+                (-1) ** (i + j)
+                * determinant([r[:i] + r[i + 1:] for q, r in enumerate(m) if q != j])
+                for j in range(k)
+            )
+            for i in range(k)
         )
 
-    def test_solve_singular(self):
-        assert solve_rational([[1, 1], [2, 2]], [1, 2]) is None
+    def test_times_matrix_is_det_identity(self):
+        rng = random.Random(4)
+        singular = 0
+        for _ in range(300):
+            k = rng.randint(1, 6)
+            m = [[rng.randint(-4, 4) for _ in range(k)] for _ in range(k)]
+            if k > 1 and rng.random() < 0.3:
+                # a row that is a sum of two others, or zero: singular
+                m[-1] = [a + b for a, b in zip(m[0], m[1 % (k - 1)])]
+            d, adj = adjugate(m)
+            singular += d == 0
+            assert d == determinant(m)
+            scaled = tuple(tuple(d * x for x in row) for row in identity_matrix(k))
+            assert mat_mul(as_matrix(m), adj) == scaled
+            assert mat_mul(adj, as_matrix(m)) == scaled
+        assert singular > 50
 
-    def test_inverse_roundtrip(self):
-        inv = rational_inverse([[1, 1], [0, 1]])
-        assert inv == [[1, -1], [0, 1]]
+    def test_matches_cofactors(self):
+        # a singular matrix of rank k - 1 has a nonzero adjugate
+        rng = random.Random(8)
+        for _ in range(100):
+            k = rng.randint(2, 5)
+            m = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(k)]
+            if rng.random() < 0.5:
+                m[0] = [2 * x for x in m[-1]]
+            assert adjugate(m)[1] == self.cofactor_adjugate(m)
+
+    def test_row_swaps(self):
+        assert adjugate([[0, 1], [1, 0]]) == (-1, ((0, -1), (-1, 0)))
+        assert adjugate([[0, 0, 1], [1, 0, 0], [0, 1, 0]]) == (
+            1,
+            ((0, 1, 0), (0, 0, 1), (1, 0, 0)),
+        )
+
+    def test_empty_and_non_square(self):
+        assert adjugate([]) == (1, ())
+        with pytest.raises(DimensionMismatch):
+            adjugate([[1, 2, 3], [4, 5, 6]])
