@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence
 
 from .charpair import RING_GF2, RING_Z, CharacteristicFunction, CharacteristicPair
-from .exactalg import Gf2Matrix, invariant_factors
+from .exactalg import gf2_basis, unit_pivot_elimination
 from .polytope import Face, SimplePolytope
 
 
@@ -243,22 +243,20 @@ def table_to_json(table: HomologyTable) -> list[dict]:
 # quotient CW complexes
 # ---------------------------------------------------------------------------
 
-def _echelon(vectors: Iterable[int], width: int) -> tuple[int, ...]:
-    """Reduced echelon basis of a GF(2) span, rows as bitmasks."""
-    basis: list[int] = []
-    for v in vectors:
-        for b in basis:
-            low = b & -b
-            if v & low:
-                v ^= b
-        if v:
-            basis.append(v)
-            # keep reduced: clear this pivot from earlier rows
-            low = v & -v
-            for i, b in enumerate(basis[:-1]):
-                if b & low:
-                    basis[i] = b ^ v
-    return tuple(sorted(basis, reverse=True))
+def _echelon(vectors: Iterable[int]) -> tuple[int, ...]:
+    """Reduced echelon basis of a GF(2) span, rows as bitmasks, descending.
+
+    Each key of the XOR basis is cleared from the vectors of lower keys,
+    highest key first, so no basis vector has a bit at another's key.
+    """
+    basis = gf2_basis(vectors)
+    keys = sorted(basis, reverse=True)
+    for i, c in enumerate(keys):
+        bit, v = 1 << c, basis[c]
+        for low in keys[i + 1:]:
+            if basis[low] & bit:
+                basis[low] ^= v
+    return tuple(sorted(basis.values(), reverse=True))
 
 
 def _reduce_coset(g: int, basis: tuple[int, ...]) -> int:
@@ -316,7 +314,7 @@ def build_quotient_complex(
                 vecs.append(
                     sum(bit << i for i, bit in enumerate(beta.vectors[fid]))
                 )
-        face_basis.append(_echelon(vecs, rank))
+        face_basis.append(_echelon(vecs))
 
     by_dim: list[list[tuple[int, int]]] = [[] for _ in range(poly.dim + 1)]
     for idx, f in enumerate(faces):
@@ -484,57 +482,53 @@ def _verify_d_squared(cc: ChainComplex) -> None:
                     raise ConsistencyError("d o d != 0: incidence signs broken")
 
 
-def _boundary_rank(cc: ChainComplex, d: int) -> int:
-    if d <= 0 or d > cc.dim or cc.cell_counts[d] == 0 or cc.cell_counts[d - 1] == 0:
-        return 0
+def _eliminate(
+    cc: ChainComplex, d: int, skip: frozenset[int]
+) -> tuple[tuple[int, ...], frozenset[int]]:
+    """Invariant factors of the boundary d (all 1 over GF(2)) with the
+    rows in ``skip`` left out, and the pivot columns of the elimination."""
+    if cc.cell_counts[d] == 0 or cc.cell_counts[d - 1] == 0:
+        return (), frozenset()
     if cc.ring == RING_GF2:
-        rows = [
+        basis = gf2_basis(
             sum(1 << c for c, v in row.items() if v % 2)
-            for row in cc.boundaries[d]
-        ]
-        return Gf2Matrix(cc.cell_counts[d - 1], rows).rank()
-    return len(invariant_factors(cc.boundaries[d], ncols=cc.cell_counts[d - 1]))
+            for r, row in enumerate(cc.boundaries[d])
+            if r not in skip
+        )
+        return (1,) * len(basis), frozenset(basis)
+    return unit_pivot_elimination(cc.boundaries[d], cc.cell_counts[d - 1], skip)
 
 
 def homology(
     cc: ChainComplex, degrees: Optional[Iterable[int]] = None
 ) -> HomologyTable:
-    """Betti numbers (and torsion over Z) of the chain complex."""
+    """Betti numbers (and torsion over Z) of the chain complex.
+
+    One sweep eliminates the boundaries from the top degree down to the
+    lowest degree asked for (at least 1).  The pivots of the boundary
+    d + 1 sit on d-cells tau, on a block of row combinations that is
+    invertible over the ring (unimodular over Z, unit triangular over
+    GF(2)).  Since d o d = 0, each row tau of the boundary d is then a
+    combination of its other rows, so those rows are skipped: the
+    nonzero invariant factors, and the rank, stay the same.  A degree
+    with no cells passes no pivots down.
+    """
     wanted = sorted(set(degrees)) if degrees is not None else list(range(cc.dim + 1))
-    rank_cache: dict[int, int] = {}
-    factor_cache: dict[int, tuple[int, ...]] = {}
-
-    def factors(d: int) -> tuple[int, ...]:
-        if d <= 0 or d > cc.dim:
-            return ()
-        if d not in factor_cache:
-            factor_cache[d] = (
-                invariant_factors(cc.boundaries[d], ncols=cc.cell_counts[d - 1])
-                if cc.cell_counts[d] and cc.cell_counts[d - 1]
-                else ()
-            )
-        return factor_cache[d]
-
-    def rank(d: int) -> int:
-        if d not in rank_cache:
-            if cc.ring == RING_Z:
-                rank_cache[d] = len(factors(d))
-            else:
-                rank_cache[d] = _boundary_rank(cc, d)
-        return rank_cache[d]
+    factors: dict[int, tuple[int, ...]] = {}
+    skip: frozenset[int] = frozenset()
+    for d in range(cc.dim, max(1, min(wanted, default=cc.dim + 1)) - 1, -1):
+        factors[d], skip = _eliminate(cc, d, skip)
 
     table: HomologyTable = {}
     for d in wanted:
         if d < 0 or d > cc.dim:
             table[d] = (0, ())
             continue
-        betti = cc.cell_counts[d] - rank(d) - rank(d + 1) if d < cc.dim else (
-            cc.cell_counts[d] - rank(d)
+        below, above = factors.get(d, ()), factors.get(d + 1, ())
+        table[d] = (
+            cc.cell_counts[d] - len(below) - len(above),
+            tuple(f for f in above if f > 1),
         )
-        torsion: tuple[int, ...] = ()
-        if cc.ring == RING_Z and d < cc.dim:
-            torsion = tuple(f for f in factors(d + 1) if f > 1)
-        table[d] = (betti, torsion)
     return table
 
 

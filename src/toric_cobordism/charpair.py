@@ -59,6 +59,18 @@ class SingularDelta(PairError):
     pass
 
 
+def _is_integer(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def json_object(data: dict, key: str) -> dict:
+    """``data[key]``, which must be a JSON object."""
+    value = data[key]
+    if not isinstance(value, dict):
+        raise InvalidPair(f"{key!r} must be an object, not {type(value).__name__}")
+    return value
+
+
 def normalize_sign_class(vec: Sequence[int]) -> tuple[int, ...]:
     v = tuple(int(x) for x in vec)
     for x in v:
@@ -74,7 +86,9 @@ class CharacteristicFunction:
     """Facet id -> group vector, over Z/± or GF(2).
 
     ``rank`` is the rank of the acting group; vectors all have this
-    length.  The mapping may be partial (free facets omitted).
+    length.  The mapping may be partial (free facets omitted).  The rank
+    and every entry must be ints (bools, floats and strings raise
+    ``InvalidPair``), so a value read from JSON is never rounded.
     """
 
     ring: str
@@ -84,9 +98,13 @@ class CharacteristicFunction:
     def __post_init__(self):
         if self.ring not in (RING_Z, RING_GF2):
             raise RingMismatch(f"unknown ring {self.ring!r}")
+        if not _is_integer(self.rank) or self.rank < 0:
+            raise InvalidPair(f"rank {self.rank!r} is not a nonnegative integer")
         canon = {}
         for fid, vec in self.vectors.items():
-            v = tuple(int(x) for x in vec)
+            v = tuple(vec)
+            if not all(map(_is_integer, v)):
+                raise InvalidPair(f"vector on {fid} has a non-integer entry: {list(v)!r}")
             if len(v) != self.rank:
                 raise DimensionMismatch(
                     f"vector on {fid} has length {len(v)}, expected {self.rank}"
@@ -162,9 +180,11 @@ class CharacteristicPair:
     @classmethod
     def from_json_dict(cls, data: dict) -> "CharacteristicPair":
         poly = SimplePolytope.from_json_dict(data["polytope"])
-        vectors = {fid: tuple(v) for fid, v in data["vectors"].items()}
+        vectors = {fid: tuple(v) for fid, v in json_object(data, "vectors").items()}
         rank = data.get("rank")
         if rank is None:
+            if not vectors:
+                raise InvalidPair("no rank given and no vector to read it from")
             rank = len(next(iter(vectors.values())))
         chi = CharacteristicFunction(data["ring"], rank, vectors)
         return cls(poly, chi)

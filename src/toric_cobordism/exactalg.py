@@ -304,37 +304,63 @@ def invariant_factors(m: Iterable[Iterable[int]], ncols: int | None = None) -> t
     """Nonzero invariant factors of an integer matrix, without transforms.
 
     Accepts dense rows or sparse rows (dicts mapping column -> value, in
-    which case ``ncols`` is required).  Unit pivots are eliminated first
-    with a Markowitz fill heuristic; whatever nonunit core remains is
-    finished by the dense routine.  Suitable for the large sparse
-    boundary matrices of chain complexes.
+    which case ``ncols`` is required).  The rows go through the same
+    elimination as ``unit_pivot_elimination`` with no rows skipped; they
+    are built here, so the elimination works on them without a copy.
     """
     rows: dict[int, dict[int, int]] = {}
-    width = 0
     dense_input = True
     for i, row in enumerate(m):
         if isinstance(row, dict):
             dense_input = False
-            r = {j: int(x) for j, x in row.items() if x != 0}
+            entries = row.items()
         else:
-            seq = list(row)
-            width = max(width, len(seq))
-            r = {j: int(x) for j, x in enumerate(seq) if x != 0}
+            entries = enumerate(row)
+        r = {j: int(x) for j, x in entries if x != 0}
         if r:
             rows[i] = r
-    if not dense_input:
-        if ncols is None:
-            raise DimensionMismatch("sparse input requires ncols")
-        width = ncols
+    if not dense_input and ncols is None:
+        raise DimensionMismatch("sparse input requires ncols")
+    return _eliminate_units(rows)[0]
+
+
+def unit_pivot_elimination(
+    matrix: Sequence[dict[int, int]], ncols: int, skip: Iterable[int] = ()
+) -> tuple[tuple[int, ...], frozenset[int]]:
+    """Invariant factors of sparse integer rows, and the unit pivot columns.
+
+    Row ``i`` of ``matrix`` maps column -> int and is not modified; rows
+    whose index is in ``skip`` are left out.  Unit pivots are eliminated
+    first with a Markowitz fill heuristic; whatever nonunit core remains
+    is finished by the dense Smith normal form.  Suitable for the large
+    sparse boundary matrices of chain complexes.
+
+    The second result holds the columns of the unit pivots.  Their
+    pivot block, taken over the combinations of rows the elimination
+    formed, is triangular with +-1 on the diagonal, hence unimodular.
+    """
+    skipped = frozenset(skip)
+    rows = {i: dict(row) for i, row in enumerate(matrix) if row and i not in skipped}
+    if rows and (
+        min(map(min, rows.values())) < 0 or max(map(max, rows.values())) >= ncols
+    ):
+        raise DimensionMismatch(f"a column lies outside 0..{ncols - 1}")
+    return _eliminate_units(rows)
+
+
+def _eliminate_units(
+    rows: dict[int, dict[int, int]]
+) -> tuple[tuple[int, ...], frozenset[int]]:
+    """The elimination behind both routines above; consumes ``rows``."""
     if not rows:
-        return ()
+        return (), frozenset()
 
     cols: dict[int, set[int]] = {}
     for i, r in rows.items():
         for j in r:
             cols.setdefault(j, set()).add(i)
 
-    units = 0
+    pivot_cols: list[int] = []
     while True:
         best = None
         best_score = None
@@ -382,9 +408,9 @@ def invariant_factors(m: Iterable[Iterable[int]], ncols: int | None = None) -> t
                 del rows[i]
         if pj in cols and not cols[pj]:
             del cols[pj]
-        units += 1
+        pivot_cols.append(pj)
 
-    factors = [1] * units
+    factors = [1] * len(pivot_cols)
     if rows:
         # dense finish on the (small) nonunit core
         live_cols = sorted({j for r in rows.values() for j in r})
@@ -397,7 +423,7 @@ def invariant_factors(m: Iterable[Iterable[int]], ncols: int | None = None) -> t
                 dense[k][index[j]] = x
         core = smith_normal_form(dense)
         factors.extend(core.invariant_factors)
-    return tuple(factors)
+    return tuple(factors), frozenset(pivot_cols)
 
 
 def integer_rank(m: Iterable[Iterable[int]], ncols: int | None = None) -> int:
@@ -424,6 +450,26 @@ def is_direct_summand(vectors: Sequence[Sequence[int]], ambient_rank: int) -> bo
 # ---------------------------------------------------------------------------
 # GF(2)
 # ---------------------------------------------------------------------------
+
+def gf2_basis(rows: Iterable[int]) -> dict[int, int]:
+    """XOR basis of the span of bit packed GF(2) rows, keyed by lowest set bit.
+
+    Each row is reduced by the basis vectors whose key is its lowest set
+    bit until it vanishes or opens a new key.  The keys are the pivot
+    columns: the basis vector of key c is zero below bit c, so the block
+    on the pivot columns is unit triangular.  ``len`` is the rank.
+    """
+    basis: dict[int, int] = {}
+    for v in rows:
+        while v:
+            low = (v & -v).bit_length() - 1
+            b = basis.get(low)
+            if b is None:
+                basis[low] = v
+                break
+            v ^= b
+    return basis
+
 
 class Gf2Matrix:
     """Dense GF(2) matrix with bit packed rows (bit j = column j)."""
@@ -458,21 +504,7 @@ class Gf2Matrix:
         return len(self.rows)
 
     def rank(self) -> int:
-        rows = [r for r in self.rows if r]
-        rank = 0
-        for col in range(self.ncols):
-            bit = 1 << col
-            piv = next((k for k in range(rank, len(rows)) if rows[k] & bit), None)
-            if piv is None:
-                continue
-            rows[rank], rows[piv] = rows[piv], rows[rank]
-            for k in range(len(rows)):
-                if k != rank and rows[k] & bit:
-                    rows[k] ^= rows[rank]
-            rank += 1
-            if rank == len(rows):
-                break
-        return rank
+        return len(gf2_basis(self.rows))
 
     def solve(self, b: Sequence[int]) -> Optional[tuple[int, ...]]:
         """One solution x of A x = b over GF(2), or None.

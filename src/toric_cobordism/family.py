@@ -23,6 +23,7 @@ from .charpair import (
     DeltaTranslation,
     compose_translations,
     find_delta_translation,
+    json_object,
     orientable_small_cover,
     orientation_effect,
     restrict,
@@ -203,13 +204,12 @@ class FamilyDescriptor:
         poly = SimplePolytope.from_json_dict(data["polytope"])
         n = data["n"]
         ring = data["ring"]
-        chi = CharacteristicFunction(
-            ring, n - 1, {fid: tuple(v) for fid, v in data["vectors"].items()}
-        )
+        vectors = {fid: tuple(v) for fid, v in json_object(data, "vectors").items()}
+        chi = CharacteristicFunction(ring, n - 1, vectors)
         pair = CharacteristicPair(poly, chi)
         boundary = {
             fid: CharacteristicPair.from_json_dict(p)
-            for fid, p in data["boundary"].items()
+            for fid, p in json_object(data, "boundary").items()
         }
         fam = cls(
             k=data["k"],

@@ -336,6 +336,8 @@ class SimplePolytope:
         facets = [(f["id"], f.get("tag", "")) for f in data["facets"]]
         vertices = []
         for v in data["vertices"]:
+            if not isinstance(v, dict):
+                raise PolytopeError(f"vertex {v!r} is not an object")
             coords = (
                 [Fraction(s) for s in v["coords"]] if v.get("coords") is not None else None
             )

@@ -1,11 +1,15 @@
+import functools
+
 import pytest
 
+from toric_cobordism import cellular
 from toric_cobordism.cellular import (
     LinearFunctional,
     StrictModeViolation,
     TieError,
     build_quotient_complex,
     chain_complex,
+    closed_cover_complex,
     draw_functional,
     euler_characteristic,
     euler_cross_check,
@@ -13,6 +17,7 @@ from toric_cobordism.cellular import (
     homology_w_rel_boundary,
     is_orientable_space,
     distinguished_functional,
+    relative_complex,
     relative_homology_table,
     small_cover_gf2_betti,
     small_cover_orientable_oracle,
@@ -24,6 +29,7 @@ from toric_cobordism.charpair import (
     orientable_small_cover,
     standard_pair,
 )
+from toric_cobordism.exactalg import smith_normal_form
 from toric_cobordism.family import build_family
 from toric_cobordism.polytope import product, simplex
 
@@ -325,3 +331,184 @@ class TestOracleAgreesWithCriterion:
     def test_agreement(self, pair_factory):
         pair = pair_factory()
         assert small_cover_orientable_oracle(pair) == orientable_small_cover(pair)
+
+
+# -- reference: every boundary eliminated in full and on its own --------------
+#
+# _reference_invariant_factors is the sparse unit-pivot routine and
+# _reference_gf2_rank the dense Gauss-Jordan rank as they stood before
+# homology became one top-down sweep; they are kept here unchanged as the
+# reference for that sweep.
+
+def _reference_invariant_factors(m, ncols=None):
+    rows = {}
+    dense_input = True
+    for i, row in enumerate(m):
+        if isinstance(row, dict):
+            dense_input = False
+            r = {j: int(x) for j, x in row.items() if x != 0}
+        else:
+            r = {j: int(x) for j, x in enumerate(row) if x != 0}
+        if r:
+            rows[i] = r
+    if not dense_input and ncols is None:
+        raise ValueError("sparse input requires ncols")
+    if not rows:
+        return ()
+
+    cols = {}
+    for i, r in rows.items():
+        for j in r:
+            cols.setdefault(j, set()).add(i)
+
+    units = 0
+    while True:
+        best = None
+        best_score = None
+        for i, r in rows.items():
+            rlen = len(r) - 1
+            for j, x in r.items():
+                if x in (1, -1):
+                    score = rlen * (len(cols[j]) - 1)
+                    if best_score is None or score < best_score:
+                        best, best_score = (i, j), score
+                        if score == 0:
+                            break
+            if best_score == 0:
+                break
+        if best is None:
+            break
+        pi, pj = best
+        pval = rows[pi][pj]
+        prow = rows.pop(pi)
+        for j in prow:
+            cols[j].discard(pi)
+            if not cols[j]:
+                del cols[j]
+        targets = list(cols.get(pj, ()))
+        for i in targets:
+            r = rows[i]
+            factor = r[pj] * pval
+            for j, x in prow.items():
+                if j == pj:
+                    continue
+                new = r.get(j, 0) - factor * x
+                if new == 0:
+                    if j in r:
+                        del r[j]
+                        cols[j].discard(i)
+                        if not cols[j]:
+                            del cols[j]
+                else:
+                    if j not in r:
+                        cols.setdefault(j, set()).add(i)
+                    r[j] = new
+            del r[pj]
+            cols[pj].discard(i)
+            if not rows[i]:
+                del rows[i]
+        if pj in cols and not cols[pj]:
+            del cols[pj]
+        units += 1
+
+    factors = [1] * units
+    if rows:
+        live_cols = sorted({j for r in rows.values() for j in r})
+        index = {j: k for k, j in enumerate(live_cols)}
+        dense = [[0] * len(live_cols) for _ in range(len(rows))]
+        for k, (_, r) in enumerate(sorted(rows.items())):
+            for j, x in r.items():
+                dense[k][index[j]] = x
+        factors.extend(smith_normal_form(dense).invariant_factors)
+    return tuple(factors)
+
+
+def _reference_gf2_rank(ncols, rows):
+    rows = [r for r in rows if r]
+    rank = 0
+    for col in range(ncols):
+        bit = 1 << col
+        piv = next((k for k in range(rank, len(rows)) if rows[k] & bit), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        for k in range(len(rows)):
+            if k != rank and rows[k] & bit:
+                rows[k] ^= rows[rank]
+        rank += 1
+        if rank == len(rows):
+            break
+    return rank
+
+
+def _reference_homology(cc):
+    factors = {}
+    for d in range(1, cc.dim + 1):
+        if not (cc.cell_counts[d] and cc.cell_counts[d - 1]):
+            factors[d] = ()
+        elif cc.ring == "Z":
+            factors[d] = _reference_invariant_factors(
+                cc.boundaries[d], ncols=cc.cell_counts[d - 1]
+            )
+        else:
+            bits = [sum(1 << c for c, v in row.items() if v % 2) for row in cc.boundaries[d]]
+            factors[d] = (1,) * _reference_gf2_rank(cc.cell_counts[d - 1], bits)
+    table = {}
+    for d in range(cc.dim + 1):
+        below, above = factors.get(d, ()), factors.get(d + 1, ())
+        table[d] = (
+            cc.cell_counts[d] - len(below) - len(above),
+            tuple(f for f in above if f > 1),
+        )
+    return table
+
+
+@functools.lru_cache(maxsize=None)
+def _gf2_family(k):
+    return build_family(k, "GF2")
+
+
+SWEEP_SOURCES = [
+    *((f"n{2 * k}-{piece}", k, piece) for k in (2, 3, 4) for piece in ("p1", "p2", "p3")),
+    *((f"rel-k{k}", k, None) for k in (2, 3, 4)),
+]
+
+
+class TestEliminationSweep:
+    @pytest.mark.parametrize("ring", ["Z", "GF2"])
+    @pytest.mark.parametrize(
+        "k,piece", [s[1:] for s in SWEEP_SOURCES], ids=[s[0] for s in SWEEP_SOURCES]
+    )
+    def test_matches_per_degree_reference(self, k, piece, ring):
+        fam = _gf2_family(k)
+        if piece is None:
+            cc = relative_complex(fam, ring)
+        else:
+            cc = closed_cover_complex(fam.boundary[piece], ring)
+        table = homology(cc)
+        assert table == _reference_homology(cc)
+        for d in range(cc.dim + 1):
+            assert homology(cc, degrees=[d]) == {d: table[d]}
+
+    @pytest.mark.parametrize("ring", ["Z", "GF2"])
+    def test_top_degree_touches_only_the_top_matrix(self, ring, monkeypatch):
+        cc = closed_cover_complex(_gf2_family(3).boundary["p1"], ring)
+        seen = []
+
+        def recording(cc, d, skip):
+            seen.append(d)
+            return eliminate(cc, d, skip)
+
+        eliminate = cellular._eliminate
+        monkeypatch.setattr(cellular, "_eliminate", recording)
+        homology(cc, degrees=[cc.dim])
+        assert seen == [cc.dim]
+        seen.clear()
+        homology(cc, degrees=[2, 4])
+        assert seen == list(range(cc.dim, 1, -1))
+
+    def test_degrees_outside_the_complex(self):
+        pair = rp2_pair()
+        cc = chain_complex(build_quotient_complex(pair.polytope, pair.chi), "Z")
+        assert homology(cc, degrees=[-1, 3, 1]) == {-1: (0, ()), 1: (0, (2,)), 3: (0, ())}
+        assert homology(cc, degrees=[]) == {}

@@ -204,3 +204,86 @@ class TestCertify:
         emitted = fam.to_json_dict()
         emitted["seed"] = data["seed"]
         assert emitted == data
+
+
+def _set_first_entry(value):
+    def mutate(data):
+        fid = min(data["vectors"])
+        data["vectors"][fid][0] = value
+    return mutate
+
+
+def _set(key, value):
+    def mutate(data):
+        data[key] = value
+    return mutate
+
+
+def _vertex_as_list(data):
+    vertex = data["polytope"]["vertices"][0]
+    data["polytope"]["vertices"][0] = [vertex["coords"], vertex["facets"]]
+
+
+def _empty_vectors_without_rank(data):
+    data["vectors"] = {}
+    del data["rank"]
+
+
+PAIR_MUTATIONS = {
+    "float-entry": _set_first_entry(1.5),
+    "bool-entry": _set_first_entry(True),
+    "string-entry": _set_first_entry("1"),
+    "string-rank": _set("rank", "3"),
+    "float-rank": _set("rank", 3.0),
+    "bool-rank": _set("rank", True),
+    "negative-rank": _set("rank", -1),
+    "vectors-list": _set("vectors", []),
+    "vectors-null": _set("vectors", None),
+    "no-rank-no-vectors": _empty_vectors_without_rank,
+    "vertex-list": _vertex_as_list,
+}
+
+FAMILY_MUTATIONS = {
+    "boundary-list": _set("boundary", []),
+    "boundary-null": _set("boundary", None),
+    "vectors-list": _set("vectors", []),
+    "float-n": _set("n", 4.0),
+    "float-entry": _set_first_entry(0.5),
+}
+
+
+class TestInputContract:
+    """Malformed pair and family files exit 2 with one error line."""
+
+    @staticmethod
+    def _assert_rejected(argv, capsys):
+        capsys.readouterr()
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("name", sorted(PAIR_MUTATIONS))
+    def test_malformed_pair(self, tmp_path, name, capsys):
+        from toric_cobordism.family import build_family
+
+        data = build_family(2, "GF2").boundary["p3"].to_json_dict()
+        good = tmp_path / "good.json"
+        good.write_text(json.dumps(data))
+        PAIR_MUTATIONS[name](data)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        self._assert_rejected(["validate", "--in", str(bad)], capsys)
+        self._assert_rejected(["oracle", "--in", str(bad), "--ring", "z"], capsys)
+        self._assert_rejected(["equiv", "--pair1", str(bad), "--pair2", str(good)], capsys)
+
+    @pytest.mark.parametrize("name", sorted(FAMILY_MUTATIONS))
+    def test_malformed_family(self, tmp_path, name, capsys):
+        fam = tmp_path / "fam.json"
+        main(["construct", "--k", "2", "--ring", "z2", "--out", str(fam)])
+        data = read(fam)
+        FAMILY_MUTATIONS[name](data)
+        fam.write_text(json.dumps(data))
+        self._assert_rejected(["validate", "--in", str(fam)], capsys)
+        self._assert_rejected(["homology", "--in", str(fam), "--oracle"], capsys)
+        self._assert_rejected(["oracle", "--in", str(fam), "--ring", "z", "--relative"], capsys)

@@ -9,6 +9,7 @@ from toric_cobordism.exactalg import (
     as_matrix,
     det_sign,
     determinant,
+    gf2_basis,
     gf2_rank,
     identity_matrix,
     invariant_factors,
@@ -17,6 +18,7 @@ from toric_cobordism.exactalg import (
     permutation_sign,
     smith_normal_form,
     solve_gf2,
+    unit_pivot_elimination,
 )
 
 
@@ -157,6 +159,86 @@ class TestGf2:
             tuple(1 if i == j else 0 for j in range(3)) for i in range(3)
         )
         assert gf2_rank([(1, 1), (1, 1)]) == 1
+
+
+def _sparse_matrices(seed=99, count=50):
+    # the seeded matrices of TestSmith.test_sparse_matches_dense
+    rng = random.Random(seed)
+    for _ in range(count):
+        nr, nc = rng.randint(1, 6), rng.randint(1, 6)
+        yield [
+            {j: rng.randint(-4, 4) for j in range(nc) if rng.random() < 0.5}
+            for _ in range(nr)
+        ], nc
+
+
+def _gf2_matrices():
+    # the seeded matrices of TestGf2.test_solution_always_verifies
+    rng = random.Random(3)
+    for _ in range(100):
+        nr, nc = rng.randint(1, 6), rng.randint(1, 6)
+        rows = [tuple(rng.randint(0, 1) for _ in range(nc)) for _ in range(nr)]
+        [rng.randint(0, 1) for _ in range(nr)]  # that test's right-hand side
+        yield rows, nc
+
+
+class TestUnitPivotElimination:
+    def test_no_skip_matches_invariant_factors(self):
+        for rows, nc in _sparse_matrices():
+            before = [dict(row) for row in rows]
+            factors, _ = unit_pivot_elimination(rows, nc)
+            assert rows == before
+            assert factors == invariant_factors(rows, ncols=nc)
+
+    def test_pivot_block_is_unimodular(self):
+        # The row lattice, projected onto the pivot columns, is all of
+        # Z^pivots: the pivot block of the row combinations is unimodular.
+        seen = 0
+        for rows, nc in _sparse_matrices():
+            _, pivots = unit_pivot_elimination(rows, nc)
+            if not pivots:
+                continue
+            seen += 1
+            cols = sorted(pivots)
+            block = [[row.get(j, 0) for j in cols] for row in rows]
+            assert smith_normal_form(block).invariant_factors == (1,) * len(cols)
+        assert seen > 20
+
+    def test_skipped_rows_are_left_out(self):
+        for rows, nc in _sparse_matrices(seed=7):
+            skip = set(range(0, len(rows), 2))
+            kept = [row for i, row in enumerate(rows) if i not in skip]
+            factors, _ = unit_pivot_elimination(rows, nc, skip)
+            assert factors == invariant_factors(kept, ncols=nc)
+
+    def test_column_out_of_range(self):
+        with pytest.raises(DimensionMismatch):
+            unit_pivot_elimination([{0: 1, 3: 1}], 3)
+
+
+class TestGf2Basis:
+    @staticmethod
+    def _bits(rows):
+        return [sum(bit << j for j, bit in enumerate(row)) for row in rows]
+
+    def test_rank_matches_image_size(self):
+        # rank r <=> the column map x -> A x has 2^r images
+        for rows, nc in _gf2_matrices():
+            images = {
+                tuple(sum(r * ((x >> j) & 1) for j, r in enumerate(row)) % 2 for row in rows)
+                for x in range(1 << nc)
+            }
+            rank = len(gf2_basis(self._bits(rows)))
+            assert 1 << rank == len(images)
+            assert rank == gf2_rank(rows)
+
+    def test_keys_are_unit_triangular_pivots_in_the_row_space(self):
+        for rows, nc in _gf2_matrices():
+            basis = gf2_basis(self._bits(rows))
+            for key, v in basis.items():
+                assert v & ((1 << (key + 1)) - 1) == 1 << key
+                target = [(v >> j) & 1 for j in range(nc)]
+                assert solve_gf2(list(zip(*rows)), target) is not None
 
 
 class TestPermutationSign:
