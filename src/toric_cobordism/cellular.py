@@ -537,35 +537,62 @@ def euler_characteristic(cc: ChainComplex) -> int:
 
 
 # ---------------------------------------------------------------------------
-# family-level wrappers
+# the small cover of a pair: the one oracle route
 # ---------------------------------------------------------------------------
 
-def _family_mu(fam) -> CharacteristicFunction:
-    chi = fam.pair.chi
-    return chi if chi.ring == RING_GF2 else chi.mod2()
+def cover_complex(
+    pair: CharacteristicPair, ring: str = RING_Z, *, relative: bool = False
+) -> ChainComplex:
+    """Chain complex of the small cover of ``pair``, with d o d == 0 verified.
+
+    A Z pair is reduced mod 2 first.  With ``relative`` the faces on the
+    pair's free facets are dropped, which gives the quotient space
+    relative to the part of its boundary over them; a closed pair has
+    no such part.
+    """
+    chi = pair.chi if pair.ring == RING_GF2 else pair.chi.mod2()
+    free = frozenset(pair.polytope.facet_ids) - chi.assigned() if relative else ()
+    if relative and not free:
+        raise CellularError("a closed pair has no free facets to be relative to")
+    return chain_complex(build_quotient_complex(pair.polytope, chi, free), ring)
 
 
-def relative_complex(fam, ring: str = RING_Z) -> ChainComplex:
-    """Chain complex of the total space relative to its boundary."""
-    cw = build_quotient_complex(fam.polytope, _family_mu(fam), fam.boundary.keys())
-    return chain_complex(cw, ring)
+def cover_homology(
+    pair: CharacteristicPair,
+    ring: str = RING_Z,
+    *,
+    relative: bool = False,
+    degrees: Optional[Iterable[int]] = None,
+) -> tuple[HomologyTable, ChainComplex]:
+    """Homology table of ``cover_complex`` and the complex itself.
+
+    The relative complex computes reduced homology of the quotient
+    space; a relative table reports the unreduced groups, so degree 0
+    gains the basepoint class on both rings.
+    """
+    cc = cover_complex(pair, ring, relative=relative)
+    table = homology(cc, degrees)
+    if relative and 0 in table:
+        betti, torsion = table[0]
+        table[0] = (betti + 1, torsion)
+    return table, cc
+
+
+def euler_sides(cc: ChainComplex, profile: IndexProfile) -> tuple[int, int]:
+    """Both sides of the Euler identity for the quotient space.
+
+    Left: basepoint plus the alternating cell count of the relative
+    complex ``cc``.  Right: basepoint plus the alternating sum of the
+    index-pair counts of ``profile``.  A mismatch falsifies the
+    bookkeeping.
+    """
+    pairs = sum((-1) ** j * c for j, c in profile.pair_counts().items())
+    return 1 + euler_characteristic(cc), 1 + pairs
 
 
 def relative_homology_table(fam, degrees=None) -> HomologyTable:
-    """Relative integral homology with the basepoint class in degree 0.
-
-    The deleted-cell complex computes reduced homology of the quotient
-    space; the table reports the unreduced groups, so degree 0 gains one
-    free summand.
-    """
-    return _with_basepoint(homology(relative_complex(fam, RING_Z), degrees))
-
-
-def _with_basepoint(table: HomologyTable) -> HomologyTable:
-    if 0 in table:
-        betti, torsion = table[0]
-        table[0] = (betti + 1, torsion)
-    return table
+    """Relative integral homology of the total space, basepoint included."""
+    return cover_homology(fam.pair, RING_Z, relative=True, degrees=degrees)[0]
 
 
 def is_orientable_space(fam, *, use_oracle: Optional[bool] = None) -> bool:
@@ -587,8 +614,7 @@ def is_orientable_space(fam, *, use_oracle: Optional[bool] = None) -> bool:
     if use_oracle is None:
         use_oracle = n <= ORACLE_MAX_N
     if use_oracle:
-        table = relative_homology_table(fam, degrees=[n])
-        oracle = table[n] == (1, ())
+        oracle = relative_homology_table(fam, degrees=[n])[n] == (1, ())
         if oracle != formula:
             raise ConsistencyError(
                 "oracle top homology disagrees with the parity rule"
@@ -596,52 +622,12 @@ def is_orientable_space(fam, *, use_oracle: Optional[bool] = None) -> bool:
     return formula
 
 
-def euler_cross_check(fam, functional: LinearFunctional) -> tuple[int, int]:
-    """Both sides of the Euler identity for the quotient space.
-
-    Left: basepoint plus alternating cell count of the relative coset
-    complex.  Right: basepoint plus the alternating sum of index-pair
-    counts.  They must be equal; a mismatch falsifies the bookkeeping.
-    """
-    cw = build_quotient_complex(fam.polytope, _family_mu(fam), fam.boundary.keys())
-    profile = vertex_indices(fam.polytope, functional)
-    return 1 + cw.euler_characteristic(), _index_euler(profile)
-
-
-def _index_euler(profile: IndexProfile) -> int:
-    return 1 + sum((-1) ** j * c for j, c in profile.pair_counts().items())
-
-
-def relative_oracle(
-    fam, profile: IndexProfile
-) -> tuple[HomologyTable, tuple[int, int]]:
-    """``relative_homology_table`` and ``euler_cross_check`` from one complex.
-
-    The relative complex is built once; its cell counts give the left
-    side of the Euler identity, and ``profile`` (the functional's vertex
-    indices) the right side.
-    """
-    cc = relative_complex(fam, RING_Z)
-    sides = (1 + euler_characteristic(cc), _index_euler(profile))
-    return _with_basepoint(homology(cc)), sides
-
-
-def closed_cover_complex(pair: CharacteristicPair, ring: str = RING_Z) -> ChainComplex:
-    """Chain complex of the closed small cover of a GF(2) pair."""
-    if pair.ring != RING_GF2:
-        raise CellularError("small covers come from GF(2) pairs")
-    cw = build_quotient_complex(pair.polytope, pair.chi, ())
-    return chain_complex(cw, ring)
-
-
 def small_cover_gf2_betti(pair: CharacteristicPair) -> tuple[int, ...]:
-    cc = closed_cover_complex(pair, RING_GF2)
-    table = homology(cc)
+    table, cc = cover_homology(pair, RING_GF2)
     return tuple(table[d][0] for d in range(cc.dim + 1))
 
 
 def small_cover_orientable_oracle(pair: CharacteristicPair) -> bool:
     """Top integral homology H_dim = Z of the closed cover."""
-    cc = closed_cover_complex(pair, RING_Z)
-    table = homology(cc, degrees=[cc.dim])
-    return table[cc.dim] == (1, ())
+    dim = pair.polytope.dim
+    return cover_homology(pair, RING_Z, degrees=[dim])[0][dim] == (1, ())

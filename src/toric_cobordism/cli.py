@@ -20,27 +20,21 @@ from .charpair import (
     RING_GF2,
     RING_Z,
     CharacteristicPair,
-    PairError,
     find_delta_translation,
     validate,
     verify_delta_translation,
 )
-from .exactalg import DimensionMismatch
-from .family import (
-    CUT_FACETS,
-    FamilyDescriptor,
-    FamilyError,
-    InvalidKind,
-    build_family,
-    glue_certificate,
-)
-from .polytope import PolytopeError
+from .family import FamilyDescriptor, build_family, glue_certificate, reflection_count
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_INVALID = 2
 
 _RING_FLAG = {"z": RING_Z, "z2": RING_GF2}
+
+
+class InputError(ValueError):
+    """An input file cannot be read as a family or a pair."""
 
 
 def _dump(obj: dict, path: str | None) -> None:
@@ -52,9 +46,16 @@ def _dump(obj: dict, path: str | None) -> None:
             fh.write(text)
 
 
-def _load(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+def _read(path: str) -> FamilyDescriptor | CharacteristicPair:
+    """The family (a file with ``boundary``) or the pair stored at ``path``."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            data = json.load(fh)
+        if "boundary" in data:
+            return FamilyDescriptor.from_json_dict(data)
+        return CharacteristicPair.from_json_dict(data)
+    except (OSError, KeyError, TypeError, ValueError) as exc:
+        raise InputError(f"cannot read {path}: {exc}") from exc
 
 
 def _seed(args: argparse.Namespace) -> int:
@@ -72,36 +73,19 @@ def _parse_fraction(text: str) -> Fraction:
 
 
 def cmd_construct(args) -> int:
-    try:
-        fam = build_family(args.k, _RING_FLAG[args.ring], args.r1, args.r2)
-    except (FamilyError, PolytopeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+    fam = build_family(args.k, _RING_FLAG[args.ring], args.r1, args.r2)
     data = fam.to_json_dict()
     data["seed"] = _seed(args)
     _dump(data, args.out)
     return EXIT_OK
 
 
-def _family_from_file(path: str) -> FamilyDescriptor:
-    return FamilyDescriptor.from_json_dict(_load(path))
-
-
 def cmd_validate(args) -> int:
-    try:
-        data = _load(args.infile)
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"error: cannot read input: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    try:
-        if "boundary" in data:
-            fam = FamilyDescriptor.from_json_dict(data)
-            pairs = {"full": fam.pair, **fam.boundary}
-        else:
-            pairs = {"pair": CharacteristicPair.from_json_dict(data)}
-    except (KeyError, TypeError, ValueError) as exc:
-        print(f"error: malformed input: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+    source = _read(args.infile)
+    if isinstance(source, FamilyDescriptor):
+        pairs = {"full": source.pair, **source.boundary}
+    else:
+        pairs = {"pair": source}
     bad = False
     for name, pair in pairs.items():
         report = validate(pair)
@@ -115,21 +99,15 @@ def cmd_validate(args) -> int:
 
 
 def cmd_homology(args) -> int:
-    try:
-        fam = _family_from_file(args.infile)
-    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-        print(f"error: cannot read family: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+    fam = _read(args.infile)
+    if not isinstance(fam, FamilyDescriptor):
+        raise InputError(f"{args.infile} holds a pair, not a family")
     seed = _seed(args)
-    try:
-        if args.distinguished:
-            functional = cellular.distinguished_functional(fam.polytope, fam.n, seed)
-        else:
-            functional = cellular.draw_functional(fam.polytope, seed)
-        profile = cellular.vertex_indices(fam.polytope, functional, strict=args.strict)
-    except cellular.CellularError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+    if args.distinguished:
+        functional = cellular.distinguished_functional(fam.polytope, fam.n, seed)
+    else:
+        functional = cellular.draw_functional(fam.polytope, seed)
+    profile = cellular.vertex_indices(fam.polytope, functional)
     out: dict = {
         "k": fam.k,
         "n": fam.n,
@@ -142,61 +120,32 @@ def cmd_homology(args) -> int:
         table = cellular.homology_w_rel_boundary(fam, functional)
         out["relative_table"] = cellular.table_to_json(table)
     else:
-        from .family import reflection_count
-
         count, d_n = reflection_count(fam.n)
         out["reflection_count"] = count
         out["d_n"] = d_n
         out["orientable"] = fam.n % 4 == 2
         if args.oracle:
-            table, (lhs, rhs) = cellular.relative_oracle(fam, profile)
+            table, cc = cellular.cover_homology(fam.pair, RING_Z, relative=True)
+            lhs, rhs = cellular.euler_sides(cc, profile)
             out["relative_table"] = cellular.table_to_json(table)
             out["euler_identity"] = {"cells": lhs, "index_pairs": rhs}
             top_ok = (table[fam.n] == (1, ())) == (fam.n % 4 == 2)
-            if lhs != rhs or not top_ok:
-                out["oracle_agrees"] = False
+            out["oracle_agrees"] = lhs == rhs and top_ok
+            if not out["oracle_agrees"]:
                 exit_code = EXIT_CHECK_FAILED
-            else:
-                out["oracle_agrees"] = True
     _dump(out, args.out)
     return exit_code
 
 
 def cmd_oracle(args) -> int:
-    try:
-        data = _load(args.infile)
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"error: cannot read input: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    ring = _RING_FLAG[args.ring]
-    try:
-        if "boundary" in data:
-            fam = FamilyDescriptor.from_json_dict(data)
-            if not args.relative:
-                print(
-                    "error: family oracle is relative; pass --relative",
-                    file=sys.stderr,
-                )
-                return EXIT_INVALID
-            cw = cellular.build_quotient_complex(
-                fam.polytope,
-                fam.pair.chi if fam.ring == RING_GF2 else fam.pair.chi.mod2(),
-                CUT_FACETS,
-            )
-            cc = cellular.chain_complex(cw, ring)
-            table = cellular.homology(cc)
-            if ring == RING_Z:
-                betti, torsion = table[0]
-                table[0] = (betti + 1, torsion)
-        else:
-            pair = CharacteristicPair.from_json_dict(data)
-            chi = pair.chi if pair.ring == RING_GF2 else pair.chi.mod2()
-            cw = cellular.build_quotient_complex(pair.polytope, chi, ())
-            cc = cellular.chain_complex(cw, ring)
-            table = cellular.homology(cc)
-    except (KeyError, TypeError, ValueError) as exc:
-        print(f"error: malformed input: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+    pair = _read(args.infile)
+    if isinstance(pair, FamilyDescriptor):
+        if not args.relative:
+            raise InputError("family oracle is relative; pass --relative")
+        pair = pair.pair
+    table, cc = cellular.cover_homology(
+        pair, _RING_FLAG[args.ring], relative=args.relative
+    )
     out = {
         "ring": args.ring,
         "relative": bool(args.relative),
@@ -208,17 +157,11 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_equiv(args) -> int:
-    try:
-        pair1 = CharacteristicPair.from_json_dict(_load(args.pair1))
-        pair2 = CharacteristicPair.from_json_dict(_load(args.pair2))
-    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-        print(f"error: cannot read pairs: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    try:
-        witness = find_delta_translation(pair1, pair2)
-    except PairError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+    pair1, pair2 = (
+        source.pair if isinstance(source, FamilyDescriptor) else source
+        for source in (_read(args.pair1), _read(args.pair2))
+    )
+    witness = find_delta_translation(pair1, pair2)
     if witness is None or not verify_delta_translation(pair1, pair2, witness):
         print("no delta translation found")
         return EXIT_CHECK_FAILED
@@ -227,16 +170,7 @@ def cmd_equiv(args) -> int:
 
 
 def cmd_certify(args) -> int:
-    try:
-        cert = glue_certificate(
-            args.k, args.kind, args.r1, args.r2, seed=_seed(args)
-        )
-    except InvalidKind as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except (FamilyError, PolytopeError, PairError, DimensionMismatch) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+    cert = glue_certificate(args.k, args.kind, args.r1, args.r2, seed=_seed(args))
     _dump(cert.to_json_dict(), args.out)
     if not cert.ok:
         for name in cert.failed_checks():
@@ -281,14 +215,8 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="use the deterministic functional maximized on the distinguished edge",
     )
-    p.add_argument(
-        "--no-strict",
-        dest="strict",
-        action="store_false",
-        help="permit vertices with unexpected old-edge counts",
-    )
     add_common(p)
-    p.set_defaults(func=cmd_homology, strict=True)
+    p.set_defaults(func=cmd_homology)
 
     p = sub.add_parser("oracle", help="brute-force homology of a pair or family")
     p.add_argument("--in", dest="infile", required=True)
@@ -315,8 +243,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one subcommand; the only place an error becomes an exit code.
+
+    Two routes that disagree (``ConsistencyError``) fail the check; any
+    other ``ValueError``, which every library error subclasses, is
+    invalid input.  Either way one line goes to stderr.
+    """
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except cellular.ConsistencyError as exc:
+        print(f"check failed: {exc}", file=sys.stderr)
+        return EXIT_CHECK_FAILED
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INVALID
 
 
 if __name__ == "__main__":

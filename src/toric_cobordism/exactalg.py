@@ -48,10 +48,6 @@ def mat_vec(a: Matrix, x: Sequence[int]) -> tuple[int, ...]:
     return tuple(sum(c * v for c, v in zip(row, x)) for row in a)
 
 
-def transpose(a: Matrix) -> Matrix:
-    return tuple(zip(*a)) if a else ()
-
-
 # ---------------------------------------------------------------------------
 # determinants
 # ---------------------------------------------------------------------------
@@ -127,13 +123,6 @@ def det_sign(m: Iterable[Iterable[int]]) -> int:
     """Sign of the exact determinant: +1, 0 or -1."""
     d = determinant(m)
     return (d > 0) - (d < 0)
-
-
-def is_unimodular(m: Iterable[Iterable[int]]) -> bool:
-    try:
-        return abs(determinant(m)) == 1
-    except DimensionMismatch:
-        return False
 
 
 # ---------------------------------------------------------------------------

@@ -113,13 +113,6 @@ def phi_facet_map(n: int) -> dict[str, str]:
     return {f"d{j}": f"d{r[j]}" for j in range(n + 1)}
 
 
-def phi_full_map(n: int) -> dict[str, str]:
-    """The coordinate permutation as a self-map of the truncated simplex."""
-    m = phi_facet_map(n)
-    m.update({"p1": "p2", "p2": "p1", "p3": "p3"})
-    return m
-
-
 def h_matrix(n: int) -> tuple[tuple[int, ...], ...]:
     """Basis reversal alpha_i -> alpha_{n-i} on Z^{n-1}."""
     _check_n(n)
@@ -161,19 +154,6 @@ class FamilyDescriptor:
     h: tuple[tuple[int, ...], ...]
     f: tuple[tuple[int, ...], ...]
     hs: tuple[tuple[int, ...], ...]
-
-    def boundary_pair(self, fid: str) -> CharacteristicPair:
-        return self.boundary[fid]
-
-    def original_facets(self) -> tuple[str, ...]:
-        return tuple(f"d{j}" for j in range(self.n + 1))
-
-    def isotropy_span(self, vertex_index: int) -> tuple[tuple[int, ...], ...]:
-        """Vectors of the assigned facets through a vertex of the polytope."""
-        fs = self.polytope.vertex_facets[vertex_index]
-        return tuple(
-            self.pair.chi.vectors[f] for f in sorted(fs) if f in self.pair.chi.vectors
-        )
 
     def to_json_dict(self) -> dict:
         return {
@@ -536,7 +516,6 @@ def glue_certificate(
         )
 
     functional = cellular.draw_functional(fam.polytope, seed)
-    profile = cellular.vertex_indices(fam.polytope, functional)
     homology_dict: dict = {"seed": seed, "functional": [str(c) for c in functional.coeffs]}
     if kind == "complex":
         table = cellular.homology_w_rel_boundary(fam, functional)

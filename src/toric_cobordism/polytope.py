@@ -87,6 +87,8 @@ class SimplePolytope:
         *,
         check: bool = True,
     ):
+        if not isinstance(dim, int) or isinstance(dim, bool) or dim < 0:
+            raise PolytopeError(f"dimension {dim!r} is not a nonnegative integer")
         self.dim = dim
         self.facet_ids: tuple[str, ...] = tuple(fid for fid, _ in facets)
         self.facet_tags: dict[str, str] = {fid: tag for fid, tag in facets}
@@ -101,8 +103,12 @@ class SimplePolytope:
             if unknown:
                 raise UnknownFacet(f"vertex references unknown facets {sorted(unknown)}")
             prepared.append((cs, fset))
+        if len({len(c) for c, _ in prepared if c is not None}) > 1:
+            raise PolytopeError("vertex coordinate vectors differ in length")
         if all(c is not None for c, _ in prepared):
             prepared.sort(key=lambda vf: vf[0])
+            if any(a[0] == b[0] for a, b in zip(prepared, prepared[1:])):
+                raise PolytopeError("two vertices lie at the same point")
         else:
             prepared.sort(key=lambda vf: tuple(sorted(vf[1])))
         self.vertex_coords: tuple[Optional[Coords], ...] = tuple(c for c, _ in prepared)

@@ -4,20 +4,21 @@ import pytest
 
 from toric_cobordism import cellular
 from toric_cobordism.cellular import (
+    CellularError,
     LinearFunctional,
     StrictModeViolation,
     TieError,
     build_quotient_complex,
     chain_complex,
-    closed_cover_complex,
+    cover_complex,
+    cover_homology,
     draw_functional,
     euler_characteristic,
-    euler_cross_check,
+    euler_sides,
     homology,
     homology_w_rel_boundary,
     is_orientable_space,
     distinguished_functional,
-    relative_complex,
     relative_homology_table,
     small_cover_gf2_betti,
     small_cover_orientable_oracle,
@@ -310,8 +311,36 @@ class TestRelativeOracle:
         for k in (2, 3):
             fam = build_family(k, "GF2")
             func = draw_functional(fam.polytope, 0)
-            lhs, rhs = euler_cross_check(fam, func)
+            cc = cover_complex(fam.pair, relative=True)
+            lhs, rhs = euler_sides(cc, vertex_indices(fam.polytope, func))
             assert lhs == rhs
+
+
+class TestCoverHomology:
+    @pytest.mark.parametrize("ring", ["Z", "GF2"])
+    def test_relative_table_carries_the_basepoint(self, ring):
+        fam = build_family(2, "GF2")
+        table, cc = cover_homology(fam.pair, ring, relative=True)
+        # every vertex lies on a cut facet, so no 0-cell survives
+        assert cc.cell_counts == (0, 8, 20, 20, 8)
+        assert table[0] == (1, ())
+        assert homology(cc)[0] == (0, ())
+
+    def test_z_pair_is_reduced_mod_2(self):
+        for k in (2, 3):
+            fam_z, fam_2 = build_family(k, "Z"), build_family(k, "GF2")
+            for piece in ("p1", "p3"):
+                for ring in ("Z", "GF2"):
+                    assert cover_homology(fam_z.boundary[piece], ring)[0] == (
+                        cover_homology(fam_2.boundary[piece], ring)[0]
+                    )
+            assert cover_homology(fam_z.pair, relative=True)[0] == (
+                cover_homology(fam_2.pair, relative=True)[0]
+            )
+
+    def test_closed_pair_has_no_relative_complex(self):
+        with pytest.raises(CellularError):
+            cover_complex(rp2_pair(), relative=True)
 
 
 class TestOracleAgreesWithCriterion:
@@ -482,9 +511,9 @@ class TestEliminationSweep:
     def test_matches_per_degree_reference(self, k, piece, ring):
         fam = _gf2_family(k)
         if piece is None:
-            cc = relative_complex(fam, ring)
+            cc = cover_complex(fam.pair, ring, relative=True)
         else:
-            cc = closed_cover_complex(fam.boundary[piece], ring)
+            cc = cover_complex(fam.boundary[piece], ring)
         table = homology(cc)
         assert table == _reference_homology(cc)
         for d in range(cc.dim + 1):
@@ -492,7 +521,7 @@ class TestEliminationSweep:
 
     @pytest.mark.parametrize("ring", ["Z", "GF2"])
     def test_top_degree_touches_only_the_top_matrix(self, ring, monkeypatch):
-        cc = closed_cover_complex(_gf2_family(3).boundary["p1"], ring)
+        cc = cover_complex(_gf2_family(3).boundary["p1"], ring)
         seen = []
 
         def recording(cc, d, skip):

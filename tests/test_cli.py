@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -287,3 +288,173 @@ class TestInputContract:
         self._assert_rejected(["validate", "--in", str(fam)], capsys)
         self._assert_rejected(["homology", "--in", str(fam), "--oracle"], capsys)
         self._assert_rejected(["oracle", "--in", str(fam), "--ring", "z", "--relative"], capsys)
+
+
+@pytest.fixture
+def z2_family_file(tmp_path):
+    out = tmp_path / "fam2.json"
+    assert main(["construct", "--k", "2", "--ring", "z2", "--out", str(out)]) == 0
+    return out
+
+
+def _one_line(capsys, prefix):
+    captured = capsys.readouterr()
+    assert captured.err.startswith(prefix) and captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+
+
+class TestRelativeOracle:
+    @pytest.mark.parametrize("ring", ["z", "z2"])
+    def test_basepoint_on_both_rings(self, z2_family_file, ring, capsys):
+        capsys.readouterr()
+        assert main(["oracle", "--in", str(z2_family_file), "--relative", "--ring", ring]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data["cells"][0] == 0
+        assert data["table"][0] == {"degree": 0, "betti": 1, "torsion": []}
+
+    def test_closed_pair_rejected(self, tmp_path, capsys):
+        from toric_cobordism.family import build_family
+
+        pair = tmp_path / "p3.json"
+        pair.write_text(json.dumps(build_family(2, "GF2").boundary["p3"].to_json_dict()))
+        capsys.readouterr()
+        assert main(["oracle", "--in", str(pair), "--ring", "z", "--relative"]) == 2
+        assert capsys.readouterr().out == ""
+
+
+class TestErrorsReportedFromMain:
+    """Inputs that once ended in a traceback or a hang exit 1 or 2 with one line."""
+
+    @staticmethod
+    def _homology(tmp_path, data):
+        path = tmp_path / "edited.json"
+        path.write_text(json.dumps(data))
+        return main(["homology", "--in", str(path)])
+
+    def test_vertices_at_one_point(self, tmp_path, family_file, capsys):
+        data = read(family_file)
+        vertices = data["polytope"]["vertices"]
+        vertices[1]["coords"] = list(vertices[0]["coords"])
+        capsys.readouterr()
+        assert self._homology(tmp_path, data) == 2
+        _one_line(capsys, "error:")
+
+    def test_coordinate_vector_one_short(self, tmp_path, family_file, capsys):
+        data = read(family_file)
+        vertices = data["polytope"]["vertices"]
+        vertices[1]["coords"] = vertices[0]["coords"][:-1]
+        capsys.readouterr()
+        assert self._homology(tmp_path, data) == 2
+        _one_line(capsys, "error:")
+
+    def test_edge_with_three_vertices(self, tmp_path, family_file, capsys):
+        data = read(family_file)
+        facets = data["polytope"]["vertices"][1]["facets"]
+        facets[facets.index("p2")] = "p1"
+        capsys.readouterr()
+        assert self._homology(tmp_path, data) == 2
+        _one_line(capsys, "error:")
+
+    def test_index_count_disagrees(self, tmp_path, family_file, capsys):
+        data = read(family_file)
+        data["polytope"]["vertices"][10]["coords"][3] = 7
+        capsys.readouterr()
+        assert self._homology(tmp_path, data) == 1
+        _one_line(capsys, "check failed:")
+
+    def test_non_integer_seed(self, family_file, monkeypatch, capsys):
+        monkeypatch.setenv("TORIC_COBORDISM_SEED", "abc")
+        capsys.readouterr()
+        assert main(["homology", "--in", str(family_file)]) == 2
+        _one_line(capsys, "error:")
+
+    def test_non_strict_family(self, tmp_path, family_file, capsys):
+        data = read(family_file)
+        for facet in data["polytope"]["facets"]:
+            if facet["id"] == "p1":
+                facet["tag"] = "original"
+        capsys.readouterr()
+        assert self._homology(tmp_path, data) == 2
+        _one_line(capsys, "error:")
+
+    def test_no_strict_option_removed(self, family_file):
+        with pytest.raises(SystemExit) as exc:
+            main(["homology", "--in", str(family_file), "--no-strict"])
+        assert exc.value.code == 2
+
+
+_WRONG_TYPED = (None, 7, -1, 2.5, 4.0, True, "x", "1/0", [], [1], {}, {"a": 1})
+
+
+def _json_paths(node, prefix=()):
+    """Every path of keys and list positions below ``node``."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _json_paths(child, prefix + (key,))
+
+
+def _at(node, path):
+    for key in path:
+        node = node[key]
+    return node
+
+
+def _mutate(data, rng):
+    """A copy of ``data`` with one key dropped, one value nulled or
+    swapped for a wrong-typed one, or one list shortened or lengthened."""
+    data = json.loads(json.dumps(data))
+    kind = rng.choice(("drop", "null", "wrong", "list"))
+    if kind == "list":
+        lists = [p for p in _json_paths(data) if isinstance(_at(data, p), list) and _at(data, p)]
+        items = _at(data, rng.choice(lists))
+        if rng.random() < 0.5:
+            del items[rng.randrange(len(items))]
+        else:
+            items.insert(rng.randrange(len(items) + 1), json.loads(json.dumps(rng.choice(items))))
+        return data
+    path = rng.choice(list(_json_paths(data)))
+    parent = _at(data, path[:-1])
+    if kind == "drop":
+        del parent[path[-1]]
+    elif kind == "null":
+        parent[path[-1]] = None
+    else:
+        old = parent[path[-1]]
+        parent[path[-1]] = rng.choice([w for w in _WRONG_TYPED if type(w) is not type(old)])
+    return data
+
+
+def test_seeded_mutations_keep_the_exit_code_contract(tmp_path, capsys):
+    from toric_cobordism.family import build_family
+
+    good = build_family(2, "GF2").boundary["p3"].to_json_dict()
+    sources = [
+        ("pair", good),
+        ("gf2-family", build_family(2, "GF2").to_json_dict()),
+        ("z-family", build_family(2, "Z").to_json_dict()),
+    ]
+    good_path = tmp_path / "good.json"
+    good_path.write_text(json.dumps(good))
+    path = tmp_path / "mutant.json"
+    rng = random.Random(20261018)
+    for i in range(400):
+        name, source = sources[i % len(sources)]
+        path.write_text(json.dumps(_mutate(source, rng)))
+        relative = [] if name == "pair" else ["--relative"]
+        oracle = ["--oracle"] if name == "gf2-family" else []
+        for argv in (
+            ["validate", "--in", str(path)],
+            ["oracle", "--in", str(path), "--ring", "z", *relative],
+            ["equiv", "--pair1", str(path), "--pair2", str(good_path)],
+            ["homology", "--in", str(path), *oracle],
+        ):
+            code = main(argv)
+            captured = capsys.readouterr()
+            assert code in (0, 1, 2), (i, name, argv[0])
+            assert "Traceback" not in captured.err, (i, name, argv[0])

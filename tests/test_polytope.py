@@ -218,3 +218,31 @@ class TestSerialization:
         back = SimplePolytope.from_json_dict(data)
         assert back.incidence_key() == q.incidence_key()
         assert back.to_json_dict() == data
+
+
+class TestRealizationChecks:
+    """A realization whose vertices no functional can tell apart is refused."""
+
+    @staticmethod
+    def _triangle(coords):
+        facets = [(f"d{j}", "original") for j in range(3)]
+        fids = [("d1", "d2"), ("d0", "d2"), ("d0", "d1")]
+        return SimplePolytope(2, facets, list(zip(coords, fids)))
+
+    def test_two_vertices_at_one_point(self):
+        with pytest.raises(PolytopeError, match="same point"):
+            self._triangle([(1, 0, 0), (1, 0, 0), (0, 0, 1)])
+
+    def test_coordinate_vectors_of_different_lengths(self):
+        # (1, 0) agrees with (1, 0, 0) on their common prefix
+        with pytest.raises(PolytopeError, match="differ in length"):
+            self._triangle([(1, 0, 0), (1, 0), (0, 0, 1)])
+
+    def test_partial_realization_is_kept(self):
+        tri = self._triangle([(1, 0, 0), None, (0, 0, 1)])
+        assert not tri.has_coords()
+
+    @pytest.mark.parametrize("dim", [2.0, True, "2", -1, None])
+    def test_dimension_must_be_an_integer(self, dim):
+        with pytest.raises(PolytopeError, match="dimension"):
+            SimplePolytope(dim, [], [])
