@@ -212,16 +212,22 @@ HomologyTable = dict[int, tuple[int, tuple[int, ...]]]
 
 
 def homology_w_rel_boundary(fam, functional: LinearFunctional) -> HomologyTable:
-    """Relative homology table of the torus-side total space.
+    """Relative homology table of the torus-side total space of a Z family.
+
+    ``index_table`` of the functional's index profile.
+    """
+    if fam.ring != RING_Z:
+        raise CellularError("the index-count table applies to the Z family")
+    return index_table(vertex_indices(fam.polytope, functional), fam.n)
+
+
+def index_table(profile: IndexProfile, n: int) -> HomologyTable:
+    """Relative homology table read off the index profile of a Z family.
 
     Degree 0 carries the basepoint class; degree 2j-1 is free of rank
     the number of index-j old-edge pairs; every other degree vanishes.
     The table runs over degrees 0 .. 2n-1.
     """
-    if fam.ring != RING_Z:
-        raise CellularError("the index-count table applies to the Z family")
-    profile = vertex_indices(fam.polytope, functional)
-    n = fam.n
     counts = profile.pair_counts()
     if counts.get(n, 0) != 1:
         raise ConsistencyError("top index count is not 1")

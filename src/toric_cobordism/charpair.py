@@ -507,6 +507,38 @@ def _find_simplex_translation(
     return None
 
 
+def _bits(vec: Sequence[int]) -> int:
+    """``vec`` reduced mod 2, bit packed (bit j = entry j)."""
+    return sum((x & 1) << j for j, x in enumerate(vec))
+
+
+def _mod2_relations(pair: CharacteristicPair) -> list[tuple[str, ...]]:
+    """Facet sets whose assigned vectors sum to zero mod 2.
+
+    The vectors are reduced in sorted facet order through an XOR basis
+    keyed by lowest set bit, as in ``exactalg.gf2_basis``; each basis
+    vector carries the set of facets it is the sum of.  A vector that
+    reduces to zero gives one relation.  The relations are independent
+    and there are as many as the mod-2 vectors have linear relations,
+    so they span them all.
+    """
+    basis: dict[int, tuple[int, frozenset[str]]] = {}
+    relations = []
+    for fid in sorted(pair.chi.vectors):
+        v, combo = _bits(pair.chi.vectors[fid]), frozenset((fid,))
+        while v:
+            low = (v & -v).bit_length() - 1
+            if low not in basis:
+                basis[low] = (v, combo)
+                break
+            b, b_combo = basis[low]
+            v ^= b
+            combo ^= b_combo
+        else:
+            relations.append(tuple(sorted(combo)))
+    return relations
+
+
 def find_delta_translation(
     pair1: CharacteristicPair,
     pair2: CharacteristicPair,
@@ -516,19 +548,29 @@ def find_delta_translation(
     """Search for a translation carrying pair1 to pair2.
 
     Pairs of different group rank have none.  Otherwise backtracks over
-    facet bijections (combinatorial isomorphisms).  The matrix B whose
-    columns are rank-many independent facet vectors of pair1 is
-    inverted once per search: over GF(2) directly, over Z as
-    (det B, adj B) by fraction-free elimination.  A bijection sends B to
-    the matrix W of the image vectors, and delta = W S B^-1 for a
-    diagonal sign pattern S; over GF(2) S = I, over Z the first sign is
-    pinned to +1 (delta and -delta give the same sign classes), so
-    2^(rank-1) patterns are tried per bijection.  Since |det delta| =
-    |det W| / |det B| for every S, a bijection with |det W| != |det B|
-    is skipped without trying any pattern.  A candidate must carry every
-    assigned vector onto its image, and is then re-verified in full
-    before being returned.  Intended for small polytopes; raises
-    SearchCapExceeded beyond the bijection cap.
+    facet bijections (combinatorial isomorphisms) and prunes inside the
+    backtrack: a facet must map to an assigned facet iff it is assigned,
+    and each mod-2 relation among pair1's vectors (a facet set R with
+    sum over R of chi1 = 0 mod 2) must hold for the images in pair2 as
+    soon as its last facet is assigned.  A Z translation reduces mod 2
+    to a GF(2) one, so the relations are necessary over both rings.
+
+    The matrix B whose columns are rank-many independent facet vectors
+    of pair1 is inverted once per search: over GF(2) directly, over Z
+    as (det B, adj B) by fraction-free elimination.  A bijection sends
+    B to the matrix W of the image vectors, and delta = W S B^-1 for a
+    diagonal sign pattern S.  Over GF(2), S = I and the relations span
+    every linear relation among pair1's vectors, so delta = W B^-1
+    carries every vector of a surviving bijection.  Over Z, the mod-2
+    relations cannot see signs: the first sign is pinned to +1 (delta
+    and -delta give the same sign classes) and the 2^(rank-1) patterns
+    are tried in turn.  Pinning the rest from the vectors would save
+    little once the relations prune, so it is not done.  Since
+    |det delta| = |det W| / |det B| for every S, a bijection with
+    |det W| != |det B| is skipped without trying any pattern.  Every
+    candidate is verified in full before being returned.  Intended for
+    small polytopes; raises SearchCapExceeded when more than
+    ``max_bijections`` bijections survive the pruning.
     """
     if pair1.ring != pair2.ring:
         raise RingMismatch("pairs live over different rings")
@@ -554,25 +596,42 @@ def find_delta_translation(
         det_b, adj_b = exactalg.adjugate(b)
     patterns = [(1,) + signs for signs in iproduct((1, -1), repeat=len(basis) - 1)]
     assigned1 = pair1.chi.assigned()
-    assigned2 = pair2.chi.assigned()
+    bits2 = {g: _bits(v) for g, v in pair2.chi.vectors.items()}
+    relations = _mod2_relations(pair1)
+    relations_of = {
+        f: [r for r in relations if f in r] for f in pair1.polytope.facet_ids
+    }
+
+    def accept(assignment: dict[str, str], f: str) -> bool:
+        if (f in assigned1) != (assignment[f] in bits2):
+            return False
+        for r in relations_of[f]:
+            if all(x in assignment for x in r):
+                total = 0
+                for x in r:
+                    total ^= bits2[assignment[x]]
+                if total:
+                    return False
+        return True
 
     tried = 0
-    for fmap in pair1.polytope.iter_isomorphisms(pair2.polytope):
+    for fmap in pair1.polytope.iter_isomorphisms(pair2.polytope, accept):
         tried += 1
         if tried > max_bijections:
             raise SearchCapExceeded(
                 f"more than {max_bijections} facet bijections examined"
             )
-        if {fmap[f] for f in assigned1} != set(assigned2):
-            continue
         w = _columns(pair2, [fmap[f] for f in basis])
         if ring == RING_GF2:
-            candidates = [Gf2Matrix.from_vectors(w).mul(binv).row_tuples()]
-        elif abs(exactalg.determinant(w)) != abs(det_b):
+            delta = Gf2Matrix.from_vectors(w).mul(binv).row_tuples()
+            t = DeltaTranslation(ring, fmap, delta)
+            if verify_delta_translation(pair1, pair2, t):
+                return t
             continue
-        else:
-            candidates = (_divide_exact(_signed(w, s), adj_b, det_b) for s in patterns)
-        for delta in candidates:
+        if abs(exactalg.determinant(w)) != abs(det_b):
+            continue
+        for s in patterns:
+            delta = _divide_exact(_signed(w, s), adj_b, det_b)
             if delta is None:
                 continue
             t = DeltaTranslation(ring, fmap, delta)

@@ -117,7 +117,7 @@ def cmd_homology(args) -> int:
     }
     exit_code = EXIT_OK
     if fam.ring == RING_Z:
-        table = cellular.homology_w_rel_boundary(fam, functional)
+        table = cellular.index_table(profile, fam.n)
         out["relative_table"] = cellular.table_to_json(table)
     else:
         count, d_n = reflection_count(fam.n)

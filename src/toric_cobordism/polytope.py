@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 
 class PolytopeError(ValueError):
@@ -246,8 +246,22 @@ class SimplePolytope:
             prof[fid] = (sizes[fid], tuple(inter))
         return prof
 
-    def iter_isomorphisms(self, other: "SimplePolytope") -> Iterator[dict[str, str]]:
-        """Facet bijections inducing a vertex-lattice isomorphism."""
+    def iter_isomorphisms(
+        self,
+        other: "SimplePolytope",
+        accept: Optional[Callable[[dict[str, str], str], bool]] = None,
+    ) -> Iterator[dict[str, str]]:
+        """Facet bijections inducing a vertex-lattice isomorphism.
+
+        The backtrack assigns facets in a fixed order.  A vertex is
+        checked as soon as its last facet is assigned: its image must be
+        a vertex of ``other``.  The facet map is injective, so distinct
+        vertices then have distinct images.  ``accept(assignment, f)``,
+        if given, is called right after facet f is assigned and prunes
+        the subtree when it returns False; the bijections yielded are
+        those of the unpruned search that every call accepted, in the
+        same order.
+        """
         if (
             self.dim != other.dim
             or self.n_facets != other.n_facets
@@ -269,25 +283,21 @@ class SimplePolytope:
         candidates = {
             f: [g for g in other.facet_ids if prof_q[g] == prof_p[f]] for f in order
         }
-        q_vertex_sets = {fs: i for i, fs in enumerate(other.vertex_facets)}
+        q_vertex_sets = set(other.vertex_facets)
+        depth = {f: k for k, f in enumerate(order)}
+        completed: list[list[frozenset[str]]] = [[] for _ in order]
+        for fs in self.vertex_facets:
+            # a vertex on no facet is the point of a 0-dimensional
+            # polytope, and ``other`` then is that point too
+            if fs:
+                completed[max(depth[f] for f in fs)].append(fs)
 
         assignment: dict[str, str] = {}
         used: set[str] = set()
 
-        def vertex_map_ok() -> bool:
-            seen = set()
-            for fs in self.vertex_facets:
-                image = frozenset(assignment[f] for f in fs)
-                j = q_vertex_sets.get(image)
-                if j is None or j in seen:
-                    return False
-                seen.add(j)
-            return True
-
         def backtrack(k: int) -> Iterator[dict[str, str]]:
             if k == len(order):
-                if vertex_map_ok():
-                    yield dict(assignment)
+                yield dict(assignment)
                 return
             f = order[k]
             fv = self._facet_vertices[f]
@@ -305,10 +315,14 @@ class SimplePolytope:
                 if not ok:
                     continue
                 assignment[f] = g
-                used.add(g)
-                yield from backtrack(k + 1)
+                if all(
+                    frozenset(assignment[x] for x in fs) in q_vertex_sets
+                    for fs in completed[k]
+                ) and (accept is None or accept(assignment, f)):
+                    used.add(g)
+                    yield from backtrack(k + 1)
+                    used.discard(g)
                 del assignment[f]
-                used.discard(g)
 
         yield from backtrack(0)
 

@@ -1,4 +1,5 @@
 import random
+from itertools import product as iproduct
 
 import pytest
 
@@ -9,6 +10,7 @@ from toric_cobordism.charpair import (
     InvalidPair,
     MissingVector,
     RingMismatch,
+    SearchCapExceeded,
     compose_translations,
     find_delta_translation,
     identity_translation,
@@ -20,7 +22,8 @@ from toric_cobordism.charpair import (
     validate,
     verify_delta_translation,
 )
-from toric_cobordism.exactalg import identity_matrix, mat_vec
+from toric_cobordism import charpair, exactalg
+from toric_cobordism.exactalg import Gf2Matrix, identity_matrix, mat_vec
 from toric_cobordism.family import build_family
 from toric_cobordism.polytope import SimplePolytope, product, simplex
 
@@ -295,7 +298,15 @@ def renamed(pair, rng):
         c = rng.choice((1, -1))
         u[i] = [a + c * b for a, b in zip(u[i], u[j])]
     rng.shuffle(u)
-    poly = pair.polytope
+    moved, rename = renamed_polytope(pair.polytope, rng)
+    vectors = {rename[f]: mat_vec(u, v) for f, v in pair.chi.vectors.items()}
+    return CharacteristicPair(
+        moved, CharacteristicFunction(pair.ring, rank, vectors)
+    )
+
+
+def renamed_polytope(poly, rng):
+    """(poly with permuted facet ids listed in the old order, the renaming)."""
     ids = list(poly.facet_ids)
     rename = dict(zip(ids, rng.sample(ids, len(ids))))
     moved = SimplePolytope(
@@ -306,10 +317,7 @@ def renamed(pair, rng):
             for coords, fs in zip(poly.vertex_coords, poly.vertex_facets)
         ],
     )
-    vectors = {rename[f]: mat_vec(u, v) for f, v in pair.chi.vectors.items()}
-    return CharacteristicPair(
-        moved, CharacteristicFunction(pair.ring, rank, vectors)
-    )
+    return moved, rename
 
 
 def product_pair(k):
@@ -428,3 +436,209 @@ class TestTranslationSearch:
         )
         assert validate(pair)
         assert find_delta_translation(pair, pair) == identity_translation(pair)
+
+
+# -- reference: the unpruned search -------------------------------------------
+#
+# _reference_isomorphisms is SimplePolytope.iter_isomorphisms and
+# _reference_find_delta_translation the bijection loop of
+# find_delta_translation as they stood before the search pruned inside
+# the backtrack: every vertex is checked at the leaf, and every bijection
+# is tried, with the assigned-set test and a full matvec per vector.
+# They are kept here unchanged as the reference for the pruned search.
+
+def _reference_isomorphisms(self, other):
+    if (
+        self.dim != other.dim
+        or self.n_facets != other.n_facets
+        or self.n_vertices != other.n_vertices
+    ):
+        return
+    prof_p = self._facet_profile()
+    prof_q = other._facet_profile()
+    if sorted(prof_p.values()) != sorted(prof_q.values()):
+        return
+
+    order = sorted(
+        self.facet_ids,
+        key=lambda f: (
+            sum(1 for g in self.facet_ids if prof_p[g] == prof_p[f]),
+            f,
+        ),
+    )
+    candidates = {
+        f: [g for g in other.facet_ids if prof_q[g] == prof_p[f]] for f in order
+    }
+    q_vertex_sets = {fs: i for i, fs in enumerate(other.vertex_facets)}
+
+    assignment = {}
+    used = set()
+
+    def vertex_map_ok():
+        seen = set()
+        for fs in self.vertex_facets:
+            image = frozenset(assignment[f] for f in fs)
+            j = q_vertex_sets.get(image)
+            if j is None or j in seen:
+                return False
+            seen.add(j)
+        return True
+
+    def backtrack(k):
+        if k == len(order):
+            if vertex_map_ok():
+                yield dict(assignment)
+            return
+        f = order[k]
+        fv = self._facet_vertices[f]
+        for g in candidates[f]:
+            if g in used:
+                continue
+            gv = other._facet_vertices[g]
+            ok = True
+            for f2, g2 in assignment.items():
+                if len(fv & self._facet_vertices[f2]) != len(
+                    gv & other._facet_vertices[g2]
+                ):
+                    ok = False
+                    break
+            if not ok:
+                continue
+            assignment[f] = g
+            used.add(g)
+            yield from backtrack(k + 1)
+            del assignment[f]
+            used.discard(g)
+
+    yield from backtrack(0)
+
+
+def _reference_find_delta_translation(pair1, pair2):
+    """The bijection loop only: neither pair may take the simplex path."""
+    ring = pair1.ring
+    basis = charpair._independent_assigned_facets(pair1)
+    b = charpair._columns(pair1, basis)
+    if ring == "GF2":
+        binv = Gf2Matrix.from_vectors(b).inverse()
+    else:
+        det_b, adj_b = exactalg.adjugate(b)
+    patterns = [(1,) + signs for signs in iproduct((1, -1), repeat=len(basis) - 1)]
+    assigned1 = pair1.chi.assigned()
+    assigned2 = pair2.chi.assigned()
+
+    for fmap in _reference_isomorphisms(pair1.polytope, pair2.polytope):
+        if {fmap[f] for f in assigned1} != set(assigned2):
+            continue
+        w = charpair._columns(pair2, [fmap[f] for f in basis])
+        if ring == "GF2":
+            candidates = [Gf2Matrix.from_vectors(w).mul(binv).row_tuples()]
+        elif abs(exactalg.determinant(w)) != abs(det_b):
+            continue
+        else:
+            candidates = (
+                charpair._divide_exact(charpair._signed(w, s), adj_b, det_b)
+                for s in patterns
+            )
+        for delta in candidates:
+            if delta is None:
+                continue
+            t = DeltaTranslation(ring, fmap, delta)
+            if charpair._carries_vectors(
+                pair1, pair2, t
+            ) and verify_delta_translation(pair1, pair2, t):
+                return t
+    return None
+
+
+PRUNED_SEARCH_CASES = [
+    ("Z", k, "positive", seed) for k in (2, 3) for seed in range(3)
+] + [("Z", 4, "positive", seed) for seed in range(2)] + [
+    ("GF2", k, "positive", seed) for k in (2, 3, 4, 5) for seed in range(3)
+] + [("Z", k, "negative", seed) for k in (2, 3) for seed in range(3)]
+
+
+class TestPrunedSearchMatchesReference:
+    @pytest.mark.parametrize("ring,k,kind,seed", PRUNED_SEARCH_CASES)
+    def test_same_witness(self, ring, k, kind, seed):
+        p1 = build_family(k, ring).boundary["p1"]
+        source = build_family(k, ring).boundary["p2"] if kind == "positive" else product_pair(k)
+        target = renamed(source, random.Random(1000 * k + seed))
+        expected = _reference_find_delta_translation(p1, target)
+        assert (expected is None) == (kind == "negative")
+        assert find_delta_translation(p1, target) == expected
+
+    @pytest.mark.parametrize("ring", ("Z", "GF2"))
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("kind", ("positive", "negative"))
+    def test_same_witness_with_a_free_facet(self, ring, seed, kind):
+        # every facet of the cube is like every other, so the search must
+        # tell the free facet from the assigned ones by its vector alone
+        cube = product(product(simplex(1), simplex(1)), simplex(1))
+
+        def cube_pair(vectors):
+            ids = ("L.L.d0", "L.L.d1", "L.R.d0", "L.R.d1", "R.d0")
+            pair = CharacteristicPair(
+                cube, CharacteristicFunction(ring, 3, dict(zip(ids, vectors)))
+            )
+            assert validate(pair)
+            return pair
+
+        pair = cube_pair([(1, 0, 0), (1, 1, 0), (0, 1, 0), (0, 1, 1), (0, 0, 1)])
+        if kind == "positive":
+            source = pair
+        else:
+            # relations of two facets where pair has relations of three
+            source = cube_pair([(1, 0, 0), (1, 0, 0), (0, 1, 0), (0, 1, 0), (0, 0, 1)])
+        target = renamed(source, random.Random(seed))
+        expected = _reference_find_delta_translation(pair, target)
+        assert (expected is None) == (kind == "negative")
+        assert find_delta_translation(pair, target) == expected
+
+    @pytest.mark.parametrize(
+        "poly_factory",
+        [
+            lambda: build_family(2, "Z").boundary["p1"].polytope,
+            lambda: build_family(3, "Z").boundary["p1"].polytope,
+            lambda: product(product(simplex(1), simplex(1)), simplex(1)),
+            lambda: product(simplex(2), simplex(2)),
+        ],
+    )
+    def test_isomorphisms_in_reference_order(self, poly_factory):
+        p = poly_factory()
+        q, _ = renamed_polytope(p, random.Random(p.n_facets))
+        expected = list(_reference_isomorphisms(p, q))
+        assert expected
+        assert list(p.iter_isomorphisms(q)) == expected
+
+        # a rule on single (facet, image) choices keeps exactly the
+        # bijections that avoid every rejected choice, in the same order
+        rejected = {
+            (f, g) for f in p.facet_ids for g in q.facet_ids
+            if (len(f) + 3 * len(g) + ord(f[-1]) * ord(g[-1])) % 5 == 0
+        }
+        pruned = list(
+            p.iter_isomorphisms(q, lambda a, f: (f, a[f]) not in rejected)
+        )
+        assert pruned == [
+            m for m in expected if not any((f, g) in rejected for f, g in m.items())
+        ]
+        assert 0 < len(pruned) < len(expected)
+
+
+class TestSearchCap:
+    @pytest.mark.parametrize("ring", ("Z", "GF2"))
+    def test_cap_stops_the_search(self, ring):
+        fam = build_family(2, ring)
+        p1, p2 = fam.boundary["p1"], fam.boundary["p2"]
+        assert find_delta_translation(p1, p2) is not None
+        with pytest.raises(SearchCapExceeded):
+            find_delta_translation(p1, p2, max_bijections=0)
+
+    @pytest.mark.parametrize("k", (2, 3, 4, 5))
+    def test_first_gf2_survivor_is_a_witness(self, k):
+        # the cap counts bijections that survive the pruning; over GF(2)
+        # the mod-2 relations leave no survivor that fails to translate
+        fam = build_family(k, "GF2")
+        target = renamed(fam.boundary["p2"], random.Random(k))
+        t = find_delta_translation(fam.boundary["p1"], target, max_bijections=1)
+        assert t == _reference_find_delta_translation(fam.boundary["p1"], target)

@@ -1,5 +1,7 @@
+import contextlib
 import json
 import random
+import signal
 
 import pytest
 
@@ -430,6 +432,24 @@ def _mutate(data, rng):
     return data
 
 
+CALL_TIME_LIMIT_S = 10
+
+
+@contextlib.contextmanager
+def _time_limit(seconds, what):
+    """Fail the running test, naming ``what``, if the block outlasts ``seconds``."""
+    def expire(signum, frame):
+        pytest.fail(f"{what} ran longer than {seconds} s", pytrace=False)
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 def test_seeded_mutations_keep_the_exit_code_contract(tmp_path, capsys):
     from toric_cobordism.family import build_family
 
@@ -454,7 +474,8 @@ def test_seeded_mutations_keep_the_exit_code_contract(tmp_path, capsys):
             ["equiv", "--pair1", str(path), "--pair2", str(good_path)],
             ["homology", "--in", str(path), *oracle],
         ):
-            code = main(argv)
+            with _time_limit(CALL_TIME_LIMIT_S, f"mutation {i} of {name}: {argv[0]}"):
+                code = main(argv)
             captured = capsys.readouterr()
             assert code in (0, 1, 2), (i, name, argv[0])
             assert "Traceback" not in captured.err, (i, name, argv[0])
