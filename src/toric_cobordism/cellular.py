@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence
 
 from .charpair import RING_GF2, RING_Z, CharacteristicFunction, CharacteristicPair
-from .exactalg import gf2_basis, unit_pivot_elimination
+from .exactalg import gf2_basis, gf2_pack, unit_pivot_elimination
 from .polytope import Face, SimplePolytope
 
 
@@ -57,12 +57,10 @@ class LinearFunctional:
         return sum(c * x for c, x in zip(self.coeffs, point))
 
 
-def draw_functional(
-    poly: SimplePolytope, seed: int = 0, *, bound: int = 10**6
-) -> LinearFunctional:
+def draw_functional(poly: SimplePolytope, seed: int = 0) -> LinearFunctional:
     """Seeded integer functional distinguishing all vertices.
 
-    Coefficients are drawn uniformly from [-bound, bound]; draws with a
+    Coefficients are drawn uniformly from [-10^6, 10^6]; draws with a
     tie are rejected and redrawn from the same stream, so the result is
     deterministic in the seed.
     """
@@ -71,7 +69,7 @@ def draw_functional(
     ambient = len(poly.vertex_coords[0])
     rng = random.Random(seed)
     while True:
-        coeffs = tuple(Fraction(rng.randint(-bound, bound)) for _ in range(ambient))
+        coeffs = tuple(Fraction(rng.randint(-10**6, 10**6)) for _ in range(ambient))
         func = LinearFunctional(coeffs, seed)
         values = [func.value(c) for c in poly.vertex_coords]
         if len(set(values)) == len(values):
@@ -249,23 +247,13 @@ def table_to_json(table: HomologyTable) -> list[dict]:
 # quotient CW complexes
 # ---------------------------------------------------------------------------
 
-def _echelon(vectors: Iterable[int]) -> tuple[int, ...]:
-    """Reduced echelon basis of a GF(2) span, rows as bitmasks, descending.
-
-    Each key of the XOR basis is cleared from the vectors of lower keys,
-    highest key first, so no basis vector has a bit at another's key.
-    """
-    basis = gf2_basis(vectors)
-    keys = sorted(basis, reverse=True)
-    for i, c in enumerate(keys):
-        bit, v = 1 << c, basis[c]
-        for low in keys[i + 1:]:
-            if basis[low] & bit:
-                basis[low] ^= v
-    return tuple(sorted(basis.values(), reverse=True))
-
-
 def _reduce_coset(g: int, basis: tuple[int, ...]) -> int:
+    """The representative of g + span(basis) with zero bits at the keys.
+
+    ``basis`` is a ``gf2_basis`` in ascending key order.  Its vector of
+    key c is zero below bit c, so clearing bit c leaves the lower keys
+    clear and the result is unique in the coset.
+    """
     for b in basis:
         low = b & -b
         if g & low:
@@ -285,7 +273,7 @@ class QuotientCWComplex:
     group_rank: int
     cells: tuple[tuple[tuple[int, int], ...], ...]  # per dim: (face_index, coset)
     face_list: tuple[Face, ...]
-    face_basis: tuple[tuple[int, ...], ...]  # echelon basis of G_F per face
+    face_basis: tuple[tuple[int, ...], ...]  # XOR basis of G_F per face, ascending keys
     relative_to: frozenset[str]
 
     def cell_counts(self) -> tuple[int, ...]:
@@ -313,22 +301,20 @@ def build_quotient_complex(
     excluded = frozenset(boundary_facets)
     faces = [f for f in poly.faces if not (f.facets & excluded)]
     face_basis = []
-    for f in faces:
-        vecs = []
-        for fid in sorted(f.facets):
-            if fid in beta.vectors:
-                vecs.append(
-                    sum(bit << i for i, bit in enumerate(beta.vectors[fid]))
-                )
-        face_basis.append(_echelon(vecs))
-
     by_dim: list[list[tuple[int, int]]] = [[] for _ in range(poly.dim + 1)]
     for idx, f in enumerate(faces):
-        basis = face_basis[idx]
-        reps = sorted({_reduce_coset(g, basis) for g in range(1 << rank)})
-        expected = 1 << (rank - len(basis))
-        if len(reps) != expected:
-            raise ConsistencyError("coset count does not match isotropy rank")
+        keyed = gf2_basis(
+            gf2_pack(beta.vectors[fid]) for fid in sorted(f.facets) if fid in beta.vectors
+        )
+        basis = tuple(keyed[c] for c in sorted(keyed))
+        face_basis.append(basis)
+        # the representatives are the g with zero bits at the keys
+        reps = [0]
+        for c in range(rank):
+            if c not in keyed:
+                reps += [g | 1 << c for g in reps]
+        if any(_reduce_coset(g, basis) != g for g in reps):
+            raise ConsistencyError("a coset representative is not reduced")
         for g in reps:
             by_dim[f.dim].append((idx, g))
     for d in range(poly.dim + 1):
@@ -601,7 +587,7 @@ def relative_homology_table(fam, degrees=None) -> HomologyTable:
     return cover_homology(fam.pair, RING_Z, relative=True, degrees=degrees)[0]
 
 
-def is_orientable_space(fam, *, use_oracle: Optional[bool] = None) -> bool:
+def is_orientable_space(fam) -> bool:
     """Orientability of the involution-side total space.
 
     Three routes must agree: the parity rule (orientable iff n = 4l+2),
@@ -617,9 +603,7 @@ def is_orientable_space(fam, *, use_oracle: Optional[bool] = None) -> bool:
     _, d_n = reflection_count(n)
     if (d_n == 0) != formula:
         raise ConsistencyError("d_n parity disagrees with the mod-4 rule")
-    if use_oracle is None:
-        use_oracle = n <= ORACLE_MAX_N
-    if use_oracle:
+    if n <= ORACLE_MAX_N:
         oracle = relative_homology_table(fam, degrees=[n])[n] == (1, ())
         if oracle != formula:
             raise ConsistencyError(

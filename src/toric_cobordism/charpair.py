@@ -21,6 +21,7 @@ from .exactalg import (
     Matrix,
     as_matrix,
     det_sign,
+    gf2_pack,
     is_direct_summand,
     mat_vec,
     permutation_sign,
@@ -507,36 +508,28 @@ def _find_simplex_translation(
     return None
 
 
-def _bits(vec: Sequence[int]) -> int:
-    """``vec`` reduced mod 2, bit packed (bit j = entry j)."""
-    return sum((x & 1) << j for j, x in enumerate(vec))
-
-
 def _mod2_relations(pair: CharacteristicPair) -> list[tuple[str, ...]]:
     """Facet sets whose assigned vectors sum to zero mod 2.
 
-    The vectors are reduced in sorted facet order through an XOR basis
-    keyed by lowest set bit, as in ``exactalg.gf2_basis``; each basis
-    vector carries the set of facets it is the sum of.  A vector that
-    reduces to zero gives one relation.  The relations are independent
-    and there are as many as the mod-2 vectors have linear relations,
-    so they span them all.
+    One ``exactalg.gf2_basis`` over the vectors in sorted facet order,
+    row i tagged with bit rank + N - 1 - i (N vectors, so earlier rows
+    carry higher tags).  A row that reduces to zero on the vector bits
+    is left with its own tag as lowest bit and opens that key: the keys
+    at or above rank are the relations, one per dependent row, and
+    their tag bits are the facets of each.  The relations are
+    independent and there are as many as the mod-2 vectors have linear
+    relations, so they span them all.
     """
-    basis: dict[int, tuple[int, frozenset[str]]] = {}
-    relations = []
-    for fid in sorted(pair.chi.vectors):
-        v, combo = _bits(pair.chi.vectors[fid]), frozenset((fid,))
-        while v:
-            low = (v & -v).bit_length() - 1
-            if low not in basis:
-                basis[low] = (v, combo)
-                break
-            b, b_combo = basis[low]
-            v ^= b
-            combo ^= b_combo
-        else:
-            relations.append(tuple(sorted(combo)))
-    return relations
+    rank, fids = pair.chi.rank, sorted(pair.chi.vectors)
+    top = rank + len(fids) - 1
+    basis = exactalg.gf2_basis(
+        gf2_pack(pair.chi.vectors[fid]) | (1 << (top - i)) for i, fid in enumerate(fids)
+    )
+    return [
+        tuple(fid for i, fid in enumerate(fids) if basis[key] >> (top - i) & 1)
+        for key in sorted(basis, reverse=True)
+        if key >= rank
+    ]
 
 
 def find_delta_translation(
@@ -596,7 +589,7 @@ def find_delta_translation(
         det_b, adj_b = exactalg.adjugate(b)
     patterns = [(1,) + signs for signs in iproduct((1, -1), repeat=len(basis) - 1)]
     assigned1 = pair1.chi.assigned()
-    bits2 = {g: _bits(v) for g, v in pair2.chi.vectors.items()}
+    bits2 = {g: gf2_pack(v) for g, v in pair2.chi.vectors.items()}
     relations = _mod2_relations(pair1)
     relations_of = {
         f: [r for r in relations if f in r] for f in pair1.polytope.facet_ids

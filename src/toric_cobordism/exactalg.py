@@ -415,8 +415,8 @@ def _eliminate_units(
     return tuple(factors), frozenset(pivot_cols)
 
 
-def integer_rank(m: Iterable[Iterable[int]], ncols: int | None = None) -> int:
-    return len(invariant_factors(m, ncols=ncols))
+def integer_rank(m: Iterable[Iterable[int]]) -> int:
+    return len(invariant_factors(m))
 
 
 def is_direct_summand(vectors: Sequence[Sequence[int]], ambient_rank: int) -> bool:
@@ -440,6 +440,11 @@ def is_direct_summand(vectors: Sequence[Sequence[int]], ambient_rank: int) -> bo
 # GF(2)
 # ---------------------------------------------------------------------------
 
+def gf2_pack(vec: Iterable[int]) -> int:
+    """``vec`` reduced mod 2, bit packed (bit j = entry j)."""
+    return sum((int(x) & 1) << j for j, x in enumerate(vec))
+
+
 def gf2_basis(rows: Iterable[int]) -> dict[int, int]:
     """XOR basis of the span of bit packed GF(2) rows, keyed by lowest set bit.
 
@@ -447,6 +452,10 @@ def gf2_basis(rows: Iterable[int]) -> dict[int, int]:
     bit until it vanishes or opens a new key.  The keys are the pivot
     columns: the basis vector of key c is zero below bit c, so the block
     on the pivot columns is unit triangular.  ``len`` is the rank.
+
+    Every GF(2) elimination of the package is this one.  A tag bit above
+    the row width on each row records which rows a basis vector sums: a
+    row that depends on the rows before it opens a key on its tags.
     """
     basis: dict[int, int] = {}
     for v in rows:
@@ -458,6 +467,37 @@ def gf2_basis(rows: Iterable[int]) -> dict[int, int]:
                 break
             v ^= b
     return basis
+
+
+def _gf2_transpose(rows: Iterable[int], ncols: int) -> list[int]:
+    """The bit packed columns (bit i = row i) of bit packed rows."""
+    cols = [0] * ncols
+    for i, r in enumerate(rows):
+        while r:
+            low = r & -r
+            cols[low.bit_length() - 1] |= 1 << i
+            r ^= low
+    return cols
+
+
+def _gf2_tagged_basis(vectors: Sequence[int], width: int) -> dict[int, int]:
+    """``gf2_basis`` of vectors of ``width`` bits, vector j tagged with
+    bit width + j.  The keys below ``width`` are the vectors independent
+    of the vectors before them, the pivots Gauss-Jordan picks."""
+    return gf2_basis(v | (1 << (width + j)) for j, v in enumerate(vectors))
+
+
+def _gf2_combination(basis: dict[int, int], b: int, width: int) -> Optional[int]:
+    """The pivot vectors of a tagged basis that sum to b, bit packed by
+    tag, or None if b is not in their span: b is reduced on the keys
+    below ``width`` and the tag bits left over name the vectors."""
+    v = b
+    while v & ((1 << width) - 1):
+        p = basis.get((v & -v).bit_length() - 1)
+        if p is None:
+            return None
+        v ^= p
+    return v >> width
 
 
 class Gf2Matrix:
@@ -472,7 +512,7 @@ class Gf2Matrix:
 
     @classmethod
     def from_vectors(cls, vectors: Iterable[Sequence[int]], ncols: int | None = None) -> "Gf2Matrix":
-        vecs = [tuple(int(x) % 2 for x in v) for v in vectors]
+        vecs = [tuple(v) for v in vectors]
         if ncols is None:
             if not vecs:
                 raise DimensionMismatch("cannot infer width of empty matrix")
@@ -480,8 +520,7 @@ class Gf2Matrix:
         for v in vecs:
             if len(v) != ncols:
                 raise DimensionMismatch("ragged GF(2) rows")
-        rows = [sum(bit << j for j, bit in enumerate(v)) for v in vecs]
-        return cls(ncols, rows)
+        return cls(ncols, map(gf2_pack, vecs))
 
     def row_tuples(self) -> tuple[tuple[int, ...], ...]:
         return tuple(
@@ -503,51 +542,30 @@ class Gf2Matrix:
         """
         if len(b) != self.nrows:
             raise DimensionMismatch("rhs length != number of rows")
-        bbit = 1 << self.ncols
-        aug = [r | (bbit if int(bv) % 2 else 0) for r, bv in zip(self.rows, b)]
-        pivots: list[int] = []
-        rank = 0
-        for col in range(self.ncols):
-            bit = 1 << col
-            piv = next((k for k in range(rank, len(aug)) if aug[k] & bit), None)
-            if piv is None:
-                continue
-            aug[rank], aug[piv] = aug[piv], aug[rank]
-            for k in range(len(aug)):
-                if k != rank and aug[k] & bit:
-                    aug[k] ^= aug[rank]
-            pivots.append(col)
-            rank += 1
-        if any(row == bbit for row in aug):
+        # x names the columns that sum to b, zero off the pivot columns
+        columns = _gf2_tagged_basis(_gf2_transpose(self.rows, self.ncols), self.nrows)
+        xbits = _gf2_combination(columns, gf2_pack(b), self.nrows)
+        if xbits is None:
             return None
-        x = [0] * self.ncols
-        for k, col in enumerate(pivots):
-            if aug[k] & bbit:
-                x[col] = 1
-        xbits = sum(bit << j for j, bit in enumerate(x))
         for r, bv in zip(self.rows, b):
             if bin(r & xbits).count("1") % 2 != int(bv) % 2:
                 raise AssertionError("GF(2) solver produced a bad solution")
-        return tuple(x)
+        return tuple((xbits >> j) & 1 for j in range(self.ncols))
 
     def inverse(self) -> Optional["Gf2Matrix"]:
+        """A^-1, or None when A is singular.
+
+        Row i of A^-1 names the rows of A that sum to e_i, solved for
+        every i on one tagged basis of the rows (the columns of A^T).
+        """
         if self.nrows != self.ncols:
             raise DimensionMismatch("inverse of a non-square matrix")
         n = self.ncols
-        aug = [r | (1 << (n + i)) for i, r in enumerate(self.rows)]
-        rank = 0
-        for col in range(n):
-            bit = 1 << col
-            piv = next((k for k in range(rank, n) if aug[k] & bit), None)
-            if piv is None:
-                return None
-            aug[rank], aug[piv] = aug[piv], aug[rank]
-            for k in range(n):
-                if k != rank and aug[k] & bit:
-                    aug[k] ^= aug[rank]
-            rank += 1
-        inv_rows = [row >> n for row in aug]
-        return Gf2Matrix(n, inv_rows)
+        rows = _gf2_tagged_basis(self.rows, n)
+        inv = [_gf2_combination(rows, 1 << i, n) for i in range(n)]
+        if None in inv:
+            return None
+        return Gf2Matrix(n, inv)
 
     def mul(self, other: "Gf2Matrix") -> "Gf2Matrix":
         if self.ncols != other.nrows:
@@ -564,7 +582,7 @@ class Gf2Matrix:
         return Gf2Matrix(other.ncols, out)
 
     def matvec(self, x: Sequence[int]) -> tuple[int, ...]:
-        xbits = sum((int(v) % 2) << j for j, v in enumerate(x))
+        xbits = gf2_pack(x)
         return tuple(bin(r & xbits).count("1") % 2 for r in self.rows)
 
 

@@ -30,7 +30,7 @@ from toric_cobordism.charpair import (
     orientable_small_cover,
     standard_pair,
 )
-from toric_cobordism.exactalg import smith_normal_form
+from toric_cobordism.exactalg import gf2_basis, smith_normal_form
 from toric_cobordism.family import build_family
 from toric_cobordism.polytope import product, simplex
 
@@ -305,7 +305,7 @@ class TestRelativeOracle:
         assert is_orientable_space(build_family(2, "GF2")) is False
         assert is_orientable_space(build_family(3, "GF2")) is True
         # formula path only at n = 8
-        assert is_orientable_space(build_family(4, "GF2"), use_oracle=False) is False
+        assert is_orientable_space(build_family(4, "GF2")) is False
 
     def test_euler_identity(self):
         for k in (2, 3):
@@ -541,3 +541,58 @@ class TestEliminationSweep:
         cc = chain_complex(build_quotient_complex(pair.polytope, pair.chi), "Z")
         assert homology(cc, degrees=[-1, 3, 1]) == {-1: (0, ()), 1: (0, (2,)), 3: (0, ())}
         assert homology(cc, degrees=[]) == {}
+
+
+# -- reference: cosets from the fully reduced basis ----------------------------
+#
+# _reference_echelon and _reference_reduce_coset are cellular._echelon and
+# cellular._reduce_coset as they stood when build_quotient_complex found
+# each face's coset representatives by reducing all 2^rank group elements
+# against the fully reduced basis; they are kept here unchanged as the
+# reference for the representatives read off the keys of gf2_basis.
+
+def _reference_echelon(vectors):
+    basis = gf2_basis(vectors)
+    keys = sorted(basis, reverse=True)
+    for i, c in enumerate(keys):
+        bit, v = 1 << c, basis[c]
+        for low in keys[i + 1:]:
+            if basis[low] & bit:
+                basis[low] ^= v
+    return tuple(sorted(basis.values(), reverse=True))
+
+
+def _reference_reduce_coset(g, basis):
+    for b in basis:
+        low = b & -b
+        if g & low:
+            g ^= b
+    return g
+
+
+class TestCosetRepresentatives:
+    @pytest.mark.parametrize("k", (2, 3, 4))
+    def test_every_face_matches_reference(self, k):
+        fam = _gf2_family(k)
+        for pair in (fam.pair, *(fam.boundary[p] for p in ("p1", "p2", "p3"))):
+            cw = build_quotient_complex(pair.polytope, pair.chi)
+            rank = cw.group_rank
+            reps = {}
+            for d in cw.cells:
+                for fi, g in d:
+                    reps.setdefault(fi, []).append(g)
+            assert len(cw.face_list) == len(pair.polytope.faces)
+            for fi, face in enumerate(cw.face_list):
+                old = _reference_echelon(
+                    sum(bit << i for i, bit in enumerate(pair.chi.vectors[fid]))
+                    for fid in sorted(face.facets)
+                    if fid in pair.chi.vectors
+                )
+                expected = sorted(
+                    {_reference_reduce_coset(g, old) for g in range(1 << rank)}
+                )
+                assert reps[fi] == expected
+                new = cw.face_basis[fi]
+                assert [b & -b for b in new] == sorted(b & -b for b in old)
+                for g in range(1 << rank):
+                    assert cellular._reduce_coset(g, new) == _reference_reduce_coset(g, old)

@@ -625,6 +625,49 @@ class TestPrunedSearchMatchesReference:
         assert 0 < len(pruned) < len(expected)
 
 
+# -- reference: the private tracked reduction -------------------------------------
+#
+# _reference_mod2_relations is charpair._mod2_relations as it stood before
+# it ran through exactalg.gf2_basis with tag bits, with its _bits packing
+# inlined; it is kept here as the reference for the tagged basis.
+
+def _reference_mod2_relations(pair):
+    basis = {}
+    relations = []
+    for fid in sorted(pair.chi.vectors):
+        v = sum((x & 1) << j for j, x in enumerate(pair.chi.vectors[fid]))
+        combo = frozenset((fid,))
+        while v:
+            low = (v & -v).bit_length() - 1
+            if low not in basis:
+                basis[low] = (v, combo)
+                break
+            b, b_combo = basis[low]
+            v ^= b
+            combo ^= b_combo
+        else:
+            relations.append(tuple(sorted(combo)))
+    return relations
+
+
+class TestMod2Relations:
+    @pytest.mark.parametrize("ring", ("Z", "GF2"))
+    @pytest.mark.parametrize("k", (2, 3, 4, 5))
+    def test_family_pairs_match_reference(self, k, ring):
+        fam = build_family(k, ring)
+        for pair in (fam.pair, *(fam.boundary[p] for p in ("p1", "p2", "p3"))):
+            relations = charpair._mod2_relations(pair)
+            assert relations == _reference_mod2_relations(pair)
+            assert len(relations) == len(pair.chi.vectors) - exactalg.gf2_rank(
+                list(pair.chi.vectors.values())
+            )
+
+    def test_repeated_and_summing_vectors(self):
+        pair = square_pair()
+        assert charpair._mod2_relations(pair) == [("L.d0", "L.d1"), ("R.d0", "R.d1")]
+        assert charpair._mod2_relations(RP2) == [("d0", "d1", "d2")]
+
+
 class TestSearchCap:
     @pytest.mark.parametrize("ring", ("Z", "GF2"))
     def test_cap_stops_the_search(self, ring):

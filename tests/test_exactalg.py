@@ -10,6 +10,7 @@ from toric_cobordism.exactalg import (
     det_sign,
     determinant,
     gf2_basis,
+    gf2_pack,
     gf2_rank,
     identity_matrix,
     invariant_factors,
@@ -239,6 +240,135 @@ class TestGf2Basis:
                 assert v & ((1 << (key + 1)) - 1) == 1 << key
                 target = [(v >> j) & 1 for j in range(nc)]
                 assert solve_gf2(list(zip(*rows)), target) is not None
+
+
+# -- reference: Gauss-Jordan over GF(2) -----------------------------------------
+#
+# _reference_solve and _reference_inverse are Gf2Matrix.solve and
+# Gf2Matrix.inverse as they stood before both ran through gf2_basis;
+# they are kept here unchanged as the reference for that route.
+
+def _reference_solve(self, b):
+    if len(b) != self.nrows:
+        raise DimensionMismatch("rhs length != number of rows")
+    bbit = 1 << self.ncols
+    aug = [r | (bbit if int(bv) % 2 else 0) for r, bv in zip(self.rows, b)]
+    pivots = []
+    rank = 0
+    for col in range(self.ncols):
+        bit = 1 << col
+        piv = next((k for k in range(rank, len(aug)) if aug[k] & bit), None)
+        if piv is None:
+            continue
+        aug[rank], aug[piv] = aug[piv], aug[rank]
+        for k in range(len(aug)):
+            if k != rank and aug[k] & bit:
+                aug[k] ^= aug[rank]
+        pivots.append(col)
+        rank += 1
+    if any(row == bbit for row in aug):
+        return None
+    x = [0] * self.ncols
+    for k, col in enumerate(pivots):
+        if aug[k] & bbit:
+            x[col] = 1
+    xbits = sum(bit << j for j, bit in enumerate(x))
+    for r, bv in zip(self.rows, b):
+        if bin(r & xbits).count("1") % 2 != int(bv) % 2:
+            raise AssertionError("GF(2) solver produced a bad solution")
+    return tuple(x)
+
+
+def _reference_inverse(self):
+    if self.nrows != self.ncols:
+        raise DimensionMismatch("inverse of a non-square matrix")
+    n = self.ncols
+    aug = [r | (1 << (n + i)) for i, r in enumerate(self.rows)]
+    rank = 0
+    for col in range(n):
+        bit = 1 << col
+        piv = next((k for k in range(rank, n) if aug[k] & bit), None)
+        if piv is None:
+            return None
+        aug[rank], aug[piv] = aug[piv], aug[rank]
+        for k in range(n):
+            if k != rank and aug[k] & bit:
+                aug[k] ^= aug[rank]
+        rank += 1
+    inv_rows = [row >> n for row in aug]
+    return Gf2Matrix(n, inv_rows)
+
+
+def _seeded_systems(count=3000, seed=8):
+    """(A, b) over GF(2): random, rank-deficient by repeated or summed
+    rows and columns, and with b in the column span or not."""
+    rng = random.Random(seed)
+    for i in range(count):
+        nr, nc = rng.randint(0, 7), rng.randint(0, 7)
+        rows = [rng.getrandbits(nc) if nc else 0 for _ in range(nr)]
+        if i % 3 == 1 and nr >= 2:
+            rows[-1] = rows[0] ^ (rows[1] if i % 2 else 0)
+        if i % 3 == 2 and nc >= 2:
+            a, c = rng.sample(range(nc), 2)
+            rows = [r & ~(1 << c) | ((r >> a) & 1) << c for r in rows]
+        m = Gf2Matrix(nc, rows)
+        if i % 2:
+            b = m.matvec([rng.randint(0, 1) for _ in range(nc)])
+        else:
+            b = tuple(rng.randint(0, 1) for _ in range(nr))
+        yield m, b
+
+
+def _brute_force_inverse(m):
+    """Column i is the one x with m x = e_i, found among all 2^n vectors."""
+    n = m.ncols
+    preimage = {}
+    for x in range(1 << n):
+        preimage.setdefault(m.matvec([(x >> j) & 1 for j in range(n)]), x)
+    if len(preimage) < 1 << n:
+        return None
+    unit = [tuple(int(i == r) for r in range(n)) for i in range(n)]
+    cols = [preimage[e] for e in unit]
+    return tuple(tuple((cols[i] >> r) & 1 for i in range(n)) for r in range(n))
+
+
+class TestGf2SolveOnTheBasis:
+    def test_pack(self):
+        assert gf2_pack((1, 0, 1, 1)) == 0b1101
+        assert gf2_pack((3, -1, 2, 0)) == 0b11
+        assert gf2_pack(()) == 0
+
+    def test_solve_matches_gauss_jordan(self):
+        outcomes = set()
+        for m, b in _seeded_systems():
+            x = m.solve(b)
+            assert x == _reference_solve(m, b)
+            outcomes.add((x is None, m.rank() < min(m.nrows, m.ncols)))
+        # solvable and unsolvable systems, of full and deficient rank
+        assert outcomes == {(False, False), (False, True), (True, False), (True, True)}
+
+    def test_inverse_matches_gauss_jordan_and_brute_force(self):
+        rng = random.Random(21)
+        singular = 0
+        for _ in range(600):
+            n = rng.randint(0, 6)
+            m = Gf2Matrix(n, [rng.getrandbits(n) if n else 0 for _ in range(n)])
+            inv = m.inverse()
+            expected = _brute_force_inverse(m)
+            assert (inv is None) == (expected is None)
+            ref = _reference_inverse(m)
+            if inv is None:
+                assert ref is None
+                singular += 1
+                continue
+            assert inv.row_tuples() == expected == ref.row_tuples()
+            unit = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+            assert m.mul(inv).row_tuples() == inv.mul(m).row_tuples() == unit
+        assert 100 < singular < 500
+
+    def test_inverse_rejects_non_square(self):
+        with pytest.raises(DimensionMismatch):
+            Gf2Matrix(2, [1, 2, 3]).inverse()
 
 
 class TestPermutationSign:
