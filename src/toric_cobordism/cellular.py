@@ -48,13 +48,19 @@ ORACLE_MAX_N = 6
 
 @dataclass(frozen=True)
 class LinearFunctional:
-    """Rational coefficients on the ambient coordinates, with its seed."""
+    """Integer or rational coefficients on the ambient coordinates, with its seed."""
 
-    coeffs: tuple[Fraction, ...]
+    coeffs: tuple[int | Fraction, ...]
     seed: Optional[int] = None
 
     def value(self, point: Sequence[Fraction]) -> Fraction:
         return sum(c * x for c, x in zip(self.coeffs, point))
+
+
+def _scaled_values(poly: SimplePolytope, functional: LinearFunctional) -> list:
+    """The functional at each vertex times ``poly.coord_scale`` > 0,
+    which keeps their order and their ties."""
+    return [sum(c * x for c, x in zip(functional.coeffs, p)) for p in poly.int_coords]
 
 
 def draw_functional(poly: SimplePolytope, seed: int = 0) -> LinearFunctional:
@@ -69,9 +75,9 @@ def draw_functional(poly: SimplePolytope, seed: int = 0) -> LinearFunctional:
     ambient = len(poly.vertex_coords[0])
     rng = random.Random(seed)
     while True:
-        coeffs = tuple(Fraction(rng.randint(-10**6, 10**6)) for _ in range(ambient))
+        coeffs = tuple(rng.randint(-10**6, 10**6) for _ in range(ambient))
         func = LinearFunctional(coeffs, seed)
-        values = [func.value(c) for c in poly.vertex_coords]
+        values = _scaled_values(poly, func)
         if len(set(values)) == len(values):
             return func
 
@@ -98,7 +104,7 @@ def distinguished_functional(poly: SimplePolytope, n: int, seed: int = 0) -> Lin
         raise CellularError("distinguished edge endpoint not found")
     for attempt in range(10_000):
         func = draw_functional(poly, seed * 10_007 + attempt)
-        values = [func.value(c) for c in poly.vertex_coords]
+        values = _scaled_values(poly, func)
         if max(range(len(values)), key=values.__getitem__) == target:
             return func
     raise CellularError("no functional found with the distinguished maximum")
@@ -148,34 +154,30 @@ def vertex_indices(
     inward edge e is old.  Strict mode insists every vertex lies on
     exactly one old edge, which holds for the truncated family.
     """
-    values = [functional.value(c) for c in poly.vertex_coords]
+    values = _scaled_values(poly, functional)
     if len(set(values)) != len(values):
         raise TieError("functional does not distinguish the vertices")
-    edges = poly.edges()
+    edges = poly.edges
     nv = poly.n_vertices
     indegree = [0] * nv
-    inward: list[list[Face]] = [[] for _ in range(nv)]
+    old_inward: list[list[frozenset[int]]] = [[] for _ in range(nv)]
+    old_edges, new_edges = [], []
     for e in edges:
         a, b = sorted(e.vertices)
         head = a if values[a] > values[b] else b
         indegree[head] += 1
-        inward[head].append(e)
-
-    def is_old(e: Face) -> bool:
-        originals = sum(
-            1 for f in e.facets if poly.facet_tags.get(f) == "original"
-        )
-        return originals == poly.dim - 1
-
-    old_edges = tuple(frozenset(e.vertices) for e in edges if is_old(e))
-    new_edges = tuple(frozenset(e.vertices) for e in edges if not is_old(e))
+        originals = sum(1 for f in e.facets if poly.facet_tags.get(f) == "original")
+        if originals == poly.dim - 1:
+            old_edges.append(e.vertices)
+            old_inward[head].append(e.vertices)
+        else:
+            new_edges.append(e.vertices)
 
     if strict:
         per_vertex = [0] * nv
-        for e in edges:
-            if is_old(e):
-                for v in e.vertices:
-                    per_vertex[v] += 1
+        for e in old_edges:
+            for v in e:
+                per_vertex[v] += 1
         bad = [v for v, c in enumerate(per_vertex) if c != 1]
         if bad:
             raise StrictModeViolation(
@@ -186,12 +188,8 @@ def vertex_indices(
         j: [] for j in range(1, poly.dim + 1)
     }
     for v in range(nv):
-        j = indegree[v]
-        if j == 0:
-            continue
-        for e in inward[v]:
-            if is_old(e):
-                pairs[j].append((v, frozenset(e.vertices)))
+        for e in old_inward[v]:
+            pairs[indegree[v]].append((v, e))
     if strict:
         seen_vertices = [v for ps in pairs.values() for v, _ in ps]
         if len(seen_vertices) != len(set(seen_vertices)):
@@ -201,8 +199,8 @@ def vertex_indices(
         functional=functional,
         ind=tuple(indegree),
         pairs={j: tuple(ps) for j, ps in pairs.items()},
-        old_edges=old_edges,
-        new_edges=new_edges,
+        old_edges=tuple(old_edges),
+        new_edges=tuple(new_edges),
     )
 
 
@@ -344,7 +342,7 @@ def _vertex_signs(
 ) -> list[int]:
     """eps_v from one walk over the edges from vertex 0, every edge checked."""
     links: list[list[tuple[int, int]]] = [[] for _ in range(poly.n_vertices)]
-    for e in poly.edges():
+    for e in poly.edges:
         a, b = sorted(e.vertices)
         (ja,) = poly.vertex_facets[a] - e.facets
         (jb,) = poly.vertex_facets[b] - e.facets

@@ -258,6 +258,13 @@ def restrict(pair: CharacteristicPair, fid: str) -> CharacteristicPair:
     receives the vector assigned to g in the parent.  The result is
     validated; a failure raises RestrictionInvalid.
     """
+    return restrict_with_report(pair, fid)[0]
+
+
+def restrict_with_report(
+    pair: CharacteristicPair, fid: str
+) -> tuple[CharacteristicPair, ValidityReport]:
+    """``restrict``, also returning the report that validated the result."""
     child = facet_polytope(pair.polytope, fid)
     vectors = {}
     for g in child.facet_ids:
@@ -272,7 +279,7 @@ def restrict(pair: CharacteristicPair, fid: str) -> CharacteristicPair:
             f"restriction to {fid} fails at vertices"
             f" {[i for i, _ in report.failures]}"
         )
-    return out
+    return out, report
 
 
 def standard_pair(name: str, m: int) -> CharacteristicPair:

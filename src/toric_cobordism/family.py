@@ -11,7 +11,7 @@ boundary pieces and pin down orientation bookkeeping.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from . import __version__, exactalg
@@ -21,12 +21,13 @@ from .charpair import (
     CharacteristicFunction,
     CharacteristicPair,
     DeltaTranslation,
+    ValidityReport,
     compose_translations,
     find_delta_translation,
     json_object,
     orientable_small_cover,
     orientation_effect,
-    restrict,
+    restrict_with_report,
     standard_pair,
     validate,
     verify_delta_translation,
@@ -139,7 +140,11 @@ def hs_matrix(n: int) -> tuple[tuple[int, ...], ...]:
 
 @dataclass(frozen=True)
 class FamilyDescriptor:
-    """Everything the construction produces for one k."""
+    """Everything the construction produces for one k.
+
+    ``validity``, outside the JSON form, keeps the reports that validated
+    the full pair (key ``"pair"``) and each boundary pair when it was built.
+    """
 
     k: int
     n: int
@@ -154,6 +159,7 @@ class FamilyDescriptor:
     h: tuple[tuple[int, ...], ...]
     f: tuple[tuple[int, ...], ...]
     hs: tuple[tuple[int, ...], ...]
+    validity: dict[str, ValidityReport] = field(default_factory=dict, compare=False)
 
     def to_json_dict(self) -> dict:
         return {
@@ -266,7 +272,9 @@ def build_family(
         for b in CUT_FACETS:
             if a < b and poly.facet_vertices(a) & poly.facet_vertices(b):
                 raise FamilyError(f"cut facets {a}, {b} are not disjoint")
-    boundary = {fid: restrict(pair, fid) for fid in CUT_FACETS}
+    boundary, validity = {}, {"pair": report}
+    for fid in CUT_FACETS:
+        boundary[fid], validity[fid] = restrict_with_report(pair, fid)
     fam = FamilyDescriptor(
         k=k,
         n=n,
@@ -281,6 +289,7 @@ def build_family(
         h=h_matrix(n),
         f=f_matrix(n),
         hs=hs_matrix(n),
+        validity=validity,
     )
     return _with_aligned_p2_order(fam)
 
@@ -443,9 +452,9 @@ def glue_certificate(
     checks: dict[str, bool] = {}
     assumptions = list(_COMMON_ASSUMPTIONS)
 
-    checks["pair_valid"] = validate(fam.pair).ok
+    checks["pair_valid"] = fam.validity["pair"].ok
     for fid in CUT_FACETS:
-        checks[f"boundary_valid_{fid}"] = validate(fam.boundary[fid]).ok
+        checks[f"boundary_valid_{fid}"] = fam.validity[fid].ok
     checks["boundary_disjoint"] = all(
         not (fam.polytope.facet_vertices(a) & fam.polytope.facet_vertices(b))
         for a in CUT_FACETS

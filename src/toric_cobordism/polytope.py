@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
+from math import lcm
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 
@@ -43,27 +44,6 @@ class Halfspace:
 
 
 @dataclass(frozen=True)
-class HalfspaceSystem:
-    ambient: int
-    inequalities: tuple[Halfspace, ...]
-    equalities: tuple[Halfspace, ...] = ()
-
-    @staticmethod
-    def make(
-        ambient: int,
-        inequalities: Iterable[tuple[Sequence[Fraction | int], Fraction | int]],
-        equalities: Iterable[tuple[Sequence[Fraction | int], Fraction | int]] = (),
-    ) -> "HalfspaceSystem":
-        def conv(items):
-            return tuple(
-                Halfspace(tuple(Fraction(c) for c in normal), Fraction(off))
-                for normal, off in items
-            )
-
-        return HalfspaceSystem(ambient, conv(inequalities), conv(equalities))
-
-
-@dataclass(frozen=True)
 class Face:
     """A face given by its defining facet set and its vertex set."""
 
@@ -76,7 +56,10 @@ class SimplePolytope:
     """Combinatorial simple polytope with optional rational realization.
 
     ``facets`` is a list of (id, tag) pairs; each vertex is a pair of
-    optional coordinates and the set of facet ids containing it.
+    optional coordinates and the set of facet ids containing it.  A
+    realized polytope also keeps ``int_coords``, its coordinates times
+    ``coord_scale``, the least common multiple of their denominators;
+    vertices are sorted and compared by this integer image.
     """
 
     def __init__(
@@ -84,31 +67,40 @@ class SimplePolytope:
         dim: int,
         facets: Sequence[tuple[str, str]],
         vertices: Sequence[tuple[Optional[Sequence[Fraction]], Iterable[str]]],
-        *,
-        check: bool = True,
     ):
         if not isinstance(dim, int) or isinstance(dim, bool) or dim < 0:
             raise PolytopeError(f"dimension {dim!r} is not a nonnegative integer")
         self.dim = dim
         self.facet_ids: tuple[str, ...] = tuple(fid for fid, _ in facets)
         self.facet_tags: dict[str, str] = {fid: tag for fid, tag in facets}
-        if len(set(self.facet_ids)) != len(self.facet_ids):
+        if len(self.facet_tags) != len(self.facet_ids):
             raise PolytopeError("duplicate facet ids")
 
         prepared = []
         for coords, fids in vertices:
-            cs = tuple(Fraction(c) for c in coords) if coords is not None else None
+            cs = None if coords is None else tuple(
+                c if isinstance(c, Fraction) else Fraction(c) for c in coords
+            )
             fset = frozenset(fids)
-            unknown = fset - set(self.facet_ids)
+            unknown = fset - self.facet_tags.keys()
             if unknown:
                 raise UnknownFacet(f"vertex references unknown facets {sorted(unknown)}")
             prepared.append((cs, fset))
         if len({len(c) for c, _ in prepared if c is not None}) > 1:
             raise PolytopeError("vertex coordinate vectors differ in length")
+        self._int_coords: Optional[tuple[tuple[int, ...], ...]] = None
+        self.coord_scale: Optional[int] = None
         if all(c is not None for c, _ in prepared):
-            prepared.sort(key=lambda vf: vf[0])
-            if any(a[0] == b[0] for a, b in zip(prepared, prepared[1:])):
+            self.coord_scale = lcm(*(x.denominator for c, _ in prepared for x in c))
+            keyed = sorted(
+                [(tuple(self.coord_scale // x.denominator * x.numerator for x in c), c, f)
+                 for c, f in prepared],
+                key=lambda icf: icf[0],
+            )
+            if any(a[0] == b[0] for a, b in zip(keyed, keyed[1:])):
                 raise PolytopeError("two vertices lie at the same point")
+            self._int_coords = tuple(i for i, _, _ in keyed)
+            prepared = [(c, f) for _, c, f in keyed]
         else:
             prepared.sort(key=lambda vf: tuple(sorted(vf[1])))
         self.vertex_coords: tuple[Optional[Coords], ...] = tuple(c for c, _ in prepared)
@@ -122,8 +114,7 @@ class SimplePolytope:
             )
             for fid in self.facet_ids
         }
-        if check:
-            self._check_simple()
+        self._check_simple()
 
     # -- basic accessors ---------------------------------------------------
 
@@ -142,7 +133,14 @@ class SimplePolytope:
             raise UnknownFacet(fid) from None
 
     def has_coords(self) -> bool:
-        return all(c is not None for c in self.vertex_coords)
+        return self._int_coords is not None
+
+    @property
+    def int_coords(self) -> tuple[tuple[int, ...], ...]:
+        """Vertex coordinates times ``coord_scale``, in vertex order."""
+        if self._int_coords is None:
+            raise PolytopeError("polytope has no rational realization")
+        return self._int_coords
 
     def _check_simple(self) -> None:
         for i, fs in enumerate(self.vertex_facets):
@@ -198,23 +196,23 @@ class SimplePolytope:
             )
         )
 
+    @cached_property
     def edges(self) -> tuple[Face, ...]:
-        """The 1-faces, computed without the full lattice."""
-        found: dict[frozenset[int], Face] = {}
+        """The 1-faces, computed without the full lattice.
+
+        A vertex with facet set S lies on the edge cut out by S - {f} for
+        each f in S, so filing every vertex under those keys pairs them up.
+        """
+        found: dict[frozenset[str], list[int]] = {}
         for i, fs in enumerate(self.vertex_facets):
-            for sub in combinations(sorted(fs), self.dim - 1):
-                verts = frozenset.intersection(
-                    *(self._facet_vertices[f] for f in sub)
-                ) if sub else frozenset(range(self.n_vertices))
-                if verts not in found:
-                    found[verts] = Face(1, frozenset(sub), verts)
-        edges = tuple(
-            sorted(found.values(), key=lambda f: tuple(sorted(f.vertices)))
+            for f in fs:
+                found.setdefault(fs - {f}, []).append(i)
+        if any(len(vs) != 2 for vs in found.values()):
+            raise PolytopeError("edge with vertex count != 2")
+        return tuple(
+            Face(1, key, frozenset(vs))
+            for key, vs in sorted(found.items(), key=lambda kv: kv[1])
         )
-        for e in edges:
-            if len(e.vertices) != 2:
-                raise PolytopeError("edge with vertex count != 2")
-        return edges
 
     def f_vector(self) -> tuple[int, ...]:
         counts = [0] * self.dim
@@ -391,28 +389,22 @@ def simplex(n: int) -> SimplePolytope:
     return SimplePolytope(n, facets, vertices)
 
 
-def delta_q_system(n: int, r1: Fraction, r2: Fraction) -> HalfspaceSystem:
-    """Halfspaces of the truncated simplex.
+def delta_q_cuts(n: int, r1: Fraction, r2: Fraction) -> tuple[Halfspace, ...]:
+    """The three cuts that truncate the n-simplex (coordinates summing to 1).
 
-    Three extra cuts remove a neighborhood of the face spanned by the
-    first n/2 vertices, of the face spanned by the last n/2 vertices,
-    and of the middle vertex A_{n/2}.
+    They remove a neighborhood of the face spanned by the first n/2
+    vertices, of the face spanned by the last n/2 vertices, and of the
+    middle vertex A_{n/2}.
     """
     half = n // 2
-    ineqs = [
-        (tuple(1 if i == j else 0 for i in range(n + 1)), Fraction(0))
-        for j in range(n + 1)
-    ]
-    # sum_{j >= n/2} x_j >= r2   (cuts the first-half face)
-    ineqs.append((tuple(1 if i >= half else 0 for i in range(n + 1)), r2))
-    # sum_{j <= n/2} x_j >= r2   (cuts the second-half face)
-    ineqs.append((tuple(1 if i <= half else 0 for i in range(n + 1)), r2))
-    # x_{n/2} <= 1 - r1          (cuts the middle vertex)
-    ineqs.append(
-        (tuple(-1 if i == half else 0 for i in range(n + 1)), r1 - 1)
+    return (
+        # sum_{j >= n/2} x_j >= r2   (cuts the first-half face)
+        Halfspace(tuple(Fraction(1 if i >= half else 0) for i in range(n + 1)), r2),
+        # sum_{j <= n/2} x_j >= r2   (cuts the second-half face)
+        Halfspace(tuple(Fraction(1 if i <= half else 0) for i in range(n + 1)), r2),
+        # x_{n/2} <= 1 - r1          (cuts the middle vertex)
+        Halfspace(tuple(Fraction(-1 if i == half else 0) for i in range(n + 1)), r1 - 1),
     )
-    eqs = [(tuple(1 for _ in range(n + 1)), 1)]
-    return HalfspaceSystem.make(n + 1, ineqs, eqs)
 
 
 def check_truncation_parameters(n: int, r1: Fraction, r2: Fraction) -> None:
@@ -431,9 +423,16 @@ def truncate(poly: SimplePolytope, cut: Halfspace, fid: str) -> SimplePolytope:
     lie on opposite sides of the hyperplane gets a new vertex at the
     exact crossing point, lying on the edge's facets and the new facet
     ``fid``, tagged "cut".  A vertex exactly on the hyperplane would make the result
-    non-simple and raises PolytopeError.
+    non-simple and raises PolytopeError.  The cut is evaluated, times a
+    positive integer, on the integer image X = D x; the crossing point
+    x_i + t (x_j - x_i) with t = v_i / (v_i - v_j) is then
+    (v_i X_j - v_j X_i) / ((v_i - v_j) D).
     """
-    values = [cut.value(c) for c in poly.vertex_coords]
+    points = poly.int_coords
+    scale = lcm(cut.offset.denominator, *(a.denominator for a in cut.normal))
+    normal = [int(a * scale) for a in cut.normal]
+    offset = int(cut.offset * scale) * poly.coord_scale
+    values = [sum(a * x for a, x in zip(normal, p)) - offset for p in points]
     if any(v == 0 for v in values):
         raise PolytopeError(f"a vertex lies on the hyperplane of cut {fid}")
     vertices = [
@@ -441,12 +440,14 @@ def truncate(poly: SimplePolytope, cut: Halfspace, fid: str) -> SimplePolytope:
         for c, fs, v in zip(poly.vertex_coords, poly.vertex_facets, values)
         if v > 0
     ]
-    for edge in poly.edges():
+    for edge in poly.edges:
         i, j = sorted(edge.vertices)
-        if (values[i] > 0) != (values[j] > 0):
-            t = values[i] / (values[i] - values[j])
-            a, b = poly.vertex_coords[i], poly.vertex_coords[j]
-            point = tuple(x + t * (y - x) for x, y in zip(a, b))
+        vi, vj = values[i], values[j]
+        if (vi > 0) != (vj > 0):
+            den = (vi - vj) * poly.coord_scale
+            point = tuple(
+                Fraction(vi * b - vj * a, den) for a, b in zip(points[i], points[j])
+            )
             vertices.append((point, edge.facets | {fid}))
     facets = [(g, poly.facet_tags[g]) for g in poly.facet_ids] + [(fid, "cut")]
     return SimplePolytope(poly.dim, facets, vertices)
@@ -457,14 +458,14 @@ def build_delta_Q(
 ) -> SimplePolytope:
     """The n-dimensional truncated simplex with cut facets p1, p2, p3.
 
-    The three cuts of ``delta_q_system`` are applied to ``simplex(n)``
+    The three cuts of ``delta_q_cuts`` are applied to ``simplex(n)``
     in turn by ``truncate``.  All n+1 original facets survive; the three
     cut facets are pairwise disjoint.  The combinatorial type does not
     depend on the choice of valid (r1, r2).
     """
     r1, r2 = Fraction(r1), Fraction(r2)
     check_truncation_parameters(n, r1, r2)
-    cuts = delta_q_system(n, r1, r2).inequalities[n + 1:]
+    cuts = delta_q_cuts(n, r1, r2)
     poly = simplex(n)
     for fid, cut in zip(("p1", "p2", "p3"), cuts):
         poly = truncate(poly, cut, fid)

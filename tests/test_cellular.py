@@ -1,4 +1,6 @@
 import functools
+import random
+from fractions import Fraction
 
 import pytest
 
@@ -108,8 +110,79 @@ class TestFunctionals:
         fs = fam.polytope.vertex_facets[top]
         assert fs == frozenset({"d1", "d2", "d4", "p2"})
 
+    def test_integer_coefficients_print_as_before(self):
+        func = draw_functional(build_family(2, "Z").polytope, 0)
+        assert all(type(c) is int for c in func.coeffs)
+        assert [str(c) for c in func.coeffs] == [str(Fraction(c)) for c in func.coeffs]
+
+    def test_scaled_values_are_the_values_times_the_scale(self):
+        """Seeded integer and rational functionals, ``LinearFunctional.value`` the oracle."""
+        rng = random.Random(3)
+        polys = [build_family(k, "Z").polytope for k in (2, 3)]
+        polys += [fam.boundary[fid].polytope for fam in [build_family(3, "Z")] for fid in fam.boundary]
+        polys.append(product(simplex(2), simplex(3)))
+        for poly in polys:
+            ambient = len(poly.vertex_coords[0])
+            for trial in range(10):
+                coeffs = [rng.randint(-10**6, 10**6) for _ in range(ambient)]
+                if trial % 2:
+                    coeffs = [Fraction(c, rng.randint(1, 30)) for c in coeffs]
+                func = LinearFunctional(tuple(coeffs))
+                expected = [poly.coord_scale * func.value(c) for c in poly.vertex_coords]
+                assert cellular._scaled_values(poly, func) == expected
+
+
+def _reference_vertex_indices(poly, functional, strict):
+    """``vertex_indices`` on Fraction values, classifying an edge at each use."""
+    values = [functional.value(c) for c in poly.vertex_coords]
+    if len(set(values)) != len(values):
+        raise TieError("functional does not distinguish the vertices")
+    edges = poly.edges
+    indegree = [0] * poly.n_vertices
+    inward = [[] for _ in range(poly.n_vertices)]
+    for e in edges:
+        a, b = sorted(e.vertices)
+        head = a if values[a] > values[b] else b
+        indegree[head] += 1
+        inward[head].append(e)
+
+    def is_old(e):
+        return sum(1 for f in e.facets if poly.facet_tags.get(f) == "original") == poly.dim - 1
+
+    pairs = {j: [] for j in range(1, poly.dim + 1)}
+    for v in range(poly.n_vertices):
+        if indegree[v]:
+            pairs[indegree[v]] += [(v, e.vertices) for e in inward[v] if is_old(e)]
+    if strict:
+        per_vertex = [sum(1 for e in edges if is_old(e) and v in e.vertices) for v in range(poly.n_vertices)]
+        assert per_vertex == [1] * poly.n_vertices
+    return (
+        tuple(indegree),
+        {j: tuple(ps) for j, ps in pairs.items()},
+        tuple(e.vertices for e in edges if is_old(e)),
+        tuple(e.vertices for e in edges if not is_old(e)),
+    )
+
 
 class TestVertexIndices:
+    def test_matches_the_fraction_reference(self):
+        rng = random.Random(9)
+        cases = [(build_family(k, "Z").polytope, True) for k in (2, 3, 4, 5)]
+        cases += [(simplex(4), False), (product(simplex(2), simplex(2)), False)]
+        for poly, strict in cases:
+            for seed in range(6):
+                func = draw_functional(poly, seed)
+                if seed % 2:
+                    func = LinearFunctional(tuple(Fraction(c, rng.randint(1, 9)) for c in func.coeffs))
+                try:
+                    expected = _reference_vertex_indices(poly, func, strict)
+                except TieError:
+                    with pytest.raises(TieError):
+                        vertex_indices(poly, func, strict=strict)
+                    continue
+                prof = vertex_indices(poly, func, strict=strict)
+                assert (prof.ind, prof.pairs, prof.old_edges, prof.new_edges) == expected
+
     def test_simplex_complete_graph(self):
         for n in (2, 3, 4):
             poly = simplex(n)

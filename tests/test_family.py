@@ -1,8 +1,11 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
+from toric_cobordism import charpair, family
 from toric_cobordism.charpair import (
+    ValidityReport,
     validate,
     verify_delta_translation,
 )
@@ -251,6 +254,37 @@ class TestCertificates:
             glue_certificate(2, "real")
         with pytest.raises(InvalidKind):
             glue_certificate(4, "real")
+
+    def test_validity_checks_read_the_construction_reports(self, monkeypatch):
+        """Each pair is validated once, and its check is that report's verdict."""
+        calls = []
+
+        def counting_validate(pair):
+            calls.append(pair)
+            return validate(pair)
+
+        monkeypatch.setattr(charpair, "validate", counting_validate)
+        monkeypatch.setattr(family, "validate", counting_validate)
+        cert = glue_certificate(2, "complex")
+        assert len(calls) == 4
+        assert [cert.checks[f"boundary_valid_{fid}"] for fid in CUT_FACETS] == [True] * 3
+        assert cert.checks["pair_valid"]
+
+        def build_with_failed_p2(*args):
+            fam = build_family(*args)
+            failed = ValidityReport(ok=False, checked_vertices=1, failures=((0, "planted"),))
+            return replace(fam, validity={**fam.validity, "p2": failed})
+
+        monkeypatch.setattr(family, "build_family", build_with_failed_p2)
+        cert = glue_certificate(2, "complex")
+        assert cert.failed_checks() == ["boundary_valid_p2"]
+
+    def test_descriptor_keeps_its_reports_outside_the_json(self):
+        fam = build_family(2, "Z")
+        assert set(fam.validity) == {"pair", *CUT_FACETS}
+        assert all(report.ok for report in fam.validity.values())
+        assert "validity" not in fam.to_json_dict()
+        assert FamilyDescriptor.from_json_dict(fam.to_json_dict()).validity == {}
 
     def test_custom_parameters(self):
         cert = glue_certificate(

@@ -1,14 +1,21 @@
 import hashlib
 import json
+import math
+import random
+import re
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
+from toric_cobordism.family import CUT_FACETS, build_family
 from toric_cobordism.polytope import (
+    Face,
     Halfspace,
     PolytopeError,
     SimplePolytope,
     build_delta_Q,
+    delta_q_cuts,
     facet_polytope,
     product,
     simplex,
@@ -246,3 +253,221 @@ class TestRealizationChecks:
     def test_dimension_must_be_an_integer(self, dim):
         with pytest.raises(PolytopeError, match="dimension"):
             SimplePolytope(dim, [], [])
+
+
+# ---------------------------------------------------------------------------
+# hashed edges and the integer image against the code they replaced
+# ---------------------------------------------------------------------------
+
+def _reference_edges(poly):
+    """The edges by intersecting the vertex sets of every dim-1 facets."""
+    found = {}
+    for fs in poly.vertex_facets:
+        for sub in combinations(sorted(fs), poly.dim - 1):
+            verts = frozenset.intersection(
+                *(poly.facet_vertices(f) for f in sub)
+            ) if sub else frozenset(range(poly.n_vertices))
+            if verts not in found:
+                found[verts] = Face(1, frozenset(sub), verts)
+    edges = tuple(sorted(found.values(), key=lambda f: tuple(sorted(f.vertices))))
+    for e in edges:
+        if len(e.vertices) != 2:
+            raise PolytopeError("edge with vertex count != 2")
+    return edges
+
+
+def _reference_truncate(poly, cut, fid):
+    """``truncate`` in Fraction geometry, with ``Halfspace.value`` as the oracle."""
+    values = [cut.value(c) for c in poly.vertex_coords]
+    if any(v == 0 for v in values):
+        raise PolytopeError(f"a vertex lies on the hyperplane of cut {fid}")
+    vertices = [
+        (c, fs) for c, fs, v in zip(poly.vertex_coords, poly.vertex_facets, values) if v > 0
+    ]
+    for edge in _reference_edges(poly):
+        i, j = sorted(edge.vertices)
+        if (values[i] > 0) != (values[j] > 0):
+            t = values[i] / (values[i] - values[j])
+            a, b = poly.vertex_coords[i], poly.vertex_coords[j]
+            vertices.append(
+                (tuple(x + t * (y - x) for x, y in zip(a, b)), edge.facets | {fid})
+            )
+    facets = [(g, poly.facet_tags[g]) for g in poly.facet_ids] + [(fid, "cut")]
+    return SimplePolytope(poly.dim, facets, vertices)
+
+
+def _edge_cases():
+    polys = {f"simplex({m})": simplex(m) for m in range(1, 7)}
+    for a in range(1, 4):
+        for b in range(1, 4):
+            polys[f"simplex({a}) x simplex({b})"] = product(simplex(a), simplex(b))
+    for n in range(4, 13, 2):
+        q = build_delta_Q(n)
+        polys[f"delta_Q({n})"] = q
+        partial = simplex(n)
+        for fid, cut in zip(CUT_FACETS[:2], delta_q_cuts(n, Fraction(1, 6), Fraction(1, 4))):
+            partial = truncate(partial, cut, fid)
+            polys[f"delta_Q({n}) up to {fid}"] = partial
+    for name, poly in list(polys.items()):
+        for fid in poly.facet_ids:
+            polys[f"{name} facet {fid}"] = facet_polytope(poly, fid)
+    for k in range(2, 7):
+        for fid, pair in build_family(k, "Z").boundary.items():
+            polys[f"boundary {fid} at k = {k}"] = pair.polytope
+    return polys
+
+
+class TestHashedEdges:
+    def test_same_faces_in_the_same_order(self):
+        cases = _edge_cases()
+        assert len(cases) > 250
+        for name, poly in cases.items():
+            if poly.dim == 0:
+                # the reference asks for (-1)-subsets there and fails
+                assert poly.edges == (), name
+                continue
+            assert poly.edges == _reference_edges(poly), name
+
+    def test_cached(self):
+        q = build_delta_Q(6)
+        assert q.edges is q.edges
+
+    def test_malformed_polytopes_still_raise(self):
+        """Vertex-deleted polytopes whose 1-skeleton breaks raise as before."""
+        rng = random.Random(20261018)
+        bases = [
+            product(simplex(1), product(simplex(1), simplex(1))),
+            product(simplex(2), simplex(2)),
+            build_delta_Q(4),
+            simplex(3),
+        ]
+        raised = agreed = 0
+        for trial in range(300):
+            base = rng.choice(bases)
+            drop = set(rng.sample(range(base.n_vertices), rng.randint(1, 3)))
+            vertices = [
+                (c, fs)
+                for i, (c, fs) in enumerate(zip(base.vertex_coords, base.vertex_facets))
+                if i not in drop
+            ]
+            facets = [(f, base.facet_tags[f]) for f in base.facet_ids]
+            try:
+                poly = SimplePolytope(base.dim, facets, vertices)
+            except PolytopeError:
+                continue
+            try:
+                expected = _reference_edges(poly)
+            except PolytopeError:
+                with pytest.raises(PolytopeError, match="vertex count != 2"):
+                    poly.edges
+                raised += 1
+                continue
+            assert poly.edges == expected
+            agreed += 1
+        assert raised > 50
+
+    def test_segment_with_three_points_raises(self):
+        facets = [("a", ""), ("b", ""), ("c", "")]
+        poly = SimplePolytope(1, facets, [((0,), "a"), ((1,), "b"), ((2,), "c")])
+        with pytest.raises(PolytopeError, match="vertex count != 2"):
+            _reference_edges(poly)
+        with pytest.raises(PolytopeError, match="vertex count != 2"):
+            poly.edges
+
+
+def _random_points(rng, count, ambient):
+    """Rational points from a small pool, so that prefixes often tie."""
+    pool = [Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3, 4, 6, 7, 9, 12))) for _ in range(5)]
+    return [tuple(rng.choice(pool) for _ in range(ambient)) for _ in range(count)]
+
+
+class TestIntegerImage:
+    TEMPLATES = (simplex(3), product(simplex(1), simplex(2)), simplex(5))
+
+    @staticmethod
+    def _realize(template, points):
+        facets = [(f, template.facet_tags[f]) for f in template.facet_ids]
+        return SimplePolytope(template.dim, facets, list(zip(points, template.vertex_facets)))
+
+    def test_order_is_the_fraction_order(self):
+        rng = random.Random(5)
+        checked = 0
+        for trial in range(400):
+            template = rng.choice(self.TEMPLATES)
+            points = _random_points(rng, template.n_vertices, rng.randint(1, 4))
+            if len(set(points)) < len(points):
+                continue
+            # mixed input types: ints, strings and Fractions
+            mixed = [
+                tuple(int(x) if x.denominator == 1 else rng.choice((str(x), x)) for x in p)
+                for p in points
+            ]
+            poly = self._realize(template, mixed)
+            assert poly.vertex_coords == tuple(sorted(points))
+            assert poly.coord_scale > 0
+            assert poly.coord_scale == math.lcm(*(x.denominator for p in points for x in p))
+            assert poly.int_coords == tuple(
+                tuple(int(x * poly.coord_scale) for x in p) for p in poly.vertex_coords
+            )
+            assert all(type(x) is Fraction for p in poly.vertex_coords for x in p)
+            checked += 1
+        assert checked > 200
+
+    def test_coincident_points_raise(self):
+        rng = random.Random(7)
+        for trial in range(200):
+            template = rng.choice(self.TEMPLATES)
+            points = _random_points(rng, template.n_vertices, rng.randint(1, 4))
+            i, j = rng.sample(range(len(points)), 2)
+            # the same point written another way
+            points[j] = tuple(str(x) if x.denominator != 1 else int(x) for x in points[i])
+            with pytest.raises(PolytopeError, match="two vertices lie at the same point"):
+                self._realize(template, points)
+
+    def test_truncation_matches_fraction_geometry(self):
+        rng = random.Random(11)
+        bases = [simplex(3), simplex(4), build_delta_Q(4), product(simplex(1), simplex(2))]
+        built = 0
+        for trial in range(150):
+            base = rng.choice(bases)
+            ambient = len(base.vertex_coords[0])
+            normal = tuple(
+                Fraction(rng.randint(-9, 9), rng.randint(1, 8)) for _ in range(ambient)
+            )
+            cut = Halfspace(normal, Fraction(rng.randint(-9, 9), rng.randint(1, 8)))
+            try:
+                expected = _reference_truncate(base, cut, "cut")
+            except PolytopeError as exc:
+                with pytest.raises(PolytopeError, match=re.escape(str(exc))):
+                    truncate(base, cut, "cut")
+                continue
+            assert truncate(base, cut, "cut").to_json_dict() == expected.to_json_dict()
+            built += 1
+        assert built > 30
+
+    def test_delta_q_matches_fraction_geometry(self):
+        for n in range(4, 13, 2):
+            for r1, r2 in ((Fraction(1, 6), Fraction(1, 4)), (Fraction(1, 10), Fraction(1, 3))):
+                expected = simplex(n)
+                for fid, cut in zip(CUT_FACETS, delta_q_cuts(n, r1, r2)):
+                    expected = _reference_truncate(expected, cut, fid)
+                assert build_delta_Q(n, r1, r2).to_json_dict() == expected.to_json_dict()
+
+
+class TestUnrealized:
+    """A polytope without coordinates has no integer image and cannot be cut."""
+
+    @staticmethod
+    def _unrealized():
+        s = simplex(3)
+        facets = [(f, s.facet_tags[f]) for f in s.facet_ids]
+        return SimplePolytope(3, facets, [(None, fs) for fs in s.vertex_facets])
+
+    def test_int_coords(self):
+        with pytest.raises(PolytopeError, match="no rational realization"):
+            self._unrealized().int_coords
+
+    def test_truncate(self):
+        cut = Halfspace(tuple(Fraction(-1 if i == 0 else 0) for i in range(4)), Fraction(-1, 2))
+        with pytest.raises(PolytopeError, match="no rational realization"):
+            truncate(self._unrealized(), cut, "p")
