@@ -48,10 +48,6 @@ class InvalidPair(PairError):
     pass
 
 
-class RestrictionInvalid(PairError):
-    pass
-
-
 class SearchCapExceeded(PairError):
     """The translation search hit its cap before finishing."""
 
@@ -140,13 +136,12 @@ class CharacteristicPair:
 
     ``vertex_order`` lists vertex indices in the order fixed as the
     pair's orientation datum; None means the polytope's canonical
-    (lexicographic) order.  The group factor carries ``group_sign``.
+    (lexicographic) order.
     """
 
     polytope: SimplePolytope
     chi: CharacteristicFunction
     vertex_order: Optional[tuple[int, ...]] = None
-    group_sign: int = 1
 
     def __post_init__(self):
         unknown = self.chi.assigned() - set(self.polytope.facet_ids)
@@ -255,16 +250,9 @@ def restrict(pair: CharacteristicPair, fid: str) -> CharacteristicPair:
     """Restrict a pair to one of its facets.
 
     Each facet g of the child polytope is an intersection g cap fid and
-    receives the vector assigned to g in the parent.  The result is
-    validated; a failure raises RestrictionInvalid.
+    receives the vector assigned to g in the parent.  The result is not
+    validated; ``validate`` checks it.
     """
-    return restrict_with_report(pair, fid)[0]
-
-
-def restrict_with_report(
-    pair: CharacteristicPair, fid: str
-) -> tuple[CharacteristicPair, ValidityReport]:
-    """``restrict``, also returning the report that validated the result."""
     child = facet_polytope(pair.polytope, fid)
     vectors = {}
     for g in child.facet_ids:
@@ -272,14 +260,7 @@ def restrict_with_report(
             raise MissingVector(f"parent facet {g} has no vector to inherit")
         vectors[g] = pair.chi.vectors[g]
     chi = CharacteristicFunction(pair.ring, pair.chi.rank, vectors)
-    out = CharacteristicPair(child, chi)
-    report = validate(out)
-    if not report:
-        raise RestrictionInvalid(
-            f"restriction to {fid} fails at vertices"
-            f" {[i for i, _ in report.failures]}"
-        )
-    return out, report
+    return CharacteristicPair(child, chi)
 
 
 def standard_pair(name: str, m: int) -> CharacteristicPair:
@@ -357,14 +338,7 @@ def _facet_map_is_isomorphism(
         return False
     if len(set(fmap.values())) != len(fmap):
         return False
-    target_sets = set(q.vertex_facets)
-    images = set()
-    for fs in p.vertex_facets:
-        image = frozenset(fmap[f] for f in fs)
-        if image not in target_sets or image in images:
-            return False
-        images.add(image)
-    return True
+    return p.vertex_map(q, fmap) is not None
 
 
 def verify_delta_translation(
@@ -651,7 +625,7 @@ def orientation_effect(
 
     The sign is det(delta) times the parity of the vertex permutation
     induced by the facet map, measured against the two pairs' declared
-    vertex-order data, times the pairs' group signs.
+    vertex-order data.
     """
     if t.ring != RING_Z:
         raise RingMismatch("orientation effect is defined for Z translations")
@@ -659,15 +633,8 @@ def orientation_effect(
     if d == 0:
         raise SingularDelta("delta is singular")
 
-    p, q = source.polytope, target.polytope
-    target_index = {fs: i for i, fs in enumerate(q.vertex_facets)}
-    src_order = source.order()
+    vmap = source.polytope.vertex_map(target.polytope, t.facet_map)
+    if vmap is None:
+        raise PairError("facet map does not induce a vertex bijection")
     tgt_pos = {v: k for k, v in enumerate(target.order())}
-    perm = []
-    for i in src_order:
-        image = frozenset(t.facet_map[f] for f in p.vertex_facets[i])
-        j = target_index.get(image)
-        if j is None:
-            raise PairError("facet map does not induce a vertex bijection")
-        perm.append(tgt_pos[j])
-    return d * permutation_sign(perm) * source.group_sign * target.group_sign
+    return d * permutation_sign([tgt_pos[vmap[i]] for i in source.order()])

@@ -11,7 +11,7 @@ boundary pieces and pin down orientation bookkeeping.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from . import __version__, exactalg
@@ -21,13 +21,12 @@ from .charpair import (
     CharacteristicFunction,
     CharacteristicPair,
     DeltaTranslation,
-    ValidityReport,
     compose_translations,
     find_delta_translation,
     json_object,
     orientable_small_cover,
     orientation_effect,
-    restrict_with_report,
+    restrict,
     standard_pair,
     validate,
     verify_delta_translation,
@@ -140,11 +139,7 @@ def hs_matrix(n: int) -> tuple[tuple[int, ...], ...]:
 
 @dataclass(frozen=True)
 class FamilyDescriptor:
-    """Everything the construction produces for one k.
-
-    ``validity``, outside the JSON form, keeps the reports that validated
-    the full pair (key ``"pair"``) and each boundary pair when it was built.
-    """
+    """Everything the construction produces for one k."""
 
     k: int
     n: int
@@ -159,7 +154,6 @@ class FamilyDescriptor:
     h: tuple[tuple[int, ...], ...]
     f: tuple[tuple[int, ...], ...]
     hs: tuple[tuple[int, ...], ...]
-    validity: dict[str, ValidityReport] = field(default_factory=dict, compare=False)
 
     def to_json_dict(self) -> dict:
         return {
@@ -187,6 +181,7 @@ class FamilyDescriptor:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "FamilyDescriptor":
+        """The descriptor a JSON form holds; its phi must carry p1 onto p2."""
         poly = SimplePolytope.from_json_dict(data["polytope"])
         n = data["n"]
         ring = data["ring"]
@@ -212,19 +207,10 @@ class FamilyDescriptor:
             f=as_matrix(data["maps"]["f"]),
             hs=as_matrix(data["maps"]["hs"]),
         )
-        return _with_aligned_p2_order(fam)
-
-
-def _pushforward_order(
-    source: SimplePolytope, target: SimplePolytope, fmap: dict[str, str]
-) -> tuple[int, ...]:
-    """Target vertex order listing the images of source's canonical order."""
-    index = {fs: i for i, fs in enumerate(target.vertex_facets)}
-    order = []
-    for fs in source.vertex_facets:
-        image = frozenset(fmap[f] for f in fs)
-        order.append(index[image])
-    return tuple(order)
+        fam = _with_aligned_p2_order(fam)
+        if fam.boundary["p2"].vertex_order is None:
+            raise FamilyError("phi does not carry the vertices of p1 onto those of p2")
+        return fam
 
 
 def _with_aligned_p2_order(fam: "FamilyDescriptor") -> "FamilyDescriptor":
@@ -233,11 +219,13 @@ def _with_aligned_p2_order(fam: "FamilyDescriptor") -> "FamilyDescriptor":
     The construction orients the first two boundary pieces compatibly
     with the coordinate permutation carrying one onto the other, so the
     polytope factor contributes +1 to the orientation effect of that
-    gluing and only the group automorphism carries a sign.
+    gluing and only the group automorphism carries a sign.  When phi
+    induces no vertex bijection, p2's order is left unset.
     """
-    p1 = fam.boundary["p1"]
     p2 = fam.boundary["p2"]
-    order = _pushforward_order(p1.polytope, p2.polytope, fam.phi)
+    order = fam.boundary["p1"].polytope.vertex_map(p2.polytope, fam.phi)
+    if order is None:
+        return fam
     boundary = dict(fam.boundary)
     boundary["p2"] = replace(p2, vertex_order=order)
     return replace(fam, boundary=boundary)
@@ -249,10 +237,11 @@ def build_family(
     r1: Fraction | str = Fraction(1, 6),
     r2: Fraction | str = Fraction(1, 4),
 ) -> FamilyDescriptor:
-    """Construct and validate the full descriptor for one k.
+    """Construct the full descriptor for one k, without validating it.
 
     The full pair on the truncated simplex leaves the three cut facets
-    unassigned; the boundary pairs are its validated restrictions.
+    unassigned; the boundary pairs are its restrictions.  ``validate``
+    checks a pair, and ``glue_certificate`` checks every claim it records.
     """
     if k < 2:
         raise FamilyError("k must be at least 2 (n = 2k >= 4)")
@@ -263,18 +252,6 @@ def build_family(
     poly = build_delta_Q(n, r1, r2)
     chi = xi(n) if ring == RING_Z else mu(n)
     pair = CharacteristicPair(poly, chi)
-    report = validate(pair)
-    if not report:
-        raise FamilyError(
-            f"construction pair invalid at vertices {[i for i, _ in report.failures]}"
-        )
-    for a in CUT_FACETS:
-        for b in CUT_FACETS:
-            if a < b and poly.facet_vertices(a) & poly.facet_vertices(b):
-                raise FamilyError(f"cut facets {a}, {b} are not disjoint")
-    boundary, validity = {}, {"pair": report}
-    for fid in CUT_FACETS:
-        boundary[fid], validity[fid] = restrict_with_report(pair, fid)
     fam = FamilyDescriptor(
         k=k,
         n=n,
@@ -283,24 +260,24 @@ def build_family(
         r2=r2,
         polytope=poly,
         pair=pair,
-        boundary=boundary,
+        boundary={fid: restrict(pair, fid) for fid in CUT_FACETS},
         rho=rho(n),
         phi=phi_facet_map(n),
         h=h_matrix(n),
         f=f_matrix(n),
         hs=hs_matrix(n),
-        validity=validity,
     )
     return _with_aligned_p2_order(fam)
 
 
 def boundary_translation(fam: FamilyDescriptor) -> DeltaTranslation:
-    """The verified translation carrying the p1 pair onto the p2 pair."""
+    """The (phi, h) translation meant to carry the p1 pair onto the p2 pair.
+
+    Over GF(2) the group automorphism is h_s.  It is returned unverified;
+    ``verify_delta_translation`` checks it.
+    """
     delta = fam.h if fam.ring == RING_Z else fam.hs
-    t = DeltaTranslation(fam.ring, dict(fam.phi), delta)
-    if not verify_delta_translation(fam.boundary["p1"], fam.boundary["p2"], t):
-        raise FamilyError("the (phi, h) translation failed to verify")
-    return t
+    return DeltaTranslation(fam.ring, dict(fam.phi), delta)
 
 
 def gluing_translation(
@@ -308,7 +285,7 @@ def gluing_translation(
 ) -> tuple[DeltaTranslation, CharacteristicPair]:
     """The boundary identification used for the glued quotient.
 
-    Returns the translation together with its target pair.  Over Z the
+    Returns the translation, unverified, with its target pair.  Over Z the
     group automorphism is h when 4 | n; when n = 4l + 2 it is f h and
     the target is the f-twisted coordinatization of the second boundary
     pair (same quotient space, group relabelled), which makes the
@@ -434,8 +411,9 @@ def glue_certificate(
 
     ``kind`` is ``complex`` (integer vectors, any k >= 2) or ``real``
     (GF(2) vectors, n = 2k congruent to 2 mod 4).  Every checkable claim
-    is recomputed; manifold-level statements that have no combinatorial
-    shadow are listed under assumptions.
+    is checked here, once, and a false one is recorded as a failed check;
+    manifold-level statements that have no combinatorial shadow are
+    listed under assumptions.
     """
     from . import cellular  # deferred: cellular pulls in no family symbols
 
@@ -452,9 +430,9 @@ def glue_certificate(
     checks: dict[str, bool] = {}
     assumptions = list(_COMMON_ASSUMPTIONS)
 
-    checks["pair_valid"] = fam.validity["pair"].ok
+    checks["pair_valid"] = validate(fam.pair).ok
     for fid in CUT_FACETS:
-        checks[f"boundary_valid_{fid}"] = fam.validity[fid].ok
+        checks[f"boundary_valid_{fid}"] = validate(fam.boundary[fid]).ok
     checks["boundary_disjoint"] = all(
         not (fam.polytope.facet_vertices(a) & fam.polytope.facet_vertices(b))
         for a in CUT_FACETS
@@ -480,7 +458,9 @@ def glue_certificate(
         fam.boundary["p1"], glue_target, glue
     )
     if ring == RING_Z:
-        effect = orientation_effect(glue, fam.boundary["p1"], glue_target)
+        effect = None
+        if checks["gluing_verifies"]:
+            effect = orientation_effect(glue, fam.boundary["p1"], glue_target)
         checks["gluing_orientation_reversing"] = effect == -1
         effect_source = "computed"
         if fam.n % 4 != 0:
@@ -508,9 +488,7 @@ def glue_certificate(
     std_name = "complex_projective" if kind == "complex" else "real_projective"
     std = standard_pair(std_name, n - 1)
     witness = find_delta_translation(fam.boundary["p3"], std)
-    checks["boundary_is_standard"] = witness is not None and verify_delta_translation(
-        fam.boundary["p3"], std, witness
-    )
+    checks["boundary_is_standard"] = witness is not None
     conjugate = kind == "complex" and n % 4 == 0
     boundary_dict = {
         "standard": ("CP" if kind == "complex" else "RP") + str(n - 1),

@@ -329,6 +329,25 @@ class SimplePolytope:
     ) -> Optional[dict[str, str]]:
         return next(self.iter_isomorphisms(other), None)
 
+    def vertex_map(
+        self, other: "SimplePolytope", fmap: dict[str, str]
+    ) -> Optional[tuple[int, ...]]:
+        """The vertex bijection onto ``other`` that the facet map induces.
+
+        Entry i is the vertex of ``other`` whose facet set is the image
+        of vertex i's.  None when the vertex counts differ, or when some
+        image is not a vertex of ``other`` or is the image of two vertices.
+        """
+        if self.n_vertices != other.n_vertices:
+            return None
+        index = {fs: i for i, fs in enumerate(other.vertex_facets)}
+        images = tuple(
+            index.get(frozenset(fmap.get(f) for f in fs)) for fs in self.vertex_facets
+        )
+        if None in images or len(set(images)) != len(images):
+            return None
+        return images
+
     def is_simplex_lattice(self) -> bool:
         return self.n_facets == self.dim + 1
 

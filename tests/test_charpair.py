@@ -237,6 +237,23 @@ class TestTranslations:
         )
         assert not verify_delta_translation(p, p, t)
 
+    def test_target_with_an_extra_vertex_fails(self):
+        # square a, b, c, d (cyclic) onto the same square plus a vertex on {a, c}
+        facets = [(f, "") for f in "abcd"]
+        square = [(None, set(fs)) for fs in ("ab", "bc", "cd", "da")]
+        vectors = {"a": (1, 0), "b": (0, 1), "c": (1, 0), "d": (0, 1)}
+        pairs = [
+            CharacteristicPair(
+                SimplePolytope(2, facets, vertices),
+                CharacteristicFunction("GF2", 2, vectors),
+            )
+            for vertices in (square, square + [(None, {"a", "c"})])
+        ]
+        t = identity_translation(pairs[0])
+        assert find_delta_translation(*pairs) is None
+        assert not verify_delta_translation(*pairs, t)
+        assert pairs[0].polytope.vertex_map(pairs[1].polytope, t.facet_map) is None
+
 
 class TestOrientationEffect:
     def test_first_coordinate_flip(self):

@@ -193,6 +193,19 @@ class TestCertify:
     def test_real_k2_rejected(self, capsys):
         assert main(["certify", "--k", "2", "--kind", "real"]) == 2
 
+    def test_wrong_phi_fails_its_check(self, monkeypatch, capsys):
+        from toric_cobordism import family
+
+        monkeypatch.setattr(
+            family, "phi_facet_map", lambda n: {f"d{j}": f"d{j}" for j in range(n + 1)}
+        )
+        capsys.readouterr()
+        assert main(["certify", "--k", "2", "--kind", "complex"]) == 1
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["validation"]["p1_p2_isomorphic"] is False
+        assert "check failed: p1_p2_isomorphic" in captured.err.splitlines()
+        assert "Traceback" not in captured.err
+
     def test_round_trip_stability(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         main(["certify", "--k", "2", "--kind", "complex", "--seed", "5", "--out", str(a)])
@@ -265,6 +278,7 @@ class TestInputContract:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+        return captured.err
 
     @pytest.mark.parametrize("name", sorted(PAIR_MUTATIONS))
     def test_malformed_pair(self, tmp_path, name, capsys):
@@ -290,6 +304,17 @@ class TestInputContract:
         self._assert_rejected(["validate", "--in", str(fam)], capsys)
         self._assert_rejected(["homology", "--in", str(fam), "--oracle"], capsys)
         self._assert_rejected(["oracle", "--in", str(fam), "--ring", "z", "--relative"], capsys)
+
+    def test_family_phi_off_the_vertices(self, tmp_path, family_file, capsys):
+        data = read(family_file)
+        data["maps"]["phi"] = {f: f for f in data["maps"]["phi"]}
+        family_file.write_text(json.dumps(data))
+        for argv in (
+            ["validate", "--in", str(family_file)],
+            ["homology", "--in", str(family_file)],
+            ["oracle", "--in", str(family_file), "--relative"],
+        ):
+            assert "phi does not carry" in self._assert_rejected(argv, capsys)
 
 
 @pytest.fixture

@@ -1,14 +1,14 @@
-from dataclasses import replace
+import json
 from fractions import Fraction
 
 import pytest
 
 from toric_cobordism import charpair, family
 from toric_cobordism.charpair import (
-    ValidityReport,
     validate,
     verify_delta_translation,
 )
+from toric_cobordism.cli import main
 from toric_cobordism.exactalg import (
     det_sign,
     is_direct_summand,
@@ -255,36 +255,64 @@ class TestCertificates:
         with pytest.raises(InvalidKind):
             glue_certificate(4, "real")
 
-    def test_validity_checks_read_the_construction_reports(self, monkeypatch):
-        """Each pair is validated once, and its check is that report's verdict."""
-        calls = []
+    def test_each_claim_is_checked_once(self, monkeypatch):
+        """Four pairs validated, three translations verified, none in the build."""
+        calls = {"validate": 0, "verify": 0}
 
-        def counting_validate(pair):
-            calls.append(pair)
-            return validate(pair)
+        def counting(name, func):
+            def wrapped(*args):
+                calls[name] += 1
+                return func(*args)
+            return wrapped
 
-        monkeypatch.setattr(charpair, "validate", counting_validate)
-        monkeypatch.setattr(family, "validate", counting_validate)
+        for module in (charpair, family):
+            monkeypatch.setattr(module, "validate", counting("validate", validate))
+            monkeypatch.setattr(
+                module,
+                "verify_delta_translation",
+                counting("verify", verify_delta_translation),
+            )
+        build_family(2, "Z")
+        assert calls == {"validate": 0, "verify": 0}
         cert = glue_certificate(2, "complex")
-        assert len(calls) == 4
-        assert [cert.checks[f"boundary_valid_{fid}"] for fid in CUT_FACETS] == [True] * 3
-        assert cert.checks["pair_valid"]
+        assert cert.ok
+        assert calls == {"validate": 4, "verify": 3}
 
-        def build_with_failed_p2(*args):
-            fam = build_family(*args)
-            failed = ValidityReport(ok=False, checked_vertices=1, failures=((0, "planted"),))
-            return replace(fam, validity={**fam.validity, "p2": failed})
+    @pytest.mark.parametrize("plant", ["h", "xi", "phi"])
+    def test_planted_false_claim_fails_its_checks(self, plant, monkeypatch, capsys):
+        """A false claim in the construction prints the certificate and exits 1."""
+        def xi_with_d1_repeating_d0(n):
+            chi = xi(n)
+            return charpair.CharacteristicFunction(
+                chi.ring, chi.rank, {**chi.vectors, "d1": chi.vectors["d0"]}
+            )
 
-        monkeypatch.setattr(family, "build_family", build_with_failed_p2)
-        cert = glue_certificate(2, "complex")
-        assert cert.failed_checks() == ["boundary_valid_p2"]
-
-    def test_descriptor_keeps_its_reports_outside_the_json(self):
-        fam = build_family(2, "Z")
-        assert set(fam.validity) == {"pair", *CUT_FACETS}
-        assert all(report.ok for report in fam.validity.values())
-        assert "validity" not in fam.to_json_dict()
-        assert FamilyDescriptor.from_json_dict(fam.to_json_dict()).validity == {}
+        gluing = ["gluing_orientation_reversing", "gluing_verifies", "p1_p2_isomorphic"]
+        plants = {
+            "h": ("h_matrix", f_matrix, gluing),
+            "xi": (
+                "xi",
+                xi_with_d1_repeating_d0,
+                ["boundary_is_standard", "boundary_valid_p2", "boundary_valid_p3"]
+                + gluing
+                + ["pair_valid"],
+            ),
+            "phi": (
+                "phi_facet_map",
+                lambda n: {f"d{j}": f"d{j}" for j in range(n + 1)},
+                gluing,
+            ),
+        }
+        name, replacement, failed = plants[plant]
+        monkeypatch.setattr(family, name, replacement)
+        capsys.readouterr()
+        assert main(["certify", "--kind", "complex", "--k", "2"]) == 1
+        captured = capsys.readouterr()
+        data = json.loads(captured.out)
+        assert data["ok"] is False
+        assert sorted(c for c, good in data["validation"].items() if not good) == failed
+        assert captured.err.splitlines() == [f"check failed: {c}" for c in failed]
+        assert data["gluing"]["orientation_effect"] is None
 
     def test_custom_parameters(self):
         cert = glue_certificate(

@@ -209,13 +209,21 @@ class TestIsomorphism:
         iso = p1.is_combinatorially_isomorphic(pr)
         assert iso is not None
         index = {f.vertices: f.dim for f in pr.faces}
-        vertex_map = {}
-        target_sets = {fs: i for i, fs in enumerate(pr.vertex_facets)}
-        for i, fs in enumerate(p1.vertex_facets):
-            vertex_map[i] = target_sets[frozenset(iso[f] for f in fs)]
+        vertex_map = p1.vertex_map(pr, iso)
         for face in p1.faces:
             image = frozenset(vertex_map[v] for v in face.vertices)
             assert index[image] == face.dim
+
+    def test_vertex_map(self):
+        t = simplex(2)
+        swap = {"d0": "d1", "d1": "d0", "d2": "d2"}
+        images = t.vertex_map(t, swap)
+        assert sorted(images) == [0, 1, 2]
+        for fs, j in zip(t.vertex_facets, images):
+            assert t.vertex_facets[j] == {swap[f] for f in fs}
+        assert t.vertex_map(t, {"d0": "d0", "d1": "d0", "d2": "d2"}) is None
+        assert t.vertex_map(t, {"d0": "d1", "d1": "d0"}) is None
+        assert t.vertex_map(simplex(3), {f: f for f in t.facet_ids}) is None
 
 
 class TestSerialization:
