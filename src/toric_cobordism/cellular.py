@@ -37,8 +37,7 @@ class ConsistencyError(CellularError):
     """Two independent computations of the same quantity disagree."""
 
 
-# Largest n = 2k at which the certificate and the orientability check
-# run the brute-force oracle by default.
+# Largest n = 2k at which a real certificate runs the brute-force oracle.
 ORACLE_MAX_N = 6
 
 
@@ -583,31 +582,6 @@ def euler_sides(cc: ChainComplex, profile: IndexProfile) -> tuple[int, int]:
 def relative_homology_table(fam, degrees=None) -> HomologyTable:
     """Relative integral homology of the total space, basepoint included."""
     return cover_homology(fam.pair, RING_Z, relative=True, degrees=degrees)[0]
-
-
-def is_orientable_space(fam) -> bool:
-    """Orientability of the involution-side total space.
-
-    Three routes must agree: the parity rule (orientable iff n = 4l+2),
-    the top boundary coefficient d_n from the reflection count, and for
-    n small enough the brute-force top relative homology H_n = Z.
-    """
-    from .family import reflection_count
-
-    if fam.ring != RING_GF2:
-        raise CellularError("orientability applies to the GF(2) family")
-    n = fam.n
-    formula = n % 4 == 2
-    _, d_n = reflection_count(n)
-    if (d_n == 0) != formula:
-        raise ConsistencyError("d_n parity disagrees with the mod-4 rule")
-    if n <= ORACLE_MAX_N:
-        oracle = relative_homology_table(fam, degrees=[n])[n] == (1, ())
-        if oracle != formula:
-            raise ConsistencyError(
-                "oracle top homology disagrees with the parity rule"
-            )
-    return formula
 
 
 def small_cover_gf2_betti(pair: CharacteristicPair) -> tuple[int, ...]:

@@ -203,26 +203,20 @@ def validate(pair: CharacteristicPair) -> ValidityReport:
     direct summand (over Z) or an independent subspace (over GF(2)) of
     rank equal to the number of assigned facets there.  Checking
     vertices suffices: every face contains a vertex, and a subset of a
-    basis again spans a summand.
+    basis again spans a summand.  Each distinct set of assigned facets
+    is tested once; a failure is reported at every vertex carrying it.
     """
     poly = pair.polytope
     chi = pair.chi
+    assigned = chi.assigned()
+    verdicts: dict[frozenset[str], Optional[str]] = {}
     failures = []
     for i, fs in enumerate(poly.vertex_facets):
-        vecs = [chi.vectors[f] for f in sorted(fs) if f in chi.vectors]
-        if not vecs:
-            continue
-        if len(vecs) > chi.rank:
-            failures.append((i, f"{len(vecs)} assigned vectors exceed group rank"))
-            continue
-        if chi.ring == RING_Z:
-            ok = is_direct_summand(vecs, chi.rank)
-        else:
-            ok = exactalg.gf2_rank(vecs) == len(vecs)
-        if not ok:
-            failures.append(
-                (i, "facet vectors at this vertex do not span a direct summand")
-            )
+        key = fs & assigned
+        if key and key not in verdicts:
+            verdicts[key] = _basis_failure(chi, [chi.vectors[f] for f in sorted(key)])
+        if verdicts.get(key):
+            failures.append((i, verdicts[key]))
     return ValidityReport(
         ok=not failures,
         checked_vertices=poly.n_vertices,
@@ -230,17 +224,27 @@ def validate(pair: CharacteristicPair) -> ValidityReport:
     )
 
 
+def _basis_failure(chi: CharacteristicFunction, vecs: list) -> Optional[str]:
+    """Why ``vecs`` fail the basis condition, or None if they pass."""
+    if len(vecs) > chi.rank:
+        return f"{len(vecs)} assigned vectors exceed group rank"
+    if chi.ring == RING_Z:
+        ok = is_direct_summand(vecs, chi.rank)
+    else:
+        ok = exactalg.gf2_rank(vecs) == len(vecs)
+    return None if ok else "facet vectors at this vertex do not span a direct summand"
+
+
 def orientable_small_cover(pair: CharacteristicPair) -> bool:
-    """Orientability of the small cover of a GF(2) pair.
+    """Orientability of the small cover of a valid GF(2) pair.
 
     True iff some y satisfies <y, beta(F)> = 1 for every assigned facet
-    F, which is the basis criterion for orientability.
+    F, which is the basis criterion for orientability.  The pair must
+    pass ``validate``; this is not checked here, and on an invalid pair
+    the answer means nothing.
     """
     if pair.ring != RING_GF2:
         raise RingMismatch("orientability test needs a GF(2) pair")
-    report = validate(pair)
-    if not report:
-        raise InvalidPair(f"pair invalid at vertices {[i for i, _ in report.failures]}")
     fids = sorted(pair.chi.vectors)
     rows = [pair.chi.vectors[f] for f in fids]
     return exactalg.solve_gf2(rows, [1] * len(rows)) is not None

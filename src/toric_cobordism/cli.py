@@ -23,7 +23,8 @@ from .charpair import (
     find_delta_translation,
     validate,
 )
-from .family import FamilyDescriptor, build_family, glue_certificate, reflection_count
+from .family import FamilyDescriptor, build_family, glue_certificate
+from .family import reflection_count, total_space_orientable
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -122,16 +123,17 @@ def cmd_homology(args) -> int:
         count, d_n = reflection_count(fam.n)
         out["reflection_count"] = count
         out["d_n"] = d_n
-        out["orientable"] = fam.n % 4 == 2
         if args.oracle:
             table, cc = cellular.cover_homology(fam.pair, RING_Z, relative=True)
             lhs, rhs = cellular.euler_sides(cc, profile)
             out["relative_table"] = cellular.table_to_json(table)
             out["euler_identity"] = {"cells": lhs, "index_pairs": rhs}
-            top_ok = (table[fam.n] == (1, ())) == (fam.n % 4 == 2)
-            out["oracle_agrees"] = lhs == rhs and top_ok
-            if not out["oracle_agrees"]:
-                exit_code = EXIT_CHECK_FAILED
+            out["orientable"] = total_space_orientable(fam.n, d_n, table[fam.n])
+            out["oracle_agrees"] = lhs == rhs and out["orientable"] is not None
+        else:
+            out["orientable"] = total_space_orientable(fam.n, d_n)
+        if out["orientable"] is None or out.get("oracle_agrees") is False:
+            exit_code = EXIT_CHECK_FAILED
     _dump(out, args.out)
     return exit_code
 

@@ -343,6 +343,21 @@ def reflection_count(n: int) -> tuple[int, int]:
     return half, d_n
 
 
+def total_space_orientable(
+    n: int, d_n: int | None, top: tuple | None = None
+) -> bool | None:
+    """Orientability of the involution-side total space, or None on a conflict.
+
+    The parity rule says orientable iff n = 4l + 2.  The top boundary
+    coefficient ``d_n`` (None when the reflection count failed) must
+    vanish exactly then, and so must the oracle's top relative group
+    ``top`` be Z, when the oracle ran.  Any disagreement gives None.
+    """
+    orientable = n % 4 == 2
+    routes = [d_n == 0] + ([] if top is None else [top == (1, ())])
+    return orientable if all(r == orientable for r in routes) else None
+
+
 # ---------------------------------------------------------------------------
 # certificates
 # ---------------------------------------------------------------------------
@@ -514,19 +529,23 @@ def glue_certificate(
             if d % 2 == 0
         )
     else:
-        count, d_n = reflection_count(n)
+        try:
+            count, d_n = reflection_count(n)
+        except ExpansionMismatch:
+            count = d_n = None
         homology_dict["reflection_count"] = count
         homology_dict["d_n"] = d_n
         checks["d_n_zero"] = d_n == 0
         for fid in CUT_FACETS:
-            checks[f"orientable_cover_{fid}"] = orientable_small_cover(
-                fam.boundary[fid]
-            )
-        checks["total_space_orientable"] = cellular.is_orientable_space(fam)
+            valid = checks[f"boundary_valid_{fid}"]
+            checks[f"orientable_cover_{fid}"] = valid and orientable_small_cover(fam.boundary[fid])
+        top = None
         if n <= cellular.ORACLE_MAX_N:
+            top = cellular.relative_homology_table(fam, degrees=[n])[n]
             betti = cellular.small_cover_gf2_betti(fam.boundary["p3"])
             homology_dict["p3_cover_gf2_betti"] = list(betti)
             checks["p3_cover_betti_all_one"] = all(b == 1 for b in betti)
+        checks["total_space_orientable"] = total_space_orientable(n, d_n, top) is True
 
     return Certificate(
         k=k,

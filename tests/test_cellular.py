@@ -19,7 +19,6 @@ from toric_cobordism.cellular import (
     euler_sides,
     homology,
     homology_w_rel_boundary,
-    is_orientable_space,
     distinguished_functional,
     relative_homology_table,
     small_cover_gf2_betti,
@@ -33,7 +32,11 @@ from toric_cobordism.charpair import (
     standard_pair,
 )
 from toric_cobordism.exactalg import gf2_basis, smith_normal_form
-from toric_cobordism.family import build_family
+from toric_cobordism.family import (
+    build_family,
+    reflection_count,
+    total_space_orientable,
+)
 from toric_cobordism.polytope import product, simplex
 
 
@@ -375,10 +378,13 @@ class TestRelativeOracle:
         assert table[6] == (1, ())
 
     def test_orientability_routes_agree(self):
-        assert is_orientable_space(build_family(2, "GF2")) is False
-        assert is_orientable_space(build_family(3, "GF2")) is True
-        # formula path only at n = 8
-        assert is_orientable_space(build_family(4, "GF2")) is False
+        for k in (2, 3):
+            fam = build_family(k, "GF2")
+            top = relative_homology_table(fam, degrees=[fam.n])[fam.n]
+            d_n = reflection_count(fam.n)[1]
+            assert total_space_orientable(fam.n, d_n, top) is (k == 3)
+        # parity rule and d_n only at n = 8
+        assert total_space_orientable(8, reflection_count(8)[1]) is False
 
     def test_euler_identity(self):
         for k in (2, 3):

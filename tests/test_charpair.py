@@ -7,7 +7,6 @@ from toric_cobordism.charpair import (
     CharacteristicFunction,
     CharacteristicPair,
     DeltaTranslation,
-    InvalidPair,
     MissingVector,
     RingMismatch,
     SearchCapExceeded,
@@ -22,7 +21,7 @@ from toric_cobordism.charpair import (
     validate,
     verify_delta_translation,
 )
-from toric_cobordism import charpair, exactalg
+from toric_cobordism import charpair, exactalg, family
 from toric_cobordism.exactalg import Gf2Matrix, identity_matrix, mat_vec
 from toric_cobordism.family import build_family
 from toric_cobordism.polytope import SimplePolytope, product, simplex
@@ -123,10 +122,24 @@ class TestOrientability:
         with pytest.raises(RingMismatch):
             orientable_small_cover(standard_pair("complex_projective", 2))
 
-    def test_invalid_pair_rejected(self):
-        bad = gf2_pair([(1, 0), (0, 1), (1, 0)])
-        with pytest.raises(InvalidPair):
-            orientable_small_cover(bad)
+    def test_invalid_boundary_pair_fails_its_cover_check(self, monkeypatch):
+        """The criterion alone passes these invalid pieces; the certificate does not."""
+        mu = family.mu
+
+        def mu_with_d1_repeating_d0(n):
+            chi = mu(n)
+            return CharacteristicFunction(
+                chi.ring, chi.rank, {**chi.vectors, "d1": chi.vectors["d0"]}
+            )
+
+        monkeypatch.setattr(family, "mu", mu_with_d1_repeating_d0)
+        fam = build_family(3, "GF2")
+        cert = family.glue_certificate(3, "real")
+        for fid, pair in fam.boundary.items():
+            assert not validate(pair).ok
+            assert orientable_small_cover(pair) is True
+            assert cert.checks[f"boundary_valid_{fid}"] is False
+            assert cert.checks[f"orientable_cover_{fid}"] is False
 
     def test_group_basis_change_invariance(self):
         rng = random.Random(2)

@@ -99,6 +99,26 @@ class TestHomology:
         assert data["oracle_agrees"] is True
         assert data["d_n"] == 2
 
+    def test_z2_oracle_disagreeing_top_fails(self, tmp_path, monkeypatch, capsys):
+        from toric_cobordism import cellular
+
+        cover_homology = cellular.cover_homology
+
+        def top_group_zero(*args, **kwargs):
+            table, cc = cover_homology(*args, **kwargs)
+            table[max(table)] = (0, ())
+            return table, cc
+
+        fam = tmp_path / "famr.json"
+        main(["construct", "--k", "3", "--ring", "z2", "--out", str(fam)])
+        monkeypatch.setattr(cellular, "cover_homology", top_group_zero)
+        capsys.readouterr()
+        assert main(["homology", "--in", str(fam), "--oracle"]) == 1
+        data = json.loads(capsys.readouterr().out)
+        assert data["orientable"] is None
+        assert data["oracle_agrees"] is False
+        assert data["euler_identity"]["cells"] == data["euler_identity"]["index_pairs"]
+
     @pytest.mark.parametrize("flags", [[], ["--oracle"]])
     def test_coordinate_free_family_rejected(self, tmp_path, flags, capsys):
         fam = tmp_path / "famr.json"

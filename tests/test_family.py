@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from toric_cobordism import charpair, family
+from toric_cobordism import cellular, charpair, family
 from toric_cobordism.charpair import (
     validate,
     verify_delta_translation,
@@ -32,6 +32,7 @@ from toric_cobordism.family import (
     phi_facet_map,
     reflection_count,
     rho,
+    total_space_orientable,
     xi,
     xi_rows,
 )
@@ -225,6 +226,17 @@ class TestReflectionCount:
                 acc = [(a + b) % 2 for a, b in zip(acc, rows[j])]
             assert tuple(acc) == rows[half - 1]
 
+    def test_orientability_needs_every_route_to_agree(self):
+        z, zero = (1, ()), (0, ())
+        assert total_space_orientable(6, 0) is True
+        assert total_space_orientable(6, 0, z) is True
+        assert total_space_orientable(8, 2) is False
+        assert total_space_orientable(4, 2, zero) is False
+        assert total_space_orientable(6, 2) is None
+        assert total_space_orientable(6, None) is None
+        assert total_space_orientable(6, 0, zero) is None
+        assert total_space_orientable(4, 2, z) is None
+
 
 class TestCertificates:
     def test_complex_k2(self):
@@ -256,8 +268,12 @@ class TestCertificates:
             glue_certificate(4, "real")
 
     def test_each_claim_is_checked_once(self, monkeypatch):
-        """Four pairs validated, three translations verified, none in the build."""
-        calls = {"validate": 0, "verify": 0}
+        """Four pairs validated, three translations verified, none in the build.
+
+        A real certificate validates the same four pairs and counts
+        reflections once.
+        """
+        calls = {"validate": 0, "verify": 0, "reflections": 0}
 
         def counting(name, func):
             def wrapped(*args):
@@ -272,11 +288,18 @@ class TestCertificates:
                 "verify_delta_translation",
                 counting("verify", verify_delta_translation),
             )
+        monkeypatch.setattr(
+            family, "reflection_count", counting("reflections", reflection_count)
+        )
         build_family(2, "Z")
-        assert calls == {"validate": 0, "verify": 0}
+        assert calls == {"validate": 0, "verify": 0, "reflections": 0}
         cert = glue_certificate(2, "complex")
         assert cert.ok
-        assert calls == {"validate": 4, "verify": 3}
+        assert calls == {"validate": 4, "verify": 3, "reflections": 0}
+        for k in (3, 5):
+            calls.update(validate=0, reflections=0)
+            assert glue_certificate(k, "real").ok
+            assert (calls["validate"], calls["reflections"]) == (4, 1)
 
     @pytest.mark.parametrize("plant", ["h", "xi", "phi"])
     def test_planted_false_claim_fails_its_checks(self, plant, monkeypatch, capsys):
@@ -313,6 +336,58 @@ class TestCertificates:
         assert sorted(c for c, good in data["validation"].items() if not good) == failed
         assert captured.err.splitlines() == [f"check failed: {c}" for c in failed]
         assert data["gluing"]["orientation_effect"] is None
+
+    @pytest.mark.parametrize("plant", ["mu", "mu_rows", "oracle"])
+    def test_planted_false_real_claim_fails_its_checks(self, plant, monkeypatch, capsys):
+        """A false real claim prints the certificate and exits 1, never 2."""
+        def mu_with_d1_repeating_d0(n):
+            chi = mu(n)
+            return charpair.CharacteristicFunction(
+                chi.ring, chi.rank, {**chi.vectors, "d1": chi.vectors["d0"]}
+            )
+
+        def rows_with_last_repeating_first(n):
+            rows = mu_rows(n)
+            return rows[:n] + (rows[0],)
+
+        def top_group_zero(fam, degrees):
+            return {d: (0, ()) for d in degrees}
+
+        invalid = [f"boundary_valid_{fid}" for fid in CUT_FACETS]
+        covers = [f"orientable_cover_{fid}" for fid in CUT_FACETS]
+        plants = {
+            "mu": (
+                family,
+                "mu",
+                mu_with_d1_repeating_d0,
+                ["boundary_is_standard"] + invalid + ["gluing_verifies"] + covers
+                + ["p1_p2_isomorphic", "p3_cover_betti_all_one", "pair_valid"],
+            ),
+            "mu_rows": (
+                family,
+                "mu_rows",
+                rows_with_last_repeating_first,
+                ["d_n_zero", "total_space_orientable"],
+            ),
+            "oracle": (
+                cellular,
+                "relative_homology_table",
+                top_group_zero,
+                ["total_space_orientable"],
+            ),
+        }
+        module, name, replacement, failed = plants[plant]
+        monkeypatch.setattr(module, name, replacement)
+        capsys.readouterr()
+        assert main(["certify", "--kind", "real", "--k", "3"]) == 1
+        captured = capsys.readouterr()
+        data = json.loads(captured.out)
+        assert data["ok"] is False
+        assert sorted(c for c, good in data["validation"].items() if not good) == failed
+        assert captured.err.splitlines() == [f"check failed: {c}" for c in failed]
+        if plant == "mu_rows":
+            assert data["homology"]["reflection_count"] is None
+            assert data["homology"]["d_n"] is None
 
     def test_custom_parameters(self):
         cert = glue_certificate(

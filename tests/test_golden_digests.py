@@ -3,7 +3,9 @@
 Each digest is the sha256 of the full stdout of one CLI command.  Unlike
 ``perfbench/references.json`` they keep the functional coefficients and
 the ``index_profile``.  Homology commands read Z family files written by
-``construct`` with the default and with the other truncation parameters.
+``construct`` with the default and with the other truncation parameters,
+and GF(2) family files (``construct --ring z2``) with and without
+``--oracle``.
 
 Runs under pytest, and also as a plain script for interpreters without
 pytest (``PYTHONPATH=src python tests/test_golden_digests.py``), which
@@ -27,6 +29,8 @@ SEEDS = (0, 7, 123)
 CERTIFY_CASES = [("complex", k) for k in range(2, 7)] + [("real", 3), ("real", 5)]
 PARAMETERS = {"default": (), "other": ("--r1", "1/10", "--r2", "1/3")}
 HOMOLOGY_KS = (2, 3, 4)
+GF2_FAMILY = ("--ring", "z2")
+GF2_HOMOLOGY_KS = (2, 3)
 
 GOLDEN = {
     "certify --kind complex --k 2 --seed 0": "41bab8e2cb6f5c02d7f078981140d074c27fab994a61e875f53b4411fddc1831",
@@ -86,6 +90,18 @@ GOLDEN = {
     "homology other k=4 --seed 7 --distinguished": "363a7ff49bb4afd74af39fe9149483335214e0e85d417dbb8ec45c2c0862a818",
     "homology other k=4 --seed 123": "9315bfdf5bf2d176b908c808723365d03c0dd81e13b13f67da57c0fc52c93918",
     "homology other k=4 --seed 123 --distinguished": "90356b27935551220874cde01a249496f50c9a2c5f212a93094108f39fbbd501",
+    "homology z2 k=2 --seed 0": "017339c1db72aff066fc7d9228c2faa70d9992a116c88bf43a1ebb2e402b27b7",
+    "homology z2 k=2 --seed 0 --oracle": "91feec4c382c37677b6e3b8a11782b5ad4fe6e6389e96046e01df3878fa4da42",
+    "homology z2 k=2 --seed 7": "b739c0ef1bde06fd2c42b031e753381ba564531b4b7aa2ebb461e9f7e9eaed63",
+    "homology z2 k=2 --seed 7 --oracle": "e01412ee9556884f59b9605040da3683d9feb931a632a084e8cc6a6126aa6a2a",
+    "homology z2 k=2 --seed 123": "673afbc5cc5902c5a86500eccf9b506fac8f20e7aa033a66703e3a7e984032f1",
+    "homology z2 k=2 --seed 123 --oracle": "3c3a21f942fc01700660ee056b0080203c59847236a14230029e6bbe1cc19624",
+    "homology z2 k=3 --seed 0": "5e4f3985ca872886459187dae69087dfc46e617e7a1ddd1cf0ea2d0c80c98dca",
+    "homology z2 k=3 --seed 0 --oracle": "548fdc0254e064576d262aefe34f5d7c5d8f0ce86769e0f00e53f1b7f8a1530f",
+    "homology z2 k=3 --seed 7": "cc86217b02246b1c5ea8a4fedb789c78bfe597dd3147156e2549be0f197041b8",
+    "homology z2 k=3 --seed 7 --oracle": "9a5e53336f4cdcda5f8247d2a2b2f95fa1db94bc3f585b996b25bddadfa0de59",
+    "homology z2 k=3 --seed 123": "2c3b9e45af5428d3876160a62a23a0a5d46164e3c865fba1dc93f8e854f31933",
+    "homology z2 k=3 --seed 123 --oracle": "4fe0d80dfb43f72cc679f54fd4ba376229d442f23163e3b1a86672dda7eac26c",
 }
 
 
@@ -110,24 +126,31 @@ def certify_commands() -> list[str]:
     ]
 
 
-def homology_commands() -> list[tuple[str, str, int]]:
-    """(command name, parameter set, k) for every homology digest."""
-    return [
-        (f"homology {params} k={k} --seed {seed}{' --distinguished' if dist else ''}", params, k)
+def homology_commands() -> list[tuple[str, tuple[str, ...], int]]:
+    """(command name, ``construct`` arguments, k) for every homology digest."""
+    z = [
+        (f"homology {params} k={k} --seed {seed}{' --distinguished' if dist else ''}", PARAMETERS[params], k)
         for params in PARAMETERS
         for k in HOMOLOGY_KS
         for seed in SEEDS
         for dist in (False, True)
     ]
+    gf2 = [
+        (f"homology z2 k={k} --seed {seed}{' --oracle' if oracle else ''}", GF2_FAMILY, k)
+        for k in GF2_HOMOLOGY_KS
+        for seed in SEEDS
+        for oracle in (False, True)
+    ]
+    return z + gf2
 
 
 def compute_digests() -> dict[str, str]:
     out = {cmd: _digest(cmd.split()) for cmd in certify_commands()}
     with tempfile.TemporaryDirectory() as tmp:
-        for name, params, k in homology_commands():
-            path = os.path.join(tmp, f"{params}-{k}.json")
+        for name, construct_args, k in homology_commands():
+            path = os.path.join(tmp, f"{name.split()[1]}-{k}.json")
             if not os.path.exists(path):
-                _stdout(["construct", "--k", str(k), *PARAMETERS[params], "--out", path])
+                _stdout(["construct", "--k", str(k), *construct_args, "--out", path])
             out[name] = _digest(["homology", "--in", path, *name.split()[3:]])
     return out
 
