@@ -5,7 +5,9 @@ table comes from counting vertex indices of a generic linear functional
 on the truncated simplex.  The involution-side spaces are built
 outright as finite regular CW complexes (one cell per coset and face)
 whose chain complexes are handed to exact Smith normal form or GF(2)
-rank computations.  The two routes cross-check each other wherever both
+rank computations.  Over GF(2) each boundary row is bit packed once per
+complex, and the packed rows serve both the d o d check and the
+elimination.  The two routes cross-check each other wherever both
 apply.
 """
 
@@ -14,6 +16,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Iterable, Optional, Sequence
 
 from .charpair import RING_GF2, RING_Z, CharacteristicFunction, CharacteristicPair
@@ -297,12 +300,11 @@ def build_quotient_complex(
     rank = beta.rank
     excluded = frozenset(boundary_facets)
     faces = [f for f in poly.faces if not (f.facets & excluded)]
+    packed = {fid: gf2_pack(v) for fid, v in beta.vectors.items()}
     face_basis = []
     by_dim: list[list[tuple[int, int]]] = [[] for _ in range(poly.dim + 1)]
     for idx, f in enumerate(faces):
-        keyed = gf2_basis(
-            gf2_pack(beta.vectors[fid]) for fid in sorted(f.facets) if fid in beta.vectors
-        )
+        keyed = gf2_basis(packed[fid] for fid in sorted(f.facets) if fid in packed)
         basis = tuple(keyed[c] for c in sorted(keyed))
         face_basis.append(basis)
         # the representatives are the g with zero bits at the keys
@@ -402,7 +404,8 @@ SparseMatrix = list[dict[int, int]]
 @dataclass(frozen=True)
 class ChainComplex:
     """Graded boundary matrices: row r of ``boundaries[d]`` is the
-    boundary of the r-th d-cell, as a sparse map into (d-1)-cells."""
+    boundary of the r-th d-cell, as a sparse map into (d-1)-cells.
+    The rows are read, never modified, once the complex is built."""
 
     ring: str
     cell_counts: tuple[int, ...]
@@ -412,39 +415,56 @@ class ChainComplex:
     def dim(self) -> int:
         return len(self.cell_counts) - 1
 
+    @cached_property
+    def packed_rows(self) -> tuple[tuple[int, ...], ...]:
+        """Over GF(2), the rows of ``boundaries`` bit packed (bit c =
+        entry c mod 2), derived once and shared by d o d and elimination."""
+        packed = []
+        for mat in self.boundaries:
+            rows = []
+            for row in mat:
+                bits = 0
+                for c, v in row.items():
+                    if v & 1:
+                        bits |= 1 << c
+                rows.append(bits)
+            packed.append(tuple(rows))
+        return tuple(packed)
+
 
 def chain_complex(cw: QuotientCWComplex, ring: str = RING_Z) -> ChainComplex:
     """Boundary matrices of the quotient complex, with d o d == 0 verified.
 
     Cell boundaries carry the polytope's incidence numbers, read off the
     facet order; the group coordinate is reduced into the smaller face's
-    coset.
+    coset.  Each cell (face index, coset) is keyed by the integer
+    ``face_index << group_rank | coset``, which keeps the cell order.
+    Distinct subfaces give distinct cells, so no entry sums two terms.
     """
     if ring not in (RING_Z, RING_GF2):
         raise CellularError(f"unknown ring {ring!r}")
-    poly = cw.polytope
-    face_boundary = _face_boundaries(cw)
-
-    cell_index: list[dict[tuple[int, int], int]] = [
-        {cell: i for i, cell in enumerate(cw.cells[d])}
-        for d in range(poly.dim + 1)
-    ]
+    rank = cw.group_rank
+    # per face, its subfaces as (key base, (low bit, vector) pairs, entry)
+    reducers = [tuple((b & -b, b) for b in basis) for basis in cw.face_basis]
+    subfaces = {
+        fi: [(gi << rank, reducers[gi], sign if ring == RING_Z else 1) for gi, sign in subs]
+        for fi, subs in _face_boundaries(cw).items()
+    }
     boundaries: list[SparseMatrix] = [[]]
-    for d in range(1, poly.dim + 1):
+    for d in range(1, cw.polytope.dim + 1):
         mat: SparseMatrix = []
-        lower = cell_index[d - 1]
+        lower = {fi << rank | g: i for i, (fi, g) in enumerate(cw.cells[d - 1])}
         for fi, g in cw.cells[d]:
             row: dict[int, int] = {}
-            for gi, sign in face_boundary.get(fi, ()):
-                gg = _reduce_coset(g, cw.face_basis[gi])
-                col = lower.get((gi, gg))
+            for base, reducer, entry in subfaces.get(fi, ()):
+                gg = g
+                for low, b in reducer:
+                    if gg & low:
+                        gg ^= b
+                col = lower.get(base | gg)
                 if col is None:
                     raise ConsistencyError("boundary cell missing from complex")
-                row[col] = row.get(col, 0) + sign
-            if ring == RING_GF2:
-                row = {c: v % 2 for c, v in row.items() if v % 2}
-            else:
-                row = {c: v for c, v in row.items() if v}
+                row[col] = entry
             mat.append(row)
         boundaries.append(mat)
 
@@ -458,7 +478,23 @@ def chain_complex(cw: QuotientCWComplex, ring: str = RING_Z) -> ChainComplex:
 
 
 def _verify_d_squared(cc: ChainComplex) -> None:
-    mod = 2 if cc.ring == RING_GF2 else 0
+    """Raise unless every composition of two boundaries vanishes.
+
+    Over GF(2) a row of d o d is the XOR of the packed rows one degree
+    down that the row's odd entries pick.
+    """
+    if cc.ring == RING_GF2:
+        packed = cc.packed_rows
+        for d in range(2, cc.dim + 1):
+            lower = packed[d - 1]
+            for row in cc.boundaries[d]:
+                acc = 0
+                for mid, c in row.items():
+                    if c & 1:
+                        acc ^= lower[mid]
+                if acc:
+                    raise ConsistencyError("d o d != 0: incidence signs broken")
+        return
     for d in range(2, cc.dim + 1):
         lower = cc.boundaries[d - 1]
         for row in cc.boundaries[d]:
@@ -466,9 +502,8 @@ def _verify_d_squared(cc: ChainComplex) -> None:
             for mid, c1 in row.items():
                 for low, c0 in lower[mid].items():
                     acc[low] = acc.get(low, 0) + c1 * c0
-            for v in acc.values():
-                if (v % mod if mod else v) != 0:
-                    raise ConsistencyError("d o d != 0: incidence signs broken")
+            if any(acc.values()):
+                raise ConsistencyError("d o d != 0: incidence signs broken")
 
 
 def _eliminate(
@@ -480,9 +515,7 @@ def _eliminate(
         return (), frozenset()
     if cc.ring == RING_GF2:
         basis = gf2_basis(
-            sum(1 << c for c, v in row.items() if v % 2)
-            for r, row in enumerate(cc.boundaries[d])
-            if r not in skip
+            bits for r, bits in enumerate(cc.packed_rows[d]) if r not in skip
         )
         return (1,) * len(basis), frozenset(basis)
     return unit_pivot_elimination(cc.boundaries[d], cc.cell_counts[d - 1], skip)

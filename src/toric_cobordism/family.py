@@ -539,13 +539,19 @@ def glue_certificate(
         for fid in CUT_FACETS:
             valid = checks[f"boundary_valid_{fid}"]
             checks[f"orientable_cover_{fid}"] = valid and orientable_small_cover(fam.boundary[fid])
+        # the oracle runs only on pairs that passed validate
         top = None
         if n <= cellular.ORACLE_MAX_N:
-            top = cellular.relative_homology_table(fam, degrees=[n])[n]
-            betti = cellular.small_cover_gf2_betti(fam.boundary["p3"])
-            homology_dict["p3_cover_gf2_betti"] = list(betti)
-            checks["p3_cover_betti_all_one"] = all(b == 1 for b in betti)
-        checks["total_space_orientable"] = total_space_orientable(n, d_n, top) is True
+            if checks["pair_valid"]:
+                top = cellular.relative_homology_table(fam, degrees=[n])[n]
+            betti = None
+            if checks["boundary_valid_p3"]:
+                betti = list(cellular.small_cover_gf2_betti(fam.boundary["p3"]))
+            homology_dict["p3_cover_gf2_betti"] = betti
+            checks["p3_cover_betti_all_one"] = betti is not None and all(b == 1 for b in betti)
+        checks["total_space_orientable"] = (
+            checks["pair_valid"] and total_space_orientable(n, d_n, top) is True
+        )
 
     return Certificate(
         k=k,

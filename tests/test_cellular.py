@@ -1,4 +1,6 @@
 import functools
+import hashlib
+import json
 import random
 from fractions import Fraction
 
@@ -7,6 +9,8 @@ import pytest
 from toric_cobordism import cellular
 from toric_cobordism.cellular import (
     CellularError,
+    ChainComplex,
+    ConsistencyError,
     LinearFunctional,
     StrictModeViolation,
     TieError,
@@ -572,8 +576,8 @@ def _reference_homology(cc):
 
 
 @functools.lru_cache(maxsize=None)
-def _gf2_family(k):
-    return build_family(k, "GF2")
+def _family(k, ring="GF2"):
+    return build_family(k, ring)
 
 
 SWEEP_SOURCES = [
@@ -588,7 +592,7 @@ class TestEliminationSweep:
         "k,piece", [s[1:] for s in SWEEP_SOURCES], ids=[s[0] for s in SWEEP_SOURCES]
     )
     def test_matches_per_degree_reference(self, k, piece, ring):
-        fam = _gf2_family(k)
+        fam = _family(k)
         if piece is None:
             cc = cover_complex(fam.pair, ring, relative=True)
         else:
@@ -600,7 +604,7 @@ class TestEliminationSweep:
 
     @pytest.mark.parametrize("ring", ["Z", "GF2"])
     def test_top_degree_touches_only_the_top_matrix(self, ring, monkeypatch):
-        cc = cover_complex(_gf2_family(3).boundary["p1"], ring)
+        cc = cover_complex(_family(3).boundary["p1"], ring)
         seen = []
 
         def recording(cc, d, skip):
@@ -652,7 +656,7 @@ def _reference_reduce_coset(g, basis):
 class TestCosetRepresentatives:
     @pytest.mark.parametrize("k", (2, 3, 4))
     def test_every_face_matches_reference(self, k):
-        fam = _gf2_family(k)
+        fam = _family(k)
         for pair in (fam.pair, *(fam.boundary[p] for p in ("p1", "p2", "p3"))):
             cw = build_quotient_complex(pair.polytope, pair.chi)
             rank = cw.group_rank
@@ -675,3 +679,153 @@ class TestCosetRepresentatives:
                 assert [b & -b for b in new] == sorted(b & -b for b in old)
                 for g in range(1 << rank):
                     assert cellular._reduce_coset(g, new) == _reference_reduce_coset(g, old)
+
+
+# -- Davis-Januszkiewicz: GF(2) Betti numbers of a small cover are its h-vector
+#
+# A generic functional's index counts are the h-vector of the polytope,
+# so they give the GF(2) Betti numbers of every small cover over it
+# without building a cell complex.
+
+class TestHVectorRoute:
+    @pytest.mark.parametrize("ring", ["Z", "GF2"])
+    @pytest.mark.parametrize("piece", ["p1", "p2", "p3"])
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_index_counts_are_the_gf2_betti_numbers(self, k, piece, ring):
+        pair = _family(k, ring).boundary[piece]
+        poly = pair.polytope
+        counts = vertex_indices(poly, draw_functional(poly, 3), strict=False).index_counts()
+        h_vector = tuple(counts.get(d, 0) for d in range(poly.dim + 1))
+        assert h_vector == small_cover_gf2_betti(pair)
+
+
+# -- the packed GF(2) rows and the integer-keyed assembly ---------------------
+
+def _matrix_digest(cc):
+    rows = [[sorted(r.items()) for r in m] for m in cc.boundaries]
+    return hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+
+
+@functools.lru_cache(maxsize=None)
+def _n8_complex(piece, ring):
+    fam = _family(4)
+    if piece is None:
+        return cover_complex(fam.pair, ring, relative=True)
+    return cover_complex(fam.boundary[piece], ring)
+
+
+def _copy_rows(cc):
+    return [[dict(r) for r in m] for m in cc.boundaries]
+
+
+def _by_hand(cc, rows):
+    return ChainComplex(cc.ring, cc.cell_counts, tuple(rows))
+
+
+def _reference_d_squared_holds(cc):
+    """The dict-based d o d check, entries reduced mod 2 over GF(2)."""
+    mod = 2 if cc.ring == "GF2" else 0
+    for d in range(2, cc.dim + 1):
+        for row in cc.boundaries[d]:
+            acc = {}
+            for mid, c1 in row.items():
+                for low, c0 in cc.boundaries[d - 1][mid].items():
+                    acc[low] = acc.get(low, 0) + c1 * c0
+            if any(v % mod if mod else v for v in acc.values()):
+                return False
+    return True
+
+
+def _d_squared_holds(cc):
+    try:
+        cellular._verify_d_squared(cc)
+    except ConsistencyError:
+        return False
+    return True
+
+
+class TestPackedPath:
+    # sha256 of the sorted rows, recorded with the tuple-keyed assembly
+    # and the dict-based d o d check
+    @pytest.mark.parametrize(
+        "piece,ring,digest",
+        [
+            ("p1", "GF2", "7c2f6a5a0b218f066c2236950f530ff3ea4125d6cd9509219474e760369bd7f9"),
+            ("p3", "Z", "c7830c5e3bc411c321422a25a4db59e5ea2ef951a3c1622317593f22c71b9088"),
+            (None, "Z", "35f1c12e97c6f2f23248057c4e04da9250ae3906e7421abb31a276675abb28ad"),
+        ],
+        ids=["n8-p1-GF2", "n8-p3-Z", "rel-k4-Z"],
+    )
+    def test_assembled_matrices_are_pinned(self, piece, ring, digest):
+        assert _matrix_digest(_n8_complex(piece, ring)) == digest
+
+    def test_packed_rows_are_the_dict_rows(self):
+        cc = _n8_complex("p1", "GF2")
+        for mat, packed in zip(cc.boundaries, cc.packed_rows):
+            assert packed == tuple(sum(1 << c for c in row) for row in mat)
+
+    @pytest.mark.parametrize("d", range(1, 8))
+    def test_dropped_gf2_entry_is_caught(self, d):
+        cc = _n8_complex("p1", "GF2")
+        rows = _copy_rows(cc)
+        row = rows[d][len(rows[d]) // 2]
+        del row[next(iter(row))]
+        with pytest.raises(ConsistencyError):
+            cellular._verify_d_squared(_by_hand(cc, rows))
+
+    @pytest.mark.parametrize("d", range(1, 8))
+    def test_flipped_z_sign_is_caught(self, d):
+        cc = _n8_complex("p3", "Z")
+        rows = _copy_rows(cc)
+        row = rows[d][len(rows[d]) // 2]
+        col = next(iter(row))
+        row[col] = -row[col]
+        with pytest.raises(ConsistencyError):
+            cellular._verify_d_squared(_by_hand(cc, rows))
+
+    @pytest.mark.parametrize("ring", ["Z", "GF2"])
+    def test_hand_built_complex_gets_the_same_verdict(self, ring):
+        cc = _n8_complex(None, ring)
+        by_hand = _by_hand(cc, _copy_rows(cc))
+        cellular._verify_d_squared(by_hand)
+        assert homology(by_hand) == homology(cc)
+
+    def test_gf2_entries_are_read_mod_2(self):
+        """Odd entries count as 1 and even ones as 0, on both checks."""
+        cc = _n8_complex("p1", "GF2")
+        rows = [[{c: -1 for c in r} for r in m] for m in cc.boundaries]
+        row = rows[3][0]
+        row[min(set(range(cc.cell_counts[2])) - set(row))] = 2
+        by_hand = _by_hand(cc, rows)
+        cellular._verify_d_squared(by_hand)
+        assert by_hand.packed_rows == cc.packed_rows
+        assert homology(by_hand) == homology(cc)
+
+    @pytest.mark.parametrize("ring", ["Z", "GF2"])
+    def test_verdict_matches_the_dict_check_on_planted_faults(self, ring):
+        cc = cover_complex(_family(3).boundary["p1"], ring)
+        rng = random.Random(20261018)
+        verdicts = []
+        for _ in range(60):
+            rows = _copy_rows(cc)
+            d = rng.randint(1, cc.dim)
+            r = rng.randrange(len(rows[d]))
+            row = rows[d][r]
+            col = rng.choice(sorted(row))
+            fault = rng.choice(["drop", "negate", "add odd", "add even", "reorient"])
+            if fault == "drop":
+                del row[col]
+            elif fault == "negate":
+                row[col] = -row[col]
+            elif fault.startswith("add"):
+                row[rng.randrange(cc.cell_counts[d - 1])] = 1 if fault == "add odd" else 2
+            else:
+                # a change of orientation of the cell: negate its row and column
+                rows[d][r] = {c: -v for c, v in row.items()}
+                for upper in rows[d + 1] if d < cc.dim else ():
+                    if r in upper:
+                        upper[r] = -upper[r]
+            planted = _by_hand(cc, rows)
+            verdicts.append(_d_squared_holds(planted))
+            assert verdicts[-1] == _reference_d_squared_holds(planted)
+        assert True in verdicts and False in verdicts

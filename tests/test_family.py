@@ -361,7 +361,8 @@ class TestCertificates:
                 "mu",
                 mu_with_d1_repeating_d0,
                 ["boundary_is_standard"] + invalid + ["gluing_verifies"] + covers
-                + ["p1_p2_isomorphic", "p3_cover_betti_all_one", "pair_valid"],
+                + ["p1_p2_isomorphic", "p3_cover_betti_all_one", "pair_valid"]
+                + ["total_space_orientable"],
             ),
             "mu_rows": (
                 family,
@@ -376,8 +377,14 @@ class TestCertificates:
                 ["total_space_orientable"],
             ),
         }
+        def oracle_on_invalid_pair(*args, **kwargs):
+            raise AssertionError("the oracle ran on a pair that failed validate")
+
         module, name, replacement, failed = plants[plant]
         monkeypatch.setattr(module, name, replacement)
+        if plant == "mu":
+            for oracle in ("relative_homology_table", "small_cover_gf2_betti"):
+                monkeypatch.setattr(cellular, oracle, oracle_on_invalid_pair)
         capsys.readouterr()
         assert main(["certify", "--kind", "real", "--k", "3"]) == 1
         captured = capsys.readouterr()
@@ -388,6 +395,8 @@ class TestCertificates:
         if plant == "mu_rows":
             assert data["homology"]["reflection_count"] is None
             assert data["homology"]["d_n"] is None
+        if plant == "mu":
+            assert data["homology"]["p3_cover_gf2_betti"] is None
 
     def test_custom_parameters(self):
         cert = glue_certificate(
