@@ -15,9 +15,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Iterable, Optional, Sequence
+from numbers import Rational
+from typing import Iterable, Optional, Sequence
 
 from .charpair import RING_GF2, RING_Z, CharacteristicFunction, CharacteristicPair
 from .exactalg import gf2_basis, gf2_pack, unit_pivot_elimination
@@ -50,12 +50,12 @@ ORACLE_MAX_N = 6
 
 @dataclass(frozen=True)
 class LinearFunctional:
-    """Integer or rational coefficients on the ambient coordinates, with its seed."""
+    """Integer coefficients on the ambient coordinates, with its seed."""
 
-    coeffs: tuple[int | Fraction, ...]
+    coeffs: tuple[int, ...]
     seed: Optional[int] = None
 
-    def value(self, point: Sequence[Fraction]) -> Fraction:
+    def value(self, point: Sequence[Rational]) -> Rational:
         return sum(c * x for c, x in zip(self.coeffs, point))
 
 
@@ -72,9 +72,7 @@ def draw_functional(poly: SimplePolytope, seed: int = 0) -> LinearFunctional:
     tie are rejected and redrawn from the same stream, so the result is
     deterministic in the seed.
     """
-    if not poly.has_coords():
-        raise CellularError("polytope has no rational realization")
-    ambient = len(poly.vertex_coords[0])
+    ambient = len(poly.int_coords[0])
     rng = random.Random(seed)
     while True:
         coeffs = tuple(rng.randint(-10**6, 10**6) for _ in range(ambient))
@@ -338,16 +336,20 @@ def build_quotient_complex(
 # frame, so its incidences also carry the sign eps_v of its sorted
 # normals, fixed by making every edge boundary sum to zero.
 
-def _vertex_signs(
-    poly: SimplePolytope, sign: Callable[[frozenset[str], str], int]
-) -> list[int]:
+def _sign(mask: int, j: int) -> int:
+    """[F_S : F_{S+j}] for S the set bits of ``mask``, j a facet position."""
+    return 1 if (mask >> (j + 1)).bit_count() & 1 else -1
+
+
+def _vertex_signs(poly: SimplePolytope, pos: dict[str, int]) -> list[int]:
     """eps_v from one walk over the edges from vertex 0, every edge checked."""
     links: list[list[tuple[int, int]]] = [[] for _ in range(poly.n_vertices)]
     for e in poly.edges:
         a, b = sorted(e.vertices)
         (ja,) = poly.vertex_facets[a] - e.facets
         (jb,) = poly.vertex_facets[b] - e.facets
-        ratio = -sign(e.facets, ja) * sign(e.facets, jb)
+        mask = sum(1 << pos[s] for s in e.facets)
+        ratio = -_sign(mask, pos[ja]) * _sign(mask, pos[jb])
         links[a].append((b, ratio))
         links[b].append((a, ratio))
     eps: list[Optional[int]] = [None] * poly.n_vertices
@@ -374,22 +376,18 @@ def _face_boundaries(cw: QuotientCWComplex) -> dict[int, list[tuple[int, int]]]:
     """
     poly = cw.polytope
     pos = {fid: i for i, fid in enumerate(poly.facet_ids)}
-
-    def sign(facets: frozenset[str], j: str) -> int:
-        after = sum(1 for s in facets if pos[s] > pos[j])
-        return 1 if after % 2 else -1
-
-    eps = _vertex_signs(poly, sign)
-    index = {f.facets: i for i, f in enumerate(cw.face_list)}
+    eps = _vertex_signs(poly, pos)
+    masks = [sum(1 << pos[s] for s in f.facets) for f in cw.face_list]
+    index = {mask: i for i, mask in enumerate(masks)}
     boundaries: dict[int, list[tuple[int, int]]] = {}
-    for fi, face in enumerate(cw.face_list):
+    for fi, (face, mask) in enumerate(zip(cw.face_list, masks)):
         if face.dim == 0:
             continue
         subs = []
-        for j in poly.facet_ids:
-            if j in face.facets or (gi := index.get(face.facets | {j})) is None:
+        for j in range(poly.n_facets):
+            if mask >> j & 1 or (gi := index.get(mask | 1 << j)) is None:
                 continue
-            s = sign(face.facets, j)
+            s = _sign(mask, j)
             if face.dim == 1:
                 (v,) = cw.face_list[gi].vertices
                 s *= eps[v]

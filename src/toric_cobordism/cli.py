@@ -54,7 +54,7 @@ def _read(path: str) -> FamilyDescriptor | CharacteristicPair:
         if "boundary" in data:
             return FamilyDescriptor.from_json_dict(data)
         return CharacteristicPair.from_json_dict(data)
-    except (OSError, KeyError, TypeError, ValueError) as exc:
+    except (OSError, KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
 
 

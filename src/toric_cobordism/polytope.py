@@ -1,7 +1,7 @@
 """Simple convex polytopes: simplices, truncations, faces, isomorphism.
 
 Polytopes are stored combinatorially (vertex-facet incidence) together
-with exact rational vertex coordinates whenever a realization is known.
+with the integer image of their rational vertex coordinates, if known.
 Vertices are kept in a canonical order (lexicographic by coordinates,
 falling back to sorted facet labels) so that repeated constructions are
 bit-identical.
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
-from math import lcm
+from math import gcd, lcm
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 
@@ -56,17 +56,18 @@ class SimplePolytope:
     """Combinatorial simple polytope with optional rational realization.
 
     ``facets`` is a list of (id, tag) pairs; each vertex is a pair of
-    optional coordinates and the set of facet ids containing it.  A
-    realized polytope also keeps ``int_coords``, its coordinates times
-    ``coord_scale``, the least common multiple of their denominators;
-    vertices are sorted and compared by this integer image.
+    optional coordinates (ints, ``Fraction``s or strings, all divided by
+    ``denominator``) and the set of facet ids containing it.  A realized
+    polytope stores only ``int_coords``, its coordinates times the least
+    common multiple ``coord_scale`` of their denominators, in vertex order.
     """
 
     def __init__(
         self,
         dim: int,
         facets: Sequence[tuple[str, str]],
-        vertices: Sequence[tuple[Optional[Sequence[Fraction]], Iterable[str]]],
+        vertices: Sequence[tuple[Optional[Sequence[int | Fraction | str]], Iterable[str]]],
+        denominator: int = 1,
     ):
         if not isinstance(dim, int) or isinstance(dim, bool) or dim < 0:
             raise PolytopeError(f"dimension {dim!r} is not a nonnegative integer")
@@ -79,7 +80,7 @@ class SimplePolytope:
         prepared = []
         for coords, fids in vertices:
             cs = None if coords is None else tuple(
-                c if isinstance(c, Fraction) else Fraction(c) for c in coords
+                c if type(c) is int or type(c) is Fraction else Fraction(c) for c in coords
             )
             fset = frozenset(fids)
             unknown = fset - self.facet_tags.keys()
@@ -91,19 +92,19 @@ class SimplePolytope:
         self._int_coords: Optional[tuple[tuple[int, ...], ...]] = None
         self.coord_scale: Optional[int] = None
         if all(c is not None for c, _ in prepared):
-            self.coord_scale = lcm(*(x.denominator for c, _ in prepared for x in c))
-            keyed = sorted(
-                [(tuple(self.coord_scale // x.denominator * x.numerator for x in c), c, f)
-                 for c, f in prepared],
+            m = lcm(*(x.denominator for c, _ in prepared for x in c))
+            prepared = sorted(
+                [(tuple(m // x.denominator * x.numerator for x in c), f) for c, f in prepared],
                 key=lambda icf: icf[0],
             )
-            if any(a[0] == b[0] for a, b in zip(keyed, keyed[1:])):
+            if any(a[0] == b[0] for a, b in zip(prepared, prepared[1:])):
                 raise PolytopeError("two vertices lie at the same point")
-            self._int_coords = tuple(i for i, _, _ in keyed)
-            prepared = [(c, f) for _, c, f in keyed]
+            # the image is over m * denominator; one gcd makes the scale least
+            g = gcd(m * denominator, *(x for i, _ in prepared for x in i))
+            self.coord_scale = m * denominator // g
+            self._int_coords = tuple(i if g == 1 else tuple(x // g for x in i) for i, _ in prepared)
         else:
             prepared.sort(key=lambda vf: tuple(sorted(vf[1])))
-        self.vertex_coords: tuple[Optional[Coords], ...] = tuple(c for c, _ in prepared)
         self.vertex_facets: tuple[frozenset[str], ...] = tuple(f for _, f in prepared)
         if len(set(self.vertex_facets)) != len(self.vertex_facets):
             raise PolytopeError("two vertices lie on the same facet set")
@@ -141,6 +142,13 @@ class SimplePolytope:
         if self._int_coords is None:
             raise PolytopeError("polytope has no rational realization")
         return self._int_coords
+
+    @cached_property
+    def vertex_coords(self) -> tuple[Optional[Coords], ...]:
+        """The coordinates as ``Fraction``s, read off the integer image."""
+        if self._int_coords is None:
+            return (None,) * self.n_vertices
+        return tuple(tuple(Fraction(x, self.coord_scale) for x in p) for p in self._int_coords)
 
     def _check_simple(self) -> None:
         for i, fs in enumerate(self.vertex_facets):
@@ -375,10 +383,7 @@ class SimplePolytope:
         for v in data["vertices"]:
             if not isinstance(v, dict):
                 raise PolytopeError(f"vertex {v!r} is not an object")
-            coords = (
-                [Fraction(s) for s in v["coords"]] if v.get("coords") is not None else None
-            )
-            vertices.append((coords, v["facets"]))
+            vertices.append((v.get("coords"), v["facets"]))
         return cls(data["dim"], facets, vertices)
 
     def __repr__(self) -> str:
@@ -403,7 +408,7 @@ def simplex(n: int) -> SimplePolytope:
     facets = [(f"d{j}", "original") for j in range(n + 1)]
     vertices = []
     for j in range(n + 1):
-        coords = [Fraction(1 if i == j else 0) for i in range(n + 1)]
+        coords = [1 if i == j else 0 for i in range(n + 1)]
         vertices.append((coords, {f"d{i}" for i in range(n + 1) if i != j}))
     return SimplePolytope(n, facets, vertices)
 
@@ -445,31 +450,28 @@ def truncate(poly: SimplePolytope, cut: Halfspace, fid: str) -> SimplePolytope:
     non-simple and raises PolytopeError.  The cut is evaluated, times a
     positive integer, on the integer image X = D x; the crossing point
     x_i + t (x_j - x_i) with t = v_i / (v_i - v_j) is then
-    (v_i X_j - v_j X_i) / ((v_i - v_j) D).
+    (v_i X_j - v_j X_i) / ((v_i - v_j) D), and every point is put over
+    their least common multiple.
     """
     points = poly.int_coords
     scale = lcm(cut.offset.denominator, *(a.denominator for a in cut.normal))
-    normal = [int(a * scale) for a in cut.normal]
-    offset = int(cut.offset * scale) * poly.coord_scale
+    normal = [scale // a.denominator * a.numerator for a in cut.normal]
+    offset = scale // cut.offset.denominator * cut.offset.numerator * poly.coord_scale
     values = [sum(a * x for a, x in zip(normal, p)) - offset for p in points]
     if any(v == 0 for v in values):
         raise PolytopeError(f"a vertex lies on the hyperplane of cut {fid}")
-    vertices = [
-        (c, fs)
-        for c, fs, v in zip(poly.vertex_coords, poly.vertex_facets, values)
-        if v > 0
-    ]
+    # (X, d, facets) for each vertex X / (d D) of the result
+    ratios = [(p, 1, fs) for p, fs, v in zip(points, poly.vertex_facets, values) if v > 0]
     for edge in poly.edges:
         i, j = sorted(edge.vertices)
         vi, vj = values[i], values[j]
         if (vi > 0) != (vj > 0):
-            den = (vi - vj) * poly.coord_scale
-            point = tuple(
-                Fraction(vi * b - vj * a, den) for a, b in zip(points[i], points[j])
-            )
-            vertices.append((point, edge.facets | {fid}))
+            point = tuple(vi * b - vj * a for a, b in zip(points[i], points[j]))
+            ratios.append((point, vi - vj, edge.facets | {fid}))
+    m = lcm(*(d for _, d, _ in ratios))
+    vertices = [(tuple(m // d * x for x in p), fs) for p, d, fs in ratios]
     facets = [(g, poly.facet_tags[g]) for g in poly.facet_ids] + [(fid, "cut")]
-    return SimplePolytope(poly.dim, facets, vertices)
+    return SimplePolytope(poly.dim, facets, vertices, m * poly.coord_scale)
 
 
 def build_delta_Q(
@@ -508,11 +510,9 @@ def facet_polytope(poly: SimplePolytope, fid: str) -> SimplePolytope:
         if g != fid and poly.facet_vertices(g) & fverts
     ]
     keep = set(g for g, _ in child_facets)
-    vertices = []
-    for i in sorted(fverts):
-        fs = (poly.vertex_facets[i] - {fid}) & keep
-        vertices.append((poly.vertex_coords[i], fs))
-    return SimplePolytope(poly.dim - 1, child_facets, vertices)
+    points = poly._int_coords or (None,) * poly.n_vertices
+    vertices = [(points[i], (poly.vertex_facets[i] - {fid}) & keep) for i in sorted(fverts)]
+    return SimplePolytope(poly.dim - 1, child_facets, vertices, poly.coord_scale or 1)
 
 
 def product(p: SimplePolytope, q: SimplePolytope) -> SimplePolytope:
@@ -520,13 +520,15 @@ def product(p: SimplePolytope, q: SimplePolytope) -> SimplePolytope:
     facets = [(f"L.{fid}", p.facet_tags[fid]) for fid in p.facet_ids] + [
         (f"R.{fid}", q.facet_tags[fid]) for fid in q.facet_ids
     ]
+    scale = lcm(p.coord_scale, q.coord_scale) if p.has_coords() and q.has_coords() else None
     vertices = []
     for i in range(p.n_vertices):
         for j in range(q.n_vertices):
-            ci, cj = p.vertex_coords[i], q.vertex_coords[j]
-            coords = tuple(ci) + tuple(cj) if ci is not None and cj is not None else None
+            coords = None if scale is None else tuple(
+                scale // p.coord_scale * x for x in p.int_coords[i]
+            ) + tuple(scale // q.coord_scale * y for y in q.int_coords[j])
             fs = {f"L.{f}" for f in p.vertex_facets[i]} | {
                 f"R.{f}" for f in q.vertex_facets[j]
             }
             vertices.append((coords, fs))
-    return SimplePolytope(p.dim + q.dim, facets, vertices)
+    return SimplePolytope(p.dim + q.dim, facets, vertices, scale or 1)

@@ -386,6 +386,17 @@ class TestErrorsReportedFromMain:
         assert self._homology(tmp_path, data) == 2
         _one_line(capsys, "error:")
 
+    @pytest.mark.parametrize("where", ["coords", "r1"])
+    def test_zero_denominator(self, tmp_path, family_file, capsys, where):
+        data = read(family_file)
+        if where == "coords":
+            data["polytope"]["vertices"][1]["coords"][0] = "1/0"
+        else:
+            data["r1"] = "1/0"
+        capsys.readouterr()
+        assert self._homology(tmp_path, data) == 2
+        _one_line(capsys, "error:")
+
     def test_coordinate_vector_one_short(self, tmp_path, family_file, capsys):
         data = read(family_file)
         vertices = data["polytope"]["vertices"]

@@ -2,7 +2,9 @@
 
 Each digest is the sha256 of the full stdout of one CLI command.  Unlike
 ``perfbench/references.json`` they keep the functional coefficients and
-the ``index_profile``.  Homology commands read Z family files written by
+the ``index_profile``.  ``construct`` digests pin every vertex
+coordinate string of the Z and GF(2) family files, with the default and
+with the other truncation parameters.  Homology commands read Z family files written by
 ``construct`` with the default and with the other truncation parameters,
 and GF(2) family files (``construct --ring z2``) with and without
 ``--oracle``.
@@ -28,6 +30,7 @@ from toric_cobordism.cli import main
 SEEDS = (0, 7, 123)
 CERTIFY_CASES = [("complex", k) for k in range(2, 7)] + [("real", 3), ("real", 5)]
 PARAMETERS = {"default": (), "other": ("--r1", "1/10", "--r2", "1/3")}
+CONSTRUCT_KS = (2, 3, 4, 5)
 HOMOLOGY_KS = (2, 3, 4)
 GF2_FAMILY = ("--ring", "z2")
 GF2_HOMOLOGY_KS = (2, 3)
@@ -54,6 +57,22 @@ GOLDEN = {
     "certify --kind real --k 5 --seed 0": "6e5b08b2a1c5a4e88a08408aee97ee6529067ec24e81c290a44eb1c571c8bae8",
     "certify --kind real --k 5 --seed 7": "bd765aed34f6d41f5bd4111febae264074cad44a463a6ea35a2161e266aba206",
     "certify --kind real --k 5 --seed 123": "91ba2f81e05d8242ba70944a4b1e23cc921ba20578cc7f3c26a3b7722fa898e0",
+    "construct --k 2 --ring z": "52b093bdceaaed34a49381ff059dbb382365ffc7077b2e21c11b976b7a4a3bb1",
+    "construct --k 3 --ring z": "7bb18a3c51b0b7bea1547d02b55e332e9bda4e14604d6480dd03c77c959e5f62",
+    "construct --k 4 --ring z": "b5e1c924c4c760283e45820ec03262f7c93caa76306ed0e6343390d48bc3ad22",
+    "construct --k 5 --ring z": "7cd0d3c7f9b6349b15b0be672457f09445164d12d098bce0ba07a489719932f4",
+    "construct --k 2 --ring z2": "a2dd0914409f145f43cd64713ed994489879d84e4f91e6e4b3368d01cd0aa0c2",
+    "construct --k 3 --ring z2": "05c9ad96294788d120d8aaf313d4924d2e38532b24a4b49e8158223fdd57c475",
+    "construct --k 4 --ring z2": "ad1f0c1a6cfd059bb53893b7c5954c5c571f1db7a990015e2cbed53b748b9b91",
+    "construct --k 5 --ring z2": "945dea8520ed14d129d6e853e25f65e96ecb73cf26012fb5e93096922557dc26",
+    "construct --k 2 --ring z --r1 1/10 --r2 1/3": "0c7b8b185cd8115492723395626be66c6f6d90f2441dcfb8a1cb11494fa70c19",
+    "construct --k 3 --ring z --r1 1/10 --r2 1/3": "02289d3c16d78c0049c8fe8cd5ebe1284e6cfd135800ed2241607ee532d857bf",
+    "construct --k 4 --ring z --r1 1/10 --r2 1/3": "bb1429697bf7c88c92465f0493f5e1957400ff89523ec24c91ad5d26eedc64c0",
+    "construct --k 5 --ring z --r1 1/10 --r2 1/3": "01276be7ad7b4f6873eb0a46c2ced758a5759633801e236dd478c32b416bfa2e",
+    "construct --k 2 --ring z2 --r1 1/10 --r2 1/3": "3724a4d0279841189298995dc366276109721f975507d32af0566503bc024dae",
+    "construct --k 3 --ring z2 --r1 1/10 --r2 1/3": "f0bf5c7fea2f4f00d79243fdbf3434e2b8ee41d088e891de60d94c0601ba39c4",
+    "construct --k 4 --ring z2 --r1 1/10 --r2 1/3": "71380c15905a588d11937a1ad0963a78e91c1bf9a95f24a46ac2802e2d6cf1b6",
+    "construct --k 5 --ring z2 --r1 1/10 --r2 1/3": "da4a8a7cac5567f7f52914f2cf9ed0af275d56a276af991fa9e79f4df79ef92e",
     "homology default k=2 --seed 0": "94ca03e31e0402a38778c45ac83bbd67a7def8114df618f6891b3d57ad585088",
     "homology default k=2 --seed 0 --distinguished": "94ca03e31e0402a38778c45ac83bbd67a7def8114df618f6891b3d57ad585088",
     "homology default k=2 --seed 7": "d491ba941f448a72b1853f6d4d3f344e7c81048a0f466f0946c8160854c84911",
@@ -126,6 +145,15 @@ def certify_commands() -> list[str]:
     ]
 
 
+def construct_commands() -> list[str]:
+    return [
+        " ".join(("construct", "--k", str(k), "--ring", ring, *PARAMETERS[params]))
+        for params in PARAMETERS
+        for ring in ("z", "z2")
+        for k in CONSTRUCT_KS
+    ]
+
+
 def homology_commands() -> list[tuple[str, tuple[str, ...], int]]:
     """(command name, ``construct`` arguments, k) for every homology digest."""
     z = [
@@ -145,7 +173,7 @@ def homology_commands() -> list[tuple[str, tuple[str, ...], int]]:
 
 
 def compute_digests() -> dict[str, str]:
-    out = {cmd: _digest(cmd.split()) for cmd in certify_commands()}
+    out = {cmd: _digest(cmd.split()) for cmd in certify_commands() + construct_commands()}
     with tempfile.TemporaryDirectory() as tmp:
         for name, construct_args, k in homology_commands():
             path = os.path.join(tmp, f"{name.split()[1]}-{k}.json")

@@ -393,6 +393,18 @@ class TestIntegerImage:
     TEMPLATES = (simplex(3), product(simplex(1), simplex(2)), simplex(5))
 
     @staticmethod
+    def _assert_image(poly, name=None):
+        """The least scale, the image it gives, and the vertex order."""
+        assert poly.coord_scale > 0, name
+        scale = math.lcm(*(x.denominator for p in poly.vertex_coords for x in p))
+        assert poly.coord_scale == scale, name
+        assert poly.int_coords == tuple(
+            tuple(x * scale for x in p) for p in poly.vertex_coords
+        ), name
+        assert poly.vertex_coords == tuple(sorted(poly.vertex_coords)), name
+        assert all(type(x) is Fraction for p in poly.vertex_coords for x in p), name
+
+    @staticmethod
     def _realize(template, points):
         facets = [(f, template.facet_tags[f]) for f in template.facet_ids]
         return SimplePolytope(template.dim, facets, list(zip(points, template.vertex_facets)))
@@ -412,14 +424,19 @@ class TestIntegerImage:
             ]
             poly = self._realize(template, mixed)
             assert poly.vertex_coords == tuple(sorted(points))
-            assert poly.coord_scale > 0
-            assert poly.coord_scale == math.lcm(*(x.denominator for p in points for x in p))
-            assert poly.int_coords == tuple(
-                tuple(int(x * poly.coord_scale) for x in p) for p in poly.vertex_coords
-            )
-            assert all(type(x) is Fraction for p in poly.vertex_coords for x in p)
+            self._assert_image(poly)
             checked += 1
         assert checked > 200
+
+    def test_every_construction_keeps_the_least_scale(self):
+        """Truncations, facets, products and boundary pieces get their image
+        from their parents'; it is the one the constructor would derive."""
+        for name, poly in _edge_cases().items():
+            self._assert_image(poly, name)
+            back = SimplePolytope.from_json_dict(json.loads(json.dumps(poly.to_json_dict())))
+            assert back.int_coords == poly.int_coords, name
+            assert back.coord_scale == poly.coord_scale, name
+            assert back.vertex_facets == poly.vertex_facets, name
 
     def test_coincident_points_raise(self):
         rng = random.Random(7)
