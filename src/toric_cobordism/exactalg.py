@@ -8,6 +8,7 @@ pure (safe to call concurrently).
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -320,9 +321,10 @@ def unit_pivot_elimination(
 
     Row ``i`` of ``matrix`` maps column -> int and is not modified; rows
     whose index is in ``skip`` are left out.  Unit pivots are eliminated
-    first with a Markowitz fill heuristic; whatever nonunit core remains
-    is finished by the dense Smith normal form.  Suitable for the large
-    sparse boundary matrices of chain complexes.
+    first, shortest row first (see ``_eliminate_units``), until no row
+    left has a +-1 entry; that nonunit core is finished by the dense
+    Smith normal form.  Suitable for the large sparse boundary matrices
+    of chain complexes.
 
     The second result holds the columns of the unit pivots.  Their
     pivot block, taken over the combinations of rows the elimination
@@ -340,7 +342,14 @@ def unit_pivot_elimination(
 def _eliminate_units(
     rows: dict[int, dict[int, int]]
 ) -> tuple[tuple[int, ...], frozenset[int]]:
-    """The elimination behind both routines above; consumes ``rows``."""
+    """The elimination behind both routines above; consumes ``rows``.
+
+    A lazy min-heap of (length, row id) hands out rows shortest first,
+    skipping entries whose row is gone or has changed length.  A row
+    pivots on its +-1 entry in the column with the fewest rows; a row
+    with none is pushed again only when a pivot updates it, so once the
+    heap is empty no remaining row has a unit entry.
+    """
     if not rows:
         return (), frozenset()
 
@@ -349,32 +358,29 @@ def _eliminate_units(
         for j in r:
             cols.setdefault(j, set()).add(i)
 
+    heap = [(len(r), i) for i, r in rows.items()]
+    heapq.heapify(heap)
     pivot_cols: list[int] = []
-    while True:
-        best = None
-        best_score = None
-        for i, r in rows.items():
-            rlen = len(r) - 1
-            for j, x in r.items():
-                if x in (1, -1):
-                    score = rlen * (len(cols[j]) - 1)
-                    if best_score is None or score < best_score:
-                        best, best_score = (i, j), score
-                        if score == 0:
-                            break
-            if best_score == 0:
-                break
-        if best is None:
-            break
-        pi, pj = best
-        pval = rows[pi][pj]
-        prow = rows.pop(pi)
+    while heap:
+        length, pi = heapq.heappop(heap)
+        prow = rows.get(pi)
+        if prow is None or len(prow) != length:
+            continue
+        pj, fewest = None, len(rows) + 1
+        for j, x in prow.items():
+            if (x == 1 or x == -1) and len(cols[j]) < fewest:
+                pj, fewest = j, len(cols[j])
+                if fewest == 1:
+                    break
+        if pj is None:
+            continue
+        pval = prow[pj]
+        del rows[pi]
         for j in prow:
             cols[j].discard(pi)
             if not cols[j]:
                 del cols[j]
-        targets = list(cols.get(pj, ()))
-        for i in targets:
+        for i in list(cols.get(pj, ())):
             r = rows[i]
             factor = r[pj] * pval  # pval is +-1 so this is r[pj]/pval
             for j, x in prow.items():
@@ -392,11 +398,11 @@ def _eliminate_units(
                         cols.setdefault(j, set()).add(i)
                     r[j] = new
             del r[pj]
-            cols[pj].discard(i)
-            if not rows[i]:
+            if r:
+                heapq.heappush(heap, (len(r), i))
+            else:
                 del rows[i]
-        if pj in cols and not cols[pj]:
-            del cols[pj]
+        cols.pop(pj, None)
         pivot_cols.append(pj)
 
     factors = [1] * len(pivot_cols)
@@ -422,18 +428,17 @@ def integer_rank(m: Iterable[Iterable[int]]) -> int:
 def is_direct_summand(vectors: Sequence[Sequence[int]], ambient_rank: int) -> bool:
     """True iff the vectors span a direct summand of Z^ambient_rank of
     rank equal to the number of vectors (all invariant factors 1)."""
-    vecs = [tuple(int(x) for x in v) for v in vectors]
-    for v in vecs:
+    for v in vectors:
         if len(v) != ambient_rank:
             raise DimensionMismatch(
                 f"vector length {len(v)} != ambient rank {ambient_rank}"
             )
-    if not vecs:
+    if not vectors:
         return True
-    if len(vecs) > ambient_rank:
+    if len(vectors) > ambient_rank:
         return False
-    fs = invariant_factors(vecs)
-    return len(fs) == len(vecs) and all(f == 1 for f in fs)
+    fs = invariant_factors(vectors)
+    return len(fs) == len(vectors) and all(f == 1 for f in fs)
 
 
 # ---------------------------------------------------------------------------

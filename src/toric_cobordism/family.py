@@ -184,6 +184,9 @@ class FamilyDescriptor:
         """The descriptor a JSON form holds; its phi must carry p1 onto p2."""
         poly = SimplePolytope.from_json_dict(data["polytope"])
         n = data["n"]
+        k = data["k"]
+        if type(k) is not int or n != 2 * k:
+            raise FamilyError(f"k = {k!r} does not match n = {n!r}: n must be 2k")
         ring = data["ring"]
         vectors = {fid: tuple(v) for fid, v in json_object(data, "vectors").items()}
         chi = CharacteristicFunction(ring, n - 1, vectors)
@@ -193,7 +196,7 @@ class FamilyDescriptor:
             for fid, p in json_object(data, "boundary").items()
         }
         fam = cls(
-            k=data["k"],
+            k=k,
             n=n,
             ring=ring,
             r1=Fraction(data["r1"]),

@@ -92,11 +92,12 @@ class SimplePolytope:
         self._int_coords: Optional[tuple[tuple[int, ...], ...]] = None
         self.coord_scale: Optional[int] = None
         if all(c is not None for c, _ in prepared):
-            m = lcm(*(x.denominator for c, _ in prepared for x in c))
-            prepared = sorted(
-                [(tuple(m // x.denominator * x.numerator for x in c), f) for c, f in prepared],
-                key=lambda icf: icf[0],
-            )
+            m = 1
+            if not all(type(x) is int for c, _ in prepared for x in c):
+                m = lcm(*(x.denominator for c, _ in prepared for x in c))
+                prepared = [(tuple(m // x.denominator * x.numerator for x in c), f)
+                            for c, f in prepared]
+            prepared.sort(key=lambda icf: icf[0])
             if any(a[0] == b[0] for a, b in zip(prepared, prepared[1:])):
                 raise PolytopeError("two vertices lie at the same point")
             # the image is over m * denominator; one gcd makes the scale least
@@ -109,12 +110,11 @@ class SimplePolytope:
         if len(set(self.vertex_facets)) != len(self.vertex_facets):
             raise PolytopeError("two vertices lie on the same facet set")
 
-        self._facet_vertices: dict[str, frozenset[int]] = {
-            fid: frozenset(
-                i for i, fs in enumerate(self.vertex_facets) if fid in fs
-            )
-            for fid in self.facet_ids
-        }
+        filed: dict[str, list[int]] = {fid: [] for fid in self.facet_ids}
+        for i, fs in enumerate(self.vertex_facets):
+            for fid in fs:
+                filed[fid].append(i)
+        self._facet_vertices = {fid: frozenset(vs) for fid, vs in filed.items()}
         self._check_simple()
 
     # -- basic accessors ---------------------------------------------------

@@ -325,6 +325,17 @@ class TestInputContract:
         self._assert_rejected(["homology", "--in", str(fam), "--oracle"], capsys)
         self._assert_rejected(["oracle", "--in", str(fam), "--ring", "z", "--relative"], capsys)
 
+    @pytest.mark.parametrize("k", [5, None, "3", True], ids=["5", "null", "string", "bool"])
+    def test_family_k_is_half_n(self, tmp_path, k, capsys):
+        fam = tmp_path / "fam3.json"
+        main(["construct", "--k", "3", "--ring", "z2", "--out", str(fam)])
+        data = read(fam)
+        data["k"] = k
+        fam.write_text(json.dumps(data))
+        err = self._assert_rejected(["homology", "--in", str(fam), "--oracle"], capsys)
+        assert "n must be 2k" in err
+        self._assert_rejected(["validate", "--in", str(fam)], capsys)
+
     def test_family_phi_off_the_vertices(self, tmp_path, family_file, capsys):
         data = read(family_file)
         data["maps"]["phi"] = {f: f for f in data["maps"]["phi"]}

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from toric_cobordism.cellular import cover_complex
 from toric_cobordism.exactalg import (
     DimensionMismatch,
     Gf2Matrix,
@@ -21,6 +22,7 @@ from toric_cobordism.exactalg import (
     solve_gf2,
     unit_pivot_elimination,
 )
+from toric_cobordism.family import build_family
 
 
 def reversal(m):
@@ -215,6 +217,41 @@ class TestUnitPivotElimination:
     def test_column_out_of_range(self):
         with pytest.raises(DimensionMismatch):
             unit_pivot_elimination([{0: 1, 3: 1}], 3)
+
+    def test_row_gaining_a_unit_is_pivoted(self):
+        # The first pivot leaves the second row as {0: -1}; without a
+        # second look at that row the dense finish would find its factor
+        # 1, so only the pivot count tells the two apart.
+        factors, pivots = unit_pivot_elimination([{1: 1, 0: 2}, {1: 2, 0: 3}], 2)
+        assert factors == (1, 1)
+        assert len(pivots) == 2
+
+    # Degrees 7..1 of the top-down Z sweep over an n = 8 small cover:
+    # (unit factors, factors > 1, unit pivots), recorded before the
+    # pivot order changed.  An order that leaves unit entries to the
+    # dense finish keeps the factors but lowers the pivot counts.
+    COVER_SWEEPS = {
+        "p1": (
+            (127, (2,), 127), (447, (2,), 447), (702, (2, 2), 702), (638, (2, 2), 638),
+            (358, (2,), 358), (119, (2, 2), 119), (19, (), 19),
+        ),
+        "p3": (
+            (127, (), 127), (384, (2,), 384), (511, (), 511), (384, (2,), 384),
+            (175, (), 175), (48, (2,), 48), (7, (), 7),
+        ),
+    }
+
+    @pytest.mark.parametrize("piece", sorted(COVER_SWEEPS))
+    def test_cover_sweep_pivots(self, piece):
+        cc = cover_complex(build_family(4, "GF2").boundary[piece], "Z")
+        skip = frozenset()
+        seen = []
+        for d in range(cc.dim, 0, -1):
+            factors, skip = unit_pivot_elimination(cc.boundaries[d], cc.cell_counts[d - 1], skip)
+            seen.append((factors, len(skip)))
+        assert seen == [
+            ((1,) * ones + rest, pivots) for ones, rest, pivots in self.COVER_SWEEPS[piece]
+        ]
 
 
 class TestGf2Basis:
