@@ -5,10 +5,13 @@ table comes from counting vertex indices of a generic linear functional
 on the truncated simplex.  The involution-side spaces are built
 outright as finite regular CW complexes (one cell per coset and face)
 whose chain complexes are handed to exact Smith normal form or GF(2)
-rank computations.  Over GF(2) each boundary row is bit packed once per
-complex, and the packed rows serve both the d o d check and the
-elimination.  The two routes cross-check each other wherever both
-apply.
+rank computations.  A complex asked for a few degrees builds only the
+cells and boundaries those degrees read, down to one boundary below
+them, and verifies d o d on every composition it built.  Over GF(2)
+each boundary row is bit packed once per complex, and the packed rows
+serve both the d o d check and the elimination; over Z each row one
+degree down is split once into its columns with + and with -.  The two
+routes cross-check each other wherever both apply.
 """
 
 from __future__ import annotations
@@ -273,11 +276,14 @@ class QuotientCWComplex:
     face_list: tuple[Face, ...]
     face_basis: tuple[tuple[int, ...], ...]  # XOR basis of G_F per face, ascending keys
     relative_to: frozenset[str]
+    min_dim: int = 0  # cells below this dimension are not built
 
     def cell_counts(self) -> tuple[int, ...]:
         return tuple(len(c) for c in self.cells)
 
     def euler_characteristic(self) -> int:
+        if self.min_dim:
+            raise CellularError(f"no cells below dimension {self.min_dim} were built")
         return sum((-1) ** d * len(c) for d, c in enumerate(self.cells))
 
 
@@ -285,19 +291,22 @@ def build_quotient_complex(
     poly: SimplePolytope,
     beta: CharacteristicFunction,
     boundary_facets: Iterable[str] = (),
+    min_dim: int = 0,
 ) -> QuotientCWComplex:
     """Cells of the GF(2) quotient space, optionally relative.
 
     The isotropy subgroup of a face is spanned by the vectors of its
     assigned facets.  With ``boundary_facets`` given, faces contained in
     any of them are dropped, which computes the pair relative to that
-    part of the boundary.
+    part of the boundary.  Faces below ``min_dim`` are dropped too; the
+    kept faces keep their order, so every cell keeps its position in
+    its dimension.
     """
     if beta.ring != RING_GF2:
         raise CellularError("quotient complexes are built from GF(2) data")
     rank = beta.rank
     excluded = frozenset(boundary_facets)
-    faces = [f for f in poly.faces if not (f.facets & excluded)]
+    faces = [f for f in poly.faces if f.dim >= min_dim and not (f.facets & excluded)]
     packed = {fid: gf2_pack(v) for fid, v in beta.vectors.items()}
     face_basis = []
     by_dim: list[list[tuple[int, int]]] = [[] for _ in range(poly.dim + 1)]
@@ -323,6 +332,7 @@ def build_quotient_complex(
         face_list=tuple(faces),
         face_basis=tuple(face_basis),
         relative_to=excluded,
+        min_dim=min_dim,
     )
 
 
@@ -368,20 +378,24 @@ def _vertex_signs(poly: SimplePolytope, pos: dict[str, int]) -> list[int]:
     return eps
 
 
-def _face_boundaries(cw: QuotientCWComplex) -> dict[int, list[tuple[int, int]]]:
-    """Face index -> [(subface index, incidence number)] over ``cw.face_list``.
+def _face_boundaries(
+    cw: QuotientCWComplex, lowest_degree: int
+) -> dict[int, list[tuple[int, int]]]:
+    """Face index -> [(subface index, incidence number)] over ``cw.face_list``,
+    for the faces of dimension at least ``lowest_degree`` and 1.
 
     Subfaces dropped by a relative complex are skipped; the vertex signs
-    come from the whole polytope, whose vertices the complex may drop.
+    come from the whole polytope, whose vertices the complex may drop,
+    and are computed only when edge rows are built.
     """
     poly = cw.polytope
     pos = {fid: i for i, fid in enumerate(poly.facet_ids)}
-    eps = _vertex_signs(poly, pos)
+    eps = _vertex_signs(poly, pos) if lowest_degree <= 1 else None
     masks = [sum(1 << pos[s] for s in f.facets) for f in cw.face_list]
     index = {mask: i for i, mask in enumerate(masks)}
     boundaries: dict[int, list[tuple[int, int]]] = {}
     for fi, (face, mask) in enumerate(zip(cw.face_list, masks)):
-        if face.dim == 0:
+        if face.dim < max(1, lowest_degree):
             continue
         subs = []
         for j in range(poly.n_facets):
@@ -403,11 +417,17 @@ SparseMatrix = list[dict[int, int]]
 class ChainComplex:
     """Graded boundary matrices: row r of ``boundaries[d]`` is the
     boundary of the r-th d-cell, as a sparse map into (d-1)-cells.
-    The rows are read, never modified, once the complex is built."""
+    The rows are read, never modified, once the complex is built.
+
+    Only the boundaries of degree ``lowest_degree`` and up are built,
+    with the cells they touch; below it the counts and matrices are
+    empty placeholders.  A complex with every cell has lowest degree 0.
+    """
 
     ring: str
     cell_counts: tuple[int, ...]
     boundaries: tuple[SparseMatrix, ...]  # index d: C_d -> C_{d-1}; entry 0 empty
+    lowest_degree: int = 0
 
     @property
     def dim(self) -> int:
@@ -438,18 +458,21 @@ def chain_complex(cw: QuotientCWComplex, ring: str = RING_Z) -> ChainComplex:
     coset.  Each cell (face index, coset) is keyed by the integer
     ``face_index << group_rank | coset``, which keeps the cell order.
     Distinct subfaces give distinct cells, so no entry sums two terms.
+    A complex whose cells start at ``cw.min_dim`` > 0 has boundaries from
+    degree ``min_dim + 1`` up.
     """
     if ring not in (RING_Z, RING_GF2):
         raise CellularError(f"unknown ring {ring!r}")
     rank = cw.group_rank
+    lowest = cw.min_dim + 1 if cw.min_dim else 0
     # per face, its subfaces as (key base, (low bit, vector) pairs, entry)
     reducers = [tuple((b & -b, b) for b in basis) for basis in cw.face_basis]
     subfaces = {
         fi: [(gi << rank, reducers[gi], sign if ring == RING_Z else 1) for gi, sign in subs]
-        for fi, subs in _face_boundaries(cw).items()
+        for fi, subs in _face_boundaries(cw, lowest).items()
     }
-    boundaries: list[SparseMatrix] = [[]]
-    for d in range(1, cw.polytope.dim + 1):
+    boundaries: list[SparseMatrix] = [[] for _ in range(max(1, lowest))]
+    for d in range(max(1, lowest), cw.polytope.dim + 1):
         mat: SparseMatrix = []
         lower = {fi << rank | g: i for i, (fi, g) in enumerate(cw.cells[d - 1])}
         for fi, g in cw.cells[d]:
@@ -470,20 +493,40 @@ def chain_complex(cw: QuotientCWComplex, ring: str = RING_Z) -> ChainComplex:
         ring=ring,
         cell_counts=cw.cell_counts(),
         boundaries=tuple(boundaries),
+        lowest_degree=lowest,
     )
     _verify_d_squared(cc)
     return cc
 
 
+def _signed_columns(row: dict[int, int]) -> tuple[list[int], list[int]]:
+    """The columns of ``row`` with a positive and with a negative entry,
+    each repeated |entry| times."""
+    plus: list[int] = []
+    minus: list[int] = []
+    for col, c in row.items():
+        if c == 1:
+            plus.append(col)
+        elif c == -1:
+            minus.append(col)
+        else:
+            (plus if c > 0 else minus).extend([col] * abs(c))
+    return plus, minus
+
+
 def _verify_d_squared(cc: ChainComplex) -> None:
-    """Raise unless every composition of two boundaries vanishes.
+    """Raise unless every composition of two built boundaries vanishes.
 
     Over GF(2) a row of d o d is the XOR of the packed rows one degree
-    down that the row's odd entries pick.
+    down that the row's odd entries pick.  Over Z each row one degree
+    down is split once into its signed columns; a row of d o d vanishes
+    iff the columns it reaches with + and with -, counted with
+    multiplicity, are the same multiset.
     """
+    first = max(2, cc.lowest_degree + 1)
     if cc.ring == RING_GF2:
         packed = cc.packed_rows
-        for d in range(2, cc.dim + 1):
+        for d in range(first, cc.dim + 1):
             lower = packed[d - 1]
             for row in cc.boundaries[d]:
                 acc = 0
@@ -493,14 +536,26 @@ def _verify_d_squared(cc: ChainComplex) -> None:
                 if acc:
                     raise ConsistencyError("d o d != 0: incidence signs broken")
         return
-    for d in range(2, cc.dim + 1):
-        lower = cc.boundaries[d - 1]
+    for d in range(first, cc.dim + 1):
+        lower = [_signed_columns(row) for row in cc.boundaries[d - 1]]
         for row in cc.boundaries[d]:
-            acc: dict[int, int] = {}
-            for mid, c1 in row.items():
-                for low, c0 in lower[mid].items():
-                    acc[low] = acc.get(low, 0) + c1 * c0
-            if any(acc.values()):
+            pos: list[int] = []
+            neg: list[int] = []
+            for mid, c in row.items():
+                plus, minus = lower[mid]
+                if c == 1:
+                    pos += plus
+                    neg += minus
+                elif c == -1:
+                    pos += minus
+                    neg += plus
+                else:
+                    if c < 0:
+                        plus, minus = minus, plus
+                    for _ in range(abs(c)):
+                        pos += plus
+                        neg += minus
+            if len(pos) != len(neg) or sorted(pos) != sorted(neg):
                 raise ConsistencyError("d o d != 0: incidence signs broken")
 
 
@@ -531,9 +586,15 @@ def homology(
     GF(2)).  Since d o d = 0, each row tau of the boundary d is then a
     combination of its other rows, so those rows are skipped: the
     nonzero invariant factors, and the rank, stay the same.  A degree
-    with no cells passes no pivots down.
+    with no cells passes no pivots down.  A degree from 0 up to below
+    ``cc.lowest_degree`` raises: its boundary was never built.
     """
     wanted = sorted(set(degrees)) if degrees is not None else list(range(cc.dim + 1))
+    unbuilt = [d for d in wanted if 0 <= d < cc.lowest_degree]
+    if unbuilt:
+        raise CellularError(
+            f"degrees {unbuilt} lie below the lowest built degree {cc.lowest_degree}"
+        )
     factors: dict[int, tuple[int, ...]] = {}
     skip: frozenset[int] = frozenset()
     for d in range(cc.dim, max(1, min(wanted, default=cc.dim + 1)) - 1, -1):
@@ -553,6 +614,8 @@ def homology(
 
 
 def euler_characteristic(cc: ChainComplex) -> int:
+    if cc.lowest_degree:
+        raise CellularError(f"no cells below degree {cc.lowest_degree - 1} were built")
     return sum((-1) ** d * c for d, c in enumerate(cc.cell_counts))
 
 
@@ -561,20 +624,24 @@ def euler_characteristic(cc: ChainComplex) -> int:
 # ---------------------------------------------------------------------------
 
 def cover_complex(
-    pair: CharacteristicPair, ring: str = RING_Z, *, relative: bool = False
+    pair: CharacteristicPair,
+    ring: str = RING_Z,
+    *,
+    relative: bool = False,
+    min_dim: int = 0,
 ) -> ChainComplex:
     """Chain complex of the small cover of ``pair``, with d o d == 0 verified.
 
     A Z pair is reduced mod 2 first.  With ``relative`` the faces on the
     pair's free facets are dropped, which gives the quotient space
     relative to the part of its boundary over them; a closed pair has
-    no such part.
+    no such part.  Cells below ``min_dim`` are not built.
     """
     chi = pair.chi if pair.ring == RING_GF2 else pair.chi.mod2()
     free = frozenset(pair.polytope.facet_ids) - chi.assigned() if relative else ()
     if relative and not free:
         raise CellularError("a closed pair has no free facets to be relative to")
-    return chain_complex(build_quotient_complex(pair.polytope, chi, free), ring)
+    return chain_complex(build_quotient_complex(pair.polytope, chi, free, min_dim), ring)
 
 
 def cover_homology(
@@ -586,12 +653,17 @@ def cover_homology(
 ) -> tuple[HomologyTable, ChainComplex]:
     """Homology table of ``cover_complex`` and the complex itself.
 
+    With ``degrees`` given, only the cells of dimension at least
+    min(degrees) - 2 are built, so the boundary one degree below the
+    lowest degree asked for is built and d o d is verified against it.
     The relative complex computes reduced homology of the quotient
     space; a relative table reports the unreduced groups, so degree 0
     gains the basepoint class on both rings.
     """
-    cc = cover_complex(pair, ring, relative=relative)
-    table = homology(cc, degrees)
+    wanted = list(degrees) if degrees is not None else []
+    min_dim = max(0, min(wanted, default=0) - 2)
+    cc = cover_complex(pair, ring, relative=relative, min_dim=min_dim)
+    table = homology(cc, degrees if degrees is None else wanted)
     if relative and 0 in table:
         betti, torsion = table[0]
         table[0] = (betti + 1, torsion)

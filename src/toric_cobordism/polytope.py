@@ -52,6 +52,16 @@ class Face:
     vertices: frozenset[int]
 
 
+def _set_bits(mask: int) -> list[int]:
+    """The positions of the set bits of ``mask``, ascending."""
+    bits = []
+    while mask:
+        low = mask & -mask
+        bits.append(low.bit_length() - 1)
+        mask ^= low
+    return bits
+
+
 class SimplePolytope:
     """Combinatorial simple polytope with optional rational realization.
 
@@ -181,22 +191,15 @@ class SimplePolytope:
         found: dict[int, Face] = {}
         top = Face(self.dim, frozenset(), frozenset(range(self.n_vertices)))
         found[all_mask] = top
-        for i, fs in enumerate(self.vertex_facets):
+        for fs in self.vertex_facets:
             flist = sorted(fs)
             for k in range(1, self.dim + 1):
                 for sub in combinations(flist, k):
-                    mask = 1 << i
                     m = all_mask
                     for fid in sub:
                         m &= masks[fid]
                     if m not in found:
-                        found[m] = Face(
-                            self.dim - k,
-                            frozenset(sub),
-                            frozenset(
-                                j for j in range(self.n_vertices) if (m >> j) & 1
-                            ),
-                        )
+                        found[m] = Face(self.dim - k, frozenset(sub), frozenset(_set_bits(m)))
         return tuple(
             sorted(
                 found.values(),

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import hashlib
 import json
@@ -829,3 +830,117 @@ class TestPackedPath:
             verdicts.append(_d_squared_holds(planted))
             assert verdicts[-1] == _reference_d_squared_holds(planted)
         assert True in verdicts and False in verdicts
+
+    @pytest.mark.parametrize("source", ["rel-k3", "p3-n8"])
+    def test_verdict_matches_the_dict_check_on_wider_faults(self, source):
+        """Entries of +-2 and +-3, scaled rows, drops and reorientations."""
+        if source == "rel-k3":
+            cc = cover_complex(_family(3).pair, "Z", relative=True)
+        else:
+            cc = _n8_complex("p3", "Z")
+        rng = random.Random(20261019)
+        verdicts = []
+        for _ in range(80):
+            rows = _copy_rows(cc)
+            # the relative complex has no 0-cells, so its edge rows are empty
+            d = rng.randint(2, cc.dim)
+            r = rng.choice([i for i, row in enumerate(rows[d]) if row])
+            row = rows[d][r]
+            fault = rng.choice(["set", "add", "scale", "drop", "reorient"])
+            if fault == "set":
+                row[rng.choice(sorted(row))] = rng.choice([2, -2, 3, -3])
+            elif fault == "add":
+                row[rng.randrange(cc.cell_counts[d - 1])] = rng.choice([2, -2, 3, -3])
+            elif fault == "scale":
+                factor = rng.choice([2, -3])
+                rows[d][r] = {c: factor * v for c, v in row.items()}
+            elif fault == "drop":
+                del row[rng.choice(sorted(row))]
+            else:
+                rows[d][r] = {c: -v for c, v in row.items()}
+                for upper in rows[d + 1] if d < cc.dim else ():
+                    if r in upper:
+                        upper[r] = -upper[r]
+            planted = _by_hand(cc, rows)
+            verdicts.append(_d_squared_holds(planted))
+            assert verdicts[-1] == _reference_d_squared_holds(planted), fault
+        assert True in verdicts and False in verdicts
+
+
+# -- restricted complexes: only the degrees asked for -------------------------
+
+RESTRICTED_SOURCES = [
+    *((f"n8-{piece}", 4, piece) for piece in ("p1", "p3")),
+    *((f"rel-k{k}", k, None) for k in (2, 3, 4)),
+]
+
+
+def _source_pair(k, piece):
+    fam = _family(k)
+    return (fam.pair, True) if piece is None else (fam.boundary[piece], False)
+
+
+class TestRestrictedComplex:
+    @pytest.mark.parametrize("ring", ["Z", "GF2"])
+    @pytest.mark.parametrize(
+        "k,piece", [s[1:] for s in RESTRICTED_SOURCES], ids=[s[0] for s in RESTRICTED_SOURCES]
+    )
+    def test_one_degree_matches_the_full_table(self, k, piece, ring):
+        pair, relative = _source_pair(k, piece)
+        full, full_cc = cover_homology(pair, ring, relative=relative)
+        assert full_cc.lowest_degree == 0
+        for d in range(full_cc.dim + 1):
+            table, cc = cover_homology(pair, ring, relative=relative, degrees=[d])
+            assert table == {d: full[d]}
+            assert cc.lowest_degree == (d - 1 if d >= 3 else 0)
+
+    @pytest.mark.parametrize("ring", ["Z", "GF2"])
+    @pytest.mark.parametrize(
+        "k,piece", [s[1:] for s in RESTRICTED_SOURCES], ids=[s[0] for s in RESTRICTED_SOURCES]
+    )
+    def test_built_rows_are_the_full_rows(self, k, piece, ring):
+        pair, relative = _source_pair(k, piece)
+        full = cover_complex(pair, ring, relative=relative)
+        for min_dim in range(1, full.dim + 1):
+            cc = cover_complex(pair, ring, relative=relative, min_dim=min_dim)
+            assert cc.lowest_degree == min_dim + 1
+            assert cc.cell_counts[min_dim:] == full.cell_counts[min_dim:]
+            assert not any(cc.cell_counts[:min_dim])
+            assert cc.boundaries[min_dim + 1:] == full.boundaries[min_dim + 1:]
+            assert not any(cc.boundaries[:min_dim + 1])
+
+    @pytest.mark.parametrize("k,piece", [(3, None), (4, "p3")], ids=["rel-k3", "n8-p3"])
+    def test_fault_in_a_built_boundary_is_caught(self, k, piece):
+        pair, relative = _source_pair(k, piece)
+        for ring in ("Z", "GF2"):
+            n = pair.polytope.dim
+            cc = cover_homology(pair, ring, relative=relative, degrees=[n])[1]
+            assert cc.lowest_degree == n - 1
+            cellular._verify_d_squared(cc)
+            for d in (n - 1, n):
+                rows = _copy_rows(cc)
+                row = rows[d][len(rows[d]) // 2]
+                col = next(iter(row))
+                if ring == "Z":
+                    row[col] = -row[col]
+                else:
+                    del row[col]
+                with pytest.raises(ConsistencyError):
+                    cellular._verify_d_squared(dataclasses.replace(cc, boundaries=tuple(rows)))
+
+    def test_unbuilt_degrees_raise(self):
+        fam = _family(3)
+        n = fam.n
+        table, cc = cover_homology(fam.pair, "Z", relative=True, degrees=[n])
+        assert table == {n: (1, ())}
+        assert homology(cc, degrees=[n - 1, n]) == relative_homology_table(fam, [n - 1, n])
+        for d in range(n - 1):
+            with pytest.raises(CellularError):
+                homology(cc, degrees=[d, n])
+        with pytest.raises(CellularError):
+            homology(cc)
+        with pytest.raises(CellularError):
+            euler_characteristic(cc)
+        cw = build_quotient_complex(fam.polytope, fam.pair.chi, ("p1", "p2", "p3"), n - 2)
+        with pytest.raises(CellularError):
+            cw.euler_characteristic()

@@ -383,6 +383,42 @@ class TestHashedEdges:
             poly.edges
 
 
+def _reference_faces(poly):
+    """``SimplePolytope.faces`` as it stood when each face's vertex set
+    was read off its mask by testing every vertex bit."""
+    masks = {fid: sum(1 << i for i in poly.facet_vertices(fid)) for fid in poly.facet_ids}
+    all_mask = (1 << poly.n_vertices) - 1
+    found = {all_mask: Face(poly.dim, frozenset(), frozenset(range(poly.n_vertices)))}
+    for fs in poly.vertex_facets:
+        for k in range(1, poly.dim + 1):
+            for sub in combinations(sorted(fs), k):
+                m = all_mask
+                for fid in sub:
+                    m &= masks[fid]
+                if m not in found:
+                    found[m] = Face(
+                        poly.dim - k,
+                        frozenset(sub),
+                        frozenset(j for j in range(poly.n_vertices) if (m >> j) & 1),
+                    )
+    return tuple(sorted(found.values(), key=lambda f: (f.dim, tuple(sorted(f.vertices)))))
+
+
+class TestFacesBySetBits:
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_family_faces_match_the_full_scan(self, k):
+        fam = build_family(k, "Z")
+        for poly in (fam.polytope, *(pair.polytope for pair in fam.boundary.values())):
+            assert poly.faces == _reference_faces(poly)
+
+    def test_edge_case_faces_match_the_full_scan(self):
+        # the full scan takes seconds per polytope above dimension 8
+        cases = {name: p for name, p in _edge_cases().items() if p.dim <= 8}
+        assert len(cases) > 150
+        for name, poly in cases.items():
+            assert poly.faces == _reference_faces(poly), name
+
+
 def _random_points(rng, count, ambient):
     """Rational points from a small pool, so that prefixes often tie."""
     pool = [Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3, 4, 6, 7, 9, 12))) for _ in range(5)]
