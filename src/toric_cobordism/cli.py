@@ -10,6 +10,7 @@ set, overrides the seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -180,6 +181,7 @@ def cmd_certify(args) -> int:
     return EXIT_OK
 
 
+@functools.cache  # built on the first main call, then shared
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="toric-cobordism",
@@ -247,8 +249,9 @@ def main(argv: list[str] | None = None) -> int:
     """Run one subcommand; the only place an error becomes an exit code.
 
     Two routes that disagree (``ConsistencyError``) fail the check; any
-    other ``ValueError``, which every library error subclasses, is
-    invalid input.  Either way one line goes to stderr.
+    other ``ValueError``, which every library error subclasses, and an
+    ``OSError`` such as an unwritable ``--out`` are invalid input.
+    Either way one line goes to stderr.
     """
     args = build_parser().parse_args(argv)
     try:
@@ -256,7 +259,7 @@ def main(argv: list[str] | None = None) -> int:
     except cellular.ConsistencyError as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
 

@@ -9,6 +9,7 @@ bit-identical.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -30,6 +31,16 @@ class UnknownFacet(PolytopeError):
 
 
 Coords = tuple[Fraction, ...]
+
+_PLAIN_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+
+
+def _read_coord(c) -> int | Fraction:
+    """``Fraction(c)``; an ASCII "p" or "p/q" string skips its parser."""
+    m = _PLAIN_RATIONAL.fullmatch(c) if type(c) is str else None
+    if m is None:
+        return Fraction(c)
+    return int(m[1]) if m[2] is None else Fraction(int(m[1]), int(m[2]))
 
 
 @dataclass(frozen=True)
@@ -90,7 +101,7 @@ class SimplePolytope:
         prepared = []
         for coords, fids in vertices:
             cs = None if coords is None else tuple(
-                c if type(c) is int or type(c) is Fraction else Fraction(c) for c in coords
+                c if type(c) is int or type(c) is Fraction else _read_coord(c) for c in coords
             )
             fset = frozenset(fids)
             unknown = fset - self.facet_tags.keys()

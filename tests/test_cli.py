@@ -452,6 +452,66 @@ class TestErrorsReportedFromMain:
         assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "command", ["construct", "homology", "oracle", "equiv", "certify"]
+)
+@pytest.mark.parametrize("target", ["missing-dir/x.json", "."], ids=["missing-dir", "dir"])
+def test_unwritable_out_exits_2(tmp_path, z2_family_file, command, target, capsys):
+    fam = str(z2_family_file)
+    argv = {
+        "construct": ["construct", "--k", "2"],
+        "homology": ["homology", "--in", fam],
+        "oracle": ["oracle", "--in", fam, "--relative"],
+        "equiv": ["equiv", "--pair1", fam, "--pair2", fam],
+        "certify": ["certify", "--k", "2", "--kind", "complex"],
+    }[command]
+    capsys.readouterr()
+    assert main([*argv, "--out", str(tmp_path / target)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    assert str(tmp_path) in captured.err
+
+
+class TestSharedParser:
+    """``main`` builds its parser once per process; no call leaves state
+    behind for the next."""
+
+    @staticmethod
+    def _certify(capsys, *flags):
+        capsys.readouterr()
+        assert main(["certify", "--k", "2", "--kind", "complex", *flags]) == 0
+        return capsys.readouterr().out
+
+    def test_parser_is_shared(self):
+        from toric_cobordism.cli import build_parser
+
+        assert build_parser() is build_parser()
+
+    def test_seed_returns_to_its_default(self, capsys):
+        assert json.loads(self._certify(capsys, "--seed", "3"))["seed"] == 3
+        assert json.loads(self._certify(capsys))["seed"] == 0
+
+    def test_out_does_not_leak(self, tmp_path, capsys):
+        out = tmp_path / "c.json"
+        assert self._certify(capsys, "--out", str(out)) == ""
+        text = out.read_text()
+        assert json.loads(self._certify(capsys)) == json.loads(text)
+        assert out.read_text() == text
+
+    def test_seed_variable_read_on_each_call(self, monkeypatch, capsys):
+        monkeypatch.delenv("TORIC_COBORDISM_SEED", raising=False)
+        assert json.loads(self._certify(capsys))["seed"] == 0
+        monkeypatch.setenv("TORIC_COBORDISM_SEED", "7")
+        assert json.loads(self._certify(capsys))["seed"] == 7
+
+    def test_usage_error_then_valid_call(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["certify", "--k", "2", "--kind", "quaternionic"])
+        assert exc.value.code == 2
+        assert json.loads(self._certify(capsys))["ok"] is True
+
+
 _WRONG_TYPED = (None, 7, -1, 2.5, 4.0, True, "x", "1/0", [], [1], {}, {"a": 1})
 
 

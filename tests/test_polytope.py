@@ -515,6 +515,74 @@ class TestIntegerImage:
                 assert build_delta_Q(n, r1, r2).to_json_dict() == expected.to_json_dict()
 
 
+# entries that are not a plain ASCII "p" or "p/q", valid or not, and plain
+# ones that a hand-written reader could get wrong
+_ODD_ENTRIES = (
+    "-0", "007", "+1", "6/8", " 1/2 ", "1_000", "1.5", "1e2", "-1/-2", "2 / 3",
+    "1\n", "٣", "٣/4", "1/0", "-3/0", "", "-", "/2", "1/", "x",
+    "98765432109876543210/7", True, 2.5,
+)
+
+
+def _coordinate_entry(rng):
+    roll = rng.random()
+    if roll < 0.15:
+        return rng.choice(_ODD_ENTRIES)
+    p = rng.randint(-12, 12)
+    return str(p) if roll < 0.55 else f"{p}/{rng.randint(1, 9)}"
+
+
+def _outcome(build):
+    """What a polytope keeps of its coordinates, or what building it raised."""
+    try:
+        poly = build()
+    except (ArithmeticError, TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+    return poly.int_coords, poly.coord_scale, poly.vertex_facets
+
+
+def _both_routes(template, points):
+    """The outcome from the raw entries, and from entries read by ``Fraction`` first."""
+    realize = TestIntegerImage._realize
+    raw = _outcome(lambda: realize(template, points))
+    read_first = _outcome(
+        lambda: realize(template, [tuple(Fraction(c) for c in p) for p in points])
+    )
+    return raw, read_first
+
+
+class TestCoordinateStrings:
+    """Reading "p" and "p/q" without ``Fraction(str)`` changes no polytope and
+    no error: every entry gives what ``Fraction(entry)`` would."""
+
+    def test_raw_entries_match_entries_read_by_fraction(self):
+        rng = random.Random(16)
+        built = raised = 0
+        for trial in range(600):
+            template = rng.choice(TestIntegerImage.TEMPLATES)
+            ambient = rng.randint(1, 4)
+            points = [
+                tuple(_coordinate_entry(rng) for _ in range(ambient))
+                for _ in range(template.n_vertices)
+            ]
+            raw, read_first = _both_routes(template, points)
+            assert raw == read_first, points
+            if isinstance(raw[0], type):
+                raised += 1
+            else:
+                built += 1
+        assert built > 100 and raised > 100
+
+    @pytest.mark.parametrize("entry", _ODD_ENTRIES)
+    def test_each_odd_entry(self, entry):
+        raw, read_first = _both_routes(simplex(2), [(entry, 0, 0), (0, 1, 0), (0, 0, 1)])
+        assert raw == read_first
+
+    def test_zero_denominator_message(self):
+        with pytest.raises(ZeroDivisionError, match=re.escape("Fraction(1, 0)")):
+            TestIntegerImage._realize(simplex(2), [("1/0", 0, 0), (0, 1, 0), (0, 0, 1)])
+
+
 class TestUnrealized:
     """A polytope without coordinates has no integer image and cannot be cut."""
 
