@@ -10,6 +10,7 @@ per facet.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from itertools import product as iproduct
 from typing import Optional, Sequence
@@ -197,31 +198,45 @@ class ValidityReport:
 
 
 def validate(pair: CharacteristicPair) -> ValidityReport:
-    """Check the basis condition at every vertex.
+    """``validate_pairs`` on one pair."""
+    return validate_pairs([pair])[0]
+
+
+def validate_pairs(pairs: Sequence[CharacteristicPair]) -> list[ValidityReport]:
+    """Check the basis condition at every vertex of each pair.
 
     At each vertex the vectors of its assigned facets must span a
     direct summand (over Z) or an independent subspace (over GF(2)) of
     rank equal to the number of assigned facets there.  Checking
     vertices suffices: every face contains a vertex, and a subset of a
-    basis again spans a summand.  Each distinct set of assigned facets
-    is tested once; a failure is reported at every vertex carrying it.
+    basis again spans a summand.  The pairs share one verdict table
+    keyed by the ring, the rank and the vectors in sorted facet order,
+    so each distinct vector set is tested once across all of them, and
+    two pairs that give the same facet ids different vectors never share
+    a verdict.  A failure is reported at every vertex carrying it.
     """
-    poly = pair.polytope
-    chi = pair.chi
-    assigned = chi.assigned()
-    verdicts: dict[frozenset[str], Optional[str]] = {}
-    failures = []
-    for i, fs in enumerate(poly.vertex_facets):
-        key = fs & assigned
-        if key and key not in verdicts:
-            verdicts[key] = _basis_failure(chi, [chi.vectors[f] for f in sorted(key)])
-        if verdicts.get(key):
-            failures.append((i, verdicts[key]))
-    return ValidityReport(
-        ok=not failures,
-        checked_vertices=poly.n_vertices,
-        failures=tuple(failures),
-    )
+    verdicts: dict[tuple, Optional[str]] = {}
+    reports = []
+    for pair in pairs:
+        chi = pair.chi
+        assigned = chi.assigned()
+        failures = []
+        for i, fs in enumerate(pair.polytope.vertex_facets):
+            key = fs & assigned
+            if not key:
+                continue
+            vecs = tuple(chi.vectors[f] for f in sorted(key))
+            shared = (chi.ring, chi.rank, vecs)
+            if shared not in verdicts:
+                verdicts[shared] = _basis_failure(chi, list(vecs))
+            if verdicts[shared]:
+                failures.append((i, verdicts[shared]))
+        reports.append(ValidityReport(
+            ok=not failures,
+            checked_vertices=pair.polytope.n_vertices,
+            failures=tuple(failures),
+        ))
+    return reports
 
 
 def _basis_failure(chi: CharacteristicFunction, vecs: list) -> Optional[str]:
@@ -446,19 +461,23 @@ def _find_simplex_translation(
     rank equals the common dimension.  In the Z case the leftover vector v
     has coefficients adj(B) v / det B in the basis B of the others, and
     the per-column sign pattern is pinned by comparing the entries of
-    adj(B) v on both sides, so no sign enumeration is needed.
+    adj(B) v on both sides, so no sign enumeration is needed.  Each
+    target (basis, W, det W, adj(W) v) is built when the search first
+    reaches it, so a search that accepts early builds few of them.
     """
     ring = pair1.ring
     fids1, fids2 = sorted(pair1.polytope.facet_ids), sorted(pair2.polytope.facet_ids)
-    targets = []
-    for g2 in fids2:
+
+    @functools.cache  # one cache per search, gone when it returns
+    def target(g2: str) -> tuple:
         b2 = [f for f in fids2 if f != g2]
         w = _columns(pair2, b2)
         det2 = u = None
         if ring == RING_Z:
             det2, adj2 = exactalg.adjugate(w)
             u = mat_vec(adj2, pair2.chi.vectors[g2])
-        targets.append((g2, b2, w, det2, u))
+        return b2, w, det2, u
+
     for g1 in fids1:
         b1 = [f for f in fids1 if f != g1]
         v = _columns(pair1, b1)
@@ -471,7 +490,8 @@ def _find_simplex_translation(
             if det1 == 0:
                 continue
             c = mat_vec(adj1, pair1.chi.vectors[g1])
-        for g2, b2, w, det2, u in targets:
+        for g2 in fids2:
+            b2, w, det2, u = target(g2)
             fmap = {f: g for f, g in zip(b1, b2)}
             fmap[g1] = g2
             if ring == RING_GF2:

@@ -22,7 +22,7 @@ from .charpair import (
     RING_Z,
     CharacteristicPair,
     find_delta_translation,
-    validate,
+    validate_pairs,
 )
 from .family import FamilyDescriptor, build_family, glue_certificate
 from .family import reflection_count, total_space_orientable
@@ -88,8 +88,7 @@ def cmd_validate(args) -> int:
     else:
         pairs = {"pair": source}
     bad = False
-    for name, pair in pairs.items():
-        report = validate(pair)
+    for name, report in zip(pairs, validate_pairs(list(pairs.values()))):
         if report.ok:
             print(f"{name}: valid at all {report.checked_vertices} vertices")
         else:

@@ -28,7 +28,7 @@ from .charpair import (
     orientation_effect,
     restrict,
     standard_pair,
-    validate,
+    validate_pairs,
     verify_delta_translation,
 )
 from .exactalg import Gf2Matrix, as_matrix
@@ -448,9 +448,10 @@ def glue_certificate(
     checks: dict[str, bool] = {}
     assumptions = list(_COMMON_ASSUMPTIONS)
 
-    checks["pair_valid"] = validate(fam.pair).ok
-    for fid in CUT_FACETS:
-        checks[f"boundary_valid_{fid}"] = validate(fam.boundary[fid]).ok
+    reports = validate_pairs([fam.pair] + [fam.boundary[fid] for fid in CUT_FACETS])
+    checks["pair_valid"] = reports[0].ok
+    for fid, report in zip(CUT_FACETS, reports[1:]):
+        checks[f"boundary_valid_{fid}"] = report.ok
     checks["boundary_disjoint"] = all(
         not (fam.polytope.facet_vertices(a) & fam.polytope.facet_vertices(b))
         for a in CUT_FACETS
@@ -458,9 +459,11 @@ def glue_certificate(
         if a < b
     )
 
+    std_name = "complex_projective" if kind == "complex" else "real_projective"
+    std = standard_pair(std_name, n - 1)
     p3_poly = fam.boundary["p3"].polytope
     checks["p3_is_simplex"] = (
-        p3_poly.is_combinatorially_isomorphic(simplex(n - 1)) is not None
+        p3_poly.is_combinatorially_isomorphic(std.polytope) is not None
     )
     reference = product(simplex(k - 1), simplex(k))
     p1_poly = fam.boundary["p1"].polytope
@@ -503,8 +506,6 @@ def glue_certificate(
         "orientation_source": effect_source,
     }
 
-    std_name = "complex_projective" if kind == "complex" else "real_projective"
-    std = standard_pair(std_name, n - 1)
     witness = find_delta_translation(fam.boundary["p3"], std)
     checks["boundary_is_standard"] = witness is not None
     conjugate = kind == "complex" and n % 4 == 0

@@ -454,37 +454,57 @@ def check_truncation_parameters(n: int, r1: Fraction, r2: Fraction) -> None:
         )
 
 
-def truncate(poly: SimplePolytope, cut: Halfspace, fid: str) -> SimplePolytope:
-    """Cut a realized simple polytope by the halfspace ``cut``.
+def truncate(poly: SimplePolytope, cuts: Iterable[tuple[str, Halfspace]]) -> SimplePolytope:
+    """Cut a realized simple polytope by every ``(fid, halfspace)`` of ``cuts``.
 
-    Vertices with <normal, x> > offset are kept.  Each edge whose ends
-    lie on opposite sides of the hyperplane gets a new vertex at the
-    exact crossing point, lying on the edge's facets and the new facet
-    ``fid``, tagged "cut".  A vertex exactly on the hyperplane would make the result
-    non-simple and raises PolytopeError.  The cut is evaluated, times a
-    positive integer, on the integer image X = D x; the crossing point
-    x_i + t (x_j - x_i) with t = v_i / (v_i - v_j) is then
-    (v_i X_j - v_j X_i) / ((v_i - v_j) D), and every point is put over
-    their least common multiple.
+    The cuts are applied to the parent's edges in one pass.  Vertices
+    with <normal, x> > offset for every cut are kept.  Each edge whose
+    ends lie on opposite sides of a cut's hyperplane gets a new vertex
+    at the exact crossing point, lying on the edge's facets and the new
+    facet ``fid``, tagged "cut".  A vertex exactly on a hyperplane would
+    make the result non-simple and raises PolytopeError.  So does a
+    crossing point that is not strictly inside another cut: the slice
+    of the polytope by a hyperplane is the convex hull of its crossing
+    points, so this alone rules out two cut facets meeting, and every
+    vertex of the result is a kept vertex or a crossing point.
+
+    Each cut is evaluated, times a positive integer, on the integer
+    image X = D x; the crossing point x_i + t (x_j - x_i) with
+    t = v_i / (v_i - v_j) is then (v_i X_j - v_j X_i) / ((v_i - v_j) D),
+    another cut's value there is (v_i w_j - v_j w_i) / (v_i - v_j), and
+    every point is put over their least common multiple.
     """
     points = poly.int_coords
-    scale = lcm(cut.offset.denominator, *(a.denominator for a in cut.normal))
-    normal = [scale // a.denominator * a.numerator for a in cut.normal]
-    offset = scale // cut.offset.denominator * cut.offset.numerator * poly.coord_scale
-    values = [sum(a * x for a, x in zip(normal, p)) - offset for p in points]
-    if any(v == 0 for v in values):
-        raise PolytopeError(f"a vertex lies on the hyperplane of cut {fid}")
+    values = []  # (fid, the cut's value at each vertex)
+    for fid, cut in cuts:
+        scale = lcm(cut.offset.denominator, *(a.denominator for a in cut.normal))
+        normal = [scale // a.denominator * a.numerator for a in cut.normal]
+        offset = scale // cut.offset.denominator * cut.offset.numerator * poly.coord_scale
+        vs = [sum(a * x for a, x in zip(normal, p)) - offset for p in points]
+        if 0 in vs:
+            raise PolytopeError(f"a vertex lies on the hyperplane of cut {fid}")
+        values.append((fid, vs))
     # (X, d, facets) for each vertex X / (d D) of the result
-    ratios = [(p, 1, fs) for p, fs, v in zip(points, poly.vertex_facets, values) if v > 0]
+    ratios = [
+        (p, 1, fs)
+        for i, (p, fs) in enumerate(zip(points, poly.vertex_facets))
+        if all(vs[i] > 0 for _, vs in values)
+    ]
     for edge in poly.edges:
         i, j = sorted(edge.vertices)
-        vi, vj = values[i], values[j]
-        if (vi > 0) != (vj > 0):
+        for fid, vs in values:
+            vi, vj = vs[i], vs[j]
+            if (vi > 0) == (vj > 0):
+                continue
+            for gid, ws in values:
+                if ws is not vs and (vi * ws[j] - vj * ws[i]) * (vi - vj) <= 0:
+                    raise PolytopeError(f"cut {fid} crosses an edge outside cut {gid}")
             point = tuple(vi * b - vj * a for a, b in zip(points[i], points[j]))
             ratios.append((point, vi - vj, edge.facets | {fid}))
     m = lcm(*(d for _, d, _ in ratios))
     vertices = [(tuple(m // d * x for x in p), fs) for p, d, fs in ratios]
-    facets = [(g, poly.facet_tags[g]) for g in poly.facet_ids] + [(fid, "cut")]
+    facets = [(g, poly.facet_tags[g]) for g in poly.facet_ids]
+    facets += [(fid, "cut") for fid, _ in values]
     return SimplePolytope(poly.dim, facets, vertices, m * poly.coord_scale)
 
 
@@ -494,16 +514,13 @@ def build_delta_Q(
     """The n-dimensional truncated simplex with cut facets p1, p2, p3.
 
     The three cuts of ``delta_q_cuts`` are applied to ``simplex(n)``
-    in turn by ``truncate``.  All n+1 original facets survive; the three
-    cut facets are pairwise disjoint.  The combinatorial type does not
-    depend on the choice of valid (r1, r2).
+    in one ``truncate`` pass.  All n+1 original facets survive; the
+    three cut facets are pairwise disjoint.  The combinatorial type does
+    not depend on the choice of valid (r1, r2).
     """
     r1, r2 = Fraction(r1), Fraction(r2)
     check_truncation_parameters(n, r1, r2)
-    cuts = delta_q_cuts(n, r1, r2)
-    poly = simplex(n)
-    for fid, cut in zip(("p1", "p2", "p3"), cuts):
-        poly = truncate(poly, cut, fid)
+    poly = truncate(simplex(n), zip(("p1", "p2", "p3"), delta_q_cuts(n, r1, r2)))
 
     for a, b in combinations(("p1", "p2", "p3"), 2):
         if poly.facet_vertices(a) & poly.facet_vertices(b):

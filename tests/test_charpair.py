@@ -19,6 +19,7 @@ from toric_cobordism.charpair import (
     restrict,
     standard_pair,
     validate,
+    validate_pairs,
     verify_delta_translation,
 )
 from toric_cobordism import charpair, exactalg, family
@@ -99,6 +100,32 @@ class TestValidate:
                 fam.polytope, CharacteristicFunction("Z", 3, moved)
             )
             assert validate(pair).ok
+
+    def test_pairs_sharing_facet_ids_get_their_own_verdicts(self):
+        """Each pair below fails at a different single vertex, or nowhere,
+        although all of them give vectors to the same facet ids."""
+        def over_triangle(ring, d2):
+            vectors = {"d0": (1, 0), "d1": (0, 1), "d2": d2}
+            return CharacteristicPair(simplex(2), CharacteristicFunction(ring, 2, vectors))
+
+        pairs = [
+            over_triangle("Z", (1, 1)),
+            over_triangle("Z", (2, 1)),  # fails where d1 meets d2
+            over_triangle("Z", (1, 2)),  # fails where d0 meets d2
+            over_triangle("Z", (3, 1)),  # fails where d1 meets d2
+            over_triangle("GF2", (3, 1)),  # (1, 1) mod 2
+        ]
+        bad_at = [
+            [i for i, fs in enumerate(p.polytope.vertex_facets) if fs == frozenset(pair)]
+            for p, pair in zip(pairs[1:3], ({"d1", "d2"}, {"d0", "d2"}))
+        ]
+        for order in (pairs, pairs[::-1]):
+            reports = validate_pairs(order)
+            assert reports == [validate(p) for p in order]
+        reports = validate_pairs(pairs)
+        assert [r.ok for r in reports] == [True, False, False, False, True]
+        assert [[v for v, _ in r.failures] for r in reports[1:3]] == bad_at
+        assert all(len(r.failures) == 1 for r in reports[1:4])
 
     def test_unknown_facet_rejected(self):
         with pytest.raises(MissingVector):
@@ -221,6 +248,22 @@ class TestTranslations:
         assert t is not None and verify_delta_translation(
             fam.boundary["p3"], std, t
         )
+
+    def test_p3_search_builds_targets_on_first_use(self, monkeypatch):
+        """At k = 6 the first candidate is accepted: one adjugate per side."""
+        fam = build_family(6, "Z")
+        std = standard_pair("complex_projective", 11)
+        calls = []
+        adjugate = exactalg.adjugate
+
+        def counting(m):
+            calls.append(m)
+            return adjugate(m)
+
+        monkeypatch.setattr(exactalg, "adjugate", counting)
+        t = find_delta_translation(fam.boundary["p3"], std)
+        assert t is not None and verify_delta_translation(fam.boundary["p3"], std, t)
+        assert len(calls) <= 2
 
     def test_p3_matches_real_standard(self):
         fam = build_family(2, "GF2")

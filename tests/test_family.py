@@ -6,6 +6,7 @@ import pytest
 from toric_cobordism import cellular, charpair, family
 from toric_cobordism.charpair import (
     validate,
+    validate_pairs,
     verify_delta_translation,
 )
 from toric_cobordism.cli import main
@@ -151,6 +152,23 @@ class TestBuildFamily:
             assert validate(fam.boundary[fid]).ok
             assert fam.boundary[fid].is_closed()
 
+    def test_validate_pairs_matches_validate(self):
+        """One shared verdict table over every family pair, k = 2..6 on both
+        rings, and a pair with a planted repeat, gives each pair's own report."""
+        pairs = []
+        for k in range(2, 7):
+            for ring in ("Z", "GF2"):
+                fam = build_family(k, ring)
+                pairs += [fam.pair] + [fam.boundary[fid] for fid in CUT_FACETS]
+                chi = fam.pair.chi
+                planted = charpair.CharacteristicFunction(
+                    chi.ring, chi.rank, {**chi.vectors, "d1": chi.vectors["d0"]}
+                )
+                pairs.append(charpair.CharacteristicPair(fam.polytope, planted))
+        reports = validate_pairs(pairs)
+        assert reports == [validate(p) for p in pairs]
+        assert sum(not r.ok for r in reports) == 10
+
     def test_cut_facets_disjoint(self):
         for k in (2, 3):
             fam = build_family(k, "Z")
@@ -274,6 +292,7 @@ class TestCertificates:
         reflections once.
         """
         calls = {"validate": 0, "verify": 0, "reflections": 0}
+        validated = []
 
         def counting(name, func):
             def wrapped(*args):
@@ -281,8 +300,21 @@ class TestCertificates:
                 return func(*args)
             return wrapped
 
+        def counting_pairs(pairs):
+            # ``validate`` goes through ``charpair.validate_pairs`` too
+            calls["validate"] += len(pairs)
+            validated.extend(pairs)
+            return validate_pairs(pairs)
+
+        def as_json(pairs):
+            return sorted(json.dumps(p.to_json_dict(), sort_keys=True) for p in pairs)
+
+        def four_pairs(k, ring):
+            fam = build_family(k, ring)
+            return as_json([fam.pair] + [fam.boundary[fid] for fid in CUT_FACETS])
+
         for module in (charpair, family):
-            monkeypatch.setattr(module, "validate", counting("validate", validate))
+            monkeypatch.setattr(module, "validate_pairs", counting_pairs)
             monkeypatch.setattr(
                 module,
                 "verify_delta_translation",
@@ -296,10 +328,14 @@ class TestCertificates:
         cert = glue_certificate(2, "complex")
         assert cert.ok
         assert calls == {"validate": 4, "verify": 3, "reflections": 0}
+        # each of the four pairs exactly once
+        assert as_json(validated) == four_pairs(2, "Z")
         for k in (3, 5):
             calls.update(validate=0, reflections=0)
+            validated.clear()
             assert glue_certificate(k, "real").ok
             assert (calls["validate"], calls["reflections"]) == (4, 1)
+            assert as_json(validated) == four_pairs(k, "GF2")
 
     @pytest.mark.parametrize("plant", ["h", "xi", "phi"])
     def test_planted_false_claim_fails_its_checks(self, plant, monkeypatch, capsys):

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import operator
 import random
 import re
 from fractions import Fraction
@@ -123,7 +124,7 @@ class TestTruncate:
         cut = Halfspace(
             tuple(Fraction(-1 if i == 2 else 0) for i in range(5)), Fraction(-5, 6)
         )
-        q = truncate(simplex(4), cut, "p")
+        q = truncate(simplex(4), [("p", cut)])
         assert q.n_vertices == 8 and q.n_facets == 6
         assert len(q.facet_vertices("p")) == 4
         assert q.facet_tags["p"] == "cut"
@@ -134,7 +135,27 @@ class TestTruncate:
             tuple(Fraction(-1 if i == 2 else 0) for i in range(5)), Fraction(-1)
         )
         with pytest.raises(PolytopeError):
-            truncate(simplex(4), cut, "p")
+            truncate(simplex(4), [("p", cut)])
+
+    @pytest.mark.parametrize("n", range(4, 13, 2))
+    @pytest.mark.parametrize("r1, r2", (("1/6", "1/4"), ("1/10", "1/3"), ("2/9", "3/10")))
+    def test_one_pass_matches_successive_cuts(self, n, r1, r2):
+        cuts = list(zip(CUT_FACETS, delta_q_cuts(n, Fraction(r1), Fraction(r2))))
+        successive = simplex(n)
+        for cut in cuts:
+            successive = truncate(successive, [cut])
+        assert truncate(simplex(n), cuts).to_json_dict() == successive.to_json_dict()
+
+    def test_meeting_cuts_raise(self):
+        """x_0 <= 1/3 and x_1 <= 1/3 meet at (1/3, 1/3, 1/3, 0, 0) in simplex(4)."""
+        cuts = [
+            (fid, Halfspace(tuple(Fraction(-(i == j)) for i in range(5)), Fraction(-1, 3)))
+            for fid, j in (("p", 0), ("q", 1))
+        ]
+        successive = truncate(truncate(simplex(4), cuts[:1]), cuts[1:])
+        assert successive.facet_vertices("p") & successive.facet_vertices("q")
+        with pytest.raises(PolytopeError, match="cut p crosses an edge outside cut q"):
+            truncate(simplex(4), cuts)
 
     @pytest.mark.parametrize("n", (4, 6, 8, 10))
     @pytest.mark.parametrize("params", ("default", "other"))
@@ -314,7 +335,7 @@ def _edge_cases():
         polys[f"delta_Q({n})"] = q
         partial = simplex(n)
         for fid, cut in zip(CUT_FACETS[:2], delta_q_cuts(n, Fraction(1, 6), Fraction(1, 4))):
-            partial = truncate(partial, cut, fid)
+            partial = truncate(partial, [(fid, cut)])
             polys[f"delta_Q({n}) up to {fid}"] = partial
     for name, poly in list(polys.items()):
         for fid in poly.facet_ids:
@@ -500,11 +521,50 @@ class TestIntegerImage:
                 expected = _reference_truncate(base, cut, "cut")
             except PolytopeError as exc:
                 with pytest.raises(PolytopeError, match=re.escape(str(exc))):
-                    truncate(base, cut, "cut")
+                    truncate(base, [("cut", cut)])
                 continue
-            assert truncate(base, cut, "cut").to_json_dict() == expected.to_json_dict()
+            assert truncate(base, [("cut", cut)]).to_json_dict() == expected.to_json_dict()
             built += 1
         assert built > 30
+
+    def test_several_cuts_match_successive_fraction_geometry(self):
+        """One pass equals successive Fraction-geometry cuts whenever those
+        give pairwise disjoint cut facets, and raises otherwise."""
+        rng = random.Random(12)
+        bases = [simplex(3), simplex(4), build_delta_Q(4), product(simplex(1), simplex(2))]
+        built = raised = 0
+        for trial in range(200):
+            base = rng.choice(bases)
+            cuts = []
+            for c in range(rng.randint(2, 3)):
+                normal = tuple(
+                    Fraction(rng.randint(-9, 9), rng.randint(1, 8)) for _ in base.vertex_coords[0]
+                )
+                levels = sorted({sum(map(operator.mul, normal, p)) for p in base.vertex_coords})
+                if len(levels) > 1:
+                    # mostly small cuts near the lowest vertex, so that some miss each other
+                    j = rng.choice((0, 0, rng.randrange(len(levels) - 1)))
+                    step = Fraction(rng.randint(1, 3), 4)
+                    offset = levels[j] + (levels[j + 1] - levels[j]) * step
+                    cuts.append((f"c{c}", Halfspace(normal, offset)))
+            try:
+                expected = base
+                for fid, cut in cuts:
+                    expected = _reference_truncate(expected, cut, fid)
+                disjoint = not any(
+                    expected.facet_vertices(a) & expected.facet_vertices(b)
+                    for (a, _), (b, _) in combinations(cuts, 2)
+                )
+            except PolytopeError:
+                disjoint = False
+            if disjoint:
+                assert truncate(base, cuts).to_json_dict() == expected.to_json_dict()
+                built += 1
+            else:
+                with pytest.raises(PolytopeError):
+                    truncate(base, cuts)
+                raised += 1
+        assert built > 40 and raised > 40
 
     def test_delta_q_matches_fraction_geometry(self):
         for n in range(4, 13, 2):
@@ -599,4 +659,4 @@ class TestUnrealized:
     def test_truncate(self):
         cut = Halfspace(tuple(Fraction(-1 if i == 0 else 0) for i in range(4)), Fraction(-1, 2))
         with pytest.raises(PolytopeError, match="no rational realization"):
-            truncate(self._unrealized(), cut, "p")
+            truncate(self._unrealized(), [("p", cut)])
