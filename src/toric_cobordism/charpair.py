@@ -413,13 +413,23 @@ def identity_translation(pair: CharacteristicPair) -> DeltaTranslation:
 
 
 def _independent_assigned_facets(pair: CharacteristicPair) -> Optional[list[str]]:
-    """rank-many assigned facets whose vectors are independent over the ring."""
-    rank_of = exactalg.gf2_rank if pair.ring == RING_GF2 else exactalg.integer_rank
+    """rank-many assigned facets whose vectors are independent over the ring:
+    in sorted order, each facet independent of those chosen before it."""
+    vectors = pair.chi.vectors
     chosen: list[str] = []
-    for fid in sorted(pair.chi.vectors):
-        cand = chosen + [fid]
-        if rank_of([pair.chi.vectors[f] for f in cand]) == len(cand):
-            chosen = cand
+    if pair.ring == RING_GF2:
+        basis: dict[int, int] = {}
+
+        def independent(fid: str) -> bool:
+            return len(exactalg.gf2_basis([gf2_pack(vectors[fid])], basis)) > len(chosen)
+    else:
+
+        def independent(fid: str) -> bool:
+            return exactalg.integer_rank([vectors[f] for f in chosen + [fid]]) == len(chosen) + 1
+
+    for fid in sorted(vectors):
+        if independent(fid):
+            chosen.append(fid)
             if len(chosen) == pair.chi.rank:
                 return chosen
     return None

@@ -55,7 +55,7 @@ def _read(path: str) -> FamilyDescriptor | CharacteristicPair:
         if "boundary" in data:
             return FamilyDescriptor.from_json_dict(data)
         return CharacteristicPair.from_json_dict(data)
-    except (OSError, KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+    except (OSError, KeyError, TypeError, ValueError, ArithmeticError, RecursionError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
 
 

@@ -450,7 +450,7 @@ def gf2_pack(vec: Iterable[int]) -> int:
     return sum((int(x) & 1) << j for j, x in enumerate(vec))
 
 
-def gf2_basis(rows: Iterable[int]) -> dict[int, int]:
+def gf2_basis(rows: Iterable[int], basis: Optional[dict[int, int]] = None) -> dict[int, int]:
     """XOR basis of the span of bit packed GF(2) rows, keyed by lowest set bit.
 
     Each row is reduced by the basis vectors whose key is its lowest set
@@ -461,8 +461,11 @@ def gf2_basis(rows: Iterable[int]) -> dict[int, int]:
     Every GF(2) elimination of the package is this one.  A tag bit above
     the row width on each row records which rows a basis vector sums: a
     row that depends on the rows before it opens a key on its tags.
+
+    A given ``basis`` is extended in place by the rows.
     """
-    basis: dict[int, int] = {}
+    if basis is None:
+        basis = {}
     for v in rows:
         while v:
             low = (v & -v).bit_length() - 1

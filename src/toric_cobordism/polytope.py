@@ -13,7 +13,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
+from itertools import chain, combinations
 from math import gcd, lcm
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
@@ -41,6 +41,12 @@ def _read_coord(c) -> int | Fraction:
     if m is None:
         return Fraction(c)
     return int(m[1]) if m[2] is None else Fraction(int(m[1]), int(m[2]))
+
+
+def _scale_each(rows) -> tuple[list[tuple[int, ...]], int]:
+    """The rows of read entries times the lcm m of their denominators, and m."""
+    m = lcm(*(x.denominator for row in rows for x in row))
+    return [tuple(m // x.denominator * x.numerator for x in row) for row in rows], m
 
 
 @dataclass(frozen=True)
@@ -98,36 +104,26 @@ class SimplePolytope:
         if len(self.facet_tags) != len(self.facet_ids):
             raise PolytopeError("duplicate facet ids")
 
-        prepared = []
-        for coords, fids in vertices:
-            cs = None if coords is None else tuple(
-                c if type(c) is int or type(c) is Fraction else _read_coord(c) for c in coords
-            )
-            fset = frozenset(fids)
-            unknown = fset - self.facet_tags.keys()
-            if unknown:
-                raise UnknownFacet(f"vertex references unknown facets {sorted(unknown)}")
-            prepared.append((cs, fset))
-        if len({len(c) for c, _ in prepared if c is not None}) > 1:
+        fsets, rows, m = self._prepare_by_table(vertices) or self._read_in_order(vertices)
+        if len({len(c) for c in rows if c is not None}) > 1:
             raise PolytopeError("vertex coordinate vectors differ in length")
         self._int_coords: Optional[tuple[tuple[int, ...], ...]] = None
         self.coord_scale: Optional[int] = None
-        if all(c is not None for c, _ in prepared):
-            m = 1
-            if not all(type(x) is int for c, _ in prepared for x in c):
-                m = lcm(*(x.denominator for c, _ in prepared for x in c))
-                prepared = [(tuple(m // x.denominator * x.numerator for x in c), f)
-                            for c, f in prepared]
-            prepared.sort(key=lambda icf: icf[0])
-            if any(a[0] == b[0] for a, b in zip(prepared, prepared[1:])):
+        if m is not None:
+            order = sorted(range(len(rows)), key=rows.__getitem__)
+            if len(set(rows)) != len(rows):
                 raise PolytopeError("two vertices lie at the same point")
             # the image is over m * denominator; one gcd makes the scale least
-            g = gcd(m * denominator, *(x for i, _ in prepared for x in i))
+            distinct = set(chain.from_iterable(rows))
+            g = gcd(m * denominator, *distinct)
+            if g != 1:
+                image = {x: x // g for x in distinct}
+                rows = [tuple(map(image.__getitem__, c)) for c in rows]
             self.coord_scale = m * denominator // g
-            self._int_coords = tuple(i if g == 1 else tuple(x // g for x in i) for i, _ in prepared)
+            self._int_coords = tuple(rows[i] for i in order)
         else:
-            prepared.sort(key=lambda vf: tuple(sorted(vf[1])))
-        self.vertex_facets: tuple[frozenset[str], ...] = tuple(f for _, f in prepared)
+            order = sorted(range(len(fsets)), key=lambda i: tuple(sorted(fsets[i])))
+        self.vertex_facets: tuple[frozenset[str], ...] = tuple(fsets[i] for i in order)
         if len(set(self.vertex_facets)) != len(self.vertex_facets):
             raise PolytopeError("two vertices lie on the same facet set")
 
@@ -137,6 +133,60 @@ class SimplePolytope:
                 filed[fid].append(i)
         self._facet_vertices = {fid: frozenset(vs) for fid, vs in filed.items()}
         self._check_simple()
+
+    def _prepare_by_table(self, vertices) -> Optional[tuple[list, list[tuple[int, ...]], int]]:
+        """The facet sets, the coordinates times the lcm m of their
+        denominators, and m; None when a vertex is unrealized or names an
+        unknown facet, or when anything fails.
+
+        Int and ``Fraction`` coordinates are numbers already.  Otherwise
+        each distinct entry is read and scaled once and every row is mapped
+        through that table; a ``Fraction`` among them (its hash costs more
+        than reading it) sends the rows to ``_read_in_order`` instead.
+        """
+        try:
+            fsets = [frozenset(fids) for _, fids in vertices]
+            rows = [coords for coords, _ in vertices]
+            if None in rows or frozenset().union(*fsets) - self.facet_tags.keys():
+                return None
+            kinds = set(map(type, chain.from_iterable(rows)))
+            if kinds <= {int}:
+                return fsets, list(map(tuple, rows)), 1
+            if kinds <= {int, Fraction}:
+                return fsets, *_scale_each(rows)
+            if Fraction in kinds:
+                return None
+            read = {
+                c: c if type(c) is int else _read_coord(c)
+                for c in set(chain.from_iterable(rows))
+            }
+        except (ArithmeticError, TypeError, ValueError):
+            # the per-entry route raises what is wrong, in vertex order
+            return None
+        m = lcm(*(q.denominator for q in read.values()))
+        image = {c: m // q.denominator * q.numerator for c, q in read.items()}
+        return fsets, [tuple(map(image.__getitem__, row)) for row in rows], m
+
+    def _read_in_order(self, vertices) -> tuple[list, list, Optional[int]]:
+        """What ``_prepare_by_table`` gives, read entry by entry (the rows
+        kept as given and m None when a vertex is unrealized), raising the
+        first bad entry or facet: a vertex's coordinates are read before
+        its facets are checked."""
+        fsets, rows = [], []
+        for coords, fids in vertices:
+            if coords is not None:
+                coords = tuple(
+                    c if type(c) is int or type(c) is Fraction else _read_coord(c) for c in coords
+                )
+            fset = frozenset(fids)
+            unknown = fset - self.facet_tags.keys()
+            if unknown:
+                raise UnknownFacet(f"vertex references unknown facets {sorted(unknown)}")
+            fsets.append(fset)
+            rows.append(coords)
+        if None in rows:
+            return fsets, rows, None
+        return fsets, *_scale_each(rows)
 
     # -- basic accessors ---------------------------------------------------
 

@@ -741,6 +741,53 @@ class TestMod2Relations:
         assert charpair._mod2_relations(RP2) == [("d0", "d1", "d2")]
 
 
+# -- reference: a rank per candidate ----------------------------------------------
+#
+# _reference_independent_assigned_facets is charpair._independent_assigned_facets
+# as it stood before GF(2) candidates were inserted into one XOR basis: every
+# candidate recomputes the rank of all chosen vectors plus itself.
+
+def _reference_independent_assigned_facets(pair):
+    rank_of = exactalg.gf2_rank if pair.ring == "GF2" else exactalg.integer_rank
+    chosen = []
+    for fid in sorted(pair.chi.vectors):
+        cand = chosen + [fid]
+        if rank_of([pair.chi.vectors[f] for f in cand]) == len(cand):
+            chosen = cand
+            if len(chosen) == pair.chi.rank:
+                return chosen
+    return None
+
+
+class TestIndependentAssignedFacets:
+    @pytest.mark.parametrize("ring", ("Z", "GF2"))
+    @pytest.mark.parametrize("k", (2, 3, 4, 5, 6))
+    def test_family_pairs_match_reference(self, k, ring):
+        fam = build_family(k, ring)
+        for pair in (fam.pair, *(fam.boundary[p] for p in ("p1", "p2", "p3"))):
+            reduced = CharacteristicPair(pair.polytope, pair.chi.mod2())
+            for p in (pair, reduced):
+                chosen = charpair._independent_assigned_facets(p)
+                assert chosen is not None
+                assert chosen == _reference_independent_assigned_facets(p)
+
+    def test_random_gf2_pairs_match_reference(self):
+        rng = random.Random(18)
+        polytopes = [simplex(3), product(simplex(1), simplex(2)), build_family(2, "GF2").polytope]
+        found = missed = 0
+        for trial in range(200):
+            poly = rng.choice(polytopes)
+            rank = rng.randint(1, poly.dim + 1)
+            ids = rng.sample(poly.facet_ids, rng.randint(0, poly.n_facets))
+            vectors = {f: tuple(rng.randint(0, 1) for _ in range(rank)) for f in ids}
+            pair = CharacteristicPair(poly, CharacteristicFunction("GF2", rank, vectors))
+            chosen = charpair._independent_assigned_facets(pair)
+            assert chosen == _reference_independent_assigned_facets(pair), vectors
+            found += chosen is not None
+            missed += chosen is None
+        assert found > 50 and missed > 50
+
+
 class TestSearchCap:
     @pytest.mark.parametrize("ring", ("Z", "GF2"))
     def test_cap_stops_the_search(self, ring):

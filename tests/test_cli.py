@@ -336,6 +336,20 @@ class TestInputContract:
         assert "n must be 2k" in err
         self._assert_rejected(["validate", "--in", str(fam)], capsys)
 
+    def test_deeply_nested_json(self, tmp_path, capsys):
+        """A nesting deeper than the JSON decoder recurses is unreadable input."""
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000 + "]" * 100_000)
+        good = tmp_path / "good.json"
+        main(["construct", "--k", "2", "--ring", "z2", "--out", str(good)])
+        for argv in (
+            ["validate", "--in", str(deep)],
+            ["equiv", "--pair1", str(good), "--pair2", str(deep)],
+            ["oracle", "--in", str(deep), "--ring", "z2"],
+        ):
+            err = self._assert_rejected(argv, capsys)
+            assert err.startswith(f"error: cannot read {deep}: ")
+
     def test_family_phi_off_the_vertices(self, tmp_path, family_file, capsys):
         data = read(family_file)
         data["maps"]["phi"] = {f: f for f in data["maps"]["phi"]}
@@ -404,6 +418,15 @@ class TestErrorsReportedFromMain:
             data["polytope"]["vertices"][1]["coords"][0] = "1/0"
         else:
             data["r1"] = "1/0"
+        capsys.readouterr()
+        assert self._homology(tmp_path, data) == 2
+        _one_line(capsys, "error:")
+
+    @pytest.mark.parametrize("entry", [float("inf"), float("-inf"), float("nan")])
+    def test_non_finite_coordinate(self, tmp_path, family_file, capsys, entry):
+        # JSON's Infinity and NaN literals read as floats no Fraction holds
+        data = read(family_file)
+        data["polytope"]["vertices"][1]["coords"][0] = entry
         capsys.readouterr()
         assert self._homology(tmp_path, data) == 2
         _one_line(capsys, "error:")

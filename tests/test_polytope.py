@@ -1,4 +1,5 @@
 import hashlib
+import importlib
 import json
 import math
 import operator
@@ -6,15 +7,20 @@ import random
 import re
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
+from toric_cobordism import charpair, exactalg, family, polytope
+from toric_cobordism.cli import main
 from toric_cobordism.family import CUT_FACETS, build_family
 from toric_cobordism.polytope import (
     Face,
     Halfspace,
     PolytopeError,
     SimplePolytope,
+    UnknownFacet,
     build_delta_Q,
     delta_q_cuts,
     facet_polytope,
@@ -641,6 +647,110 @@ class TestCoordinateStrings:
     def test_zero_denominator_message(self):
         with pytest.raises(ZeroDivisionError, match=re.escape("Fraction(1, 0)")):
             TestIntegerImage._realize(simplex(2), [("1/0", 0, 0), (0, 1, 0), (0, 0, 1)])
+
+
+def _fraction_outcome(entry):
+    """What ``Fraction(entry)`` raises, or None."""
+    try:
+        Fraction(entry)
+    except (ArithmeticError, TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+# entries that cannot key a table or are read through Fraction(entry)
+_UNHASHABLE_AND_ODD = {
+    "list": [0],
+    "dict": {},
+    "none": None,
+    "nan": float("nan"),
+    "inf": float("inf"),
+}
+
+
+class TestCoordinateTable:
+    """A polytope reads each distinct entry once, and still raises exactly
+    what reading every entry in vertex order would."""
+
+    @pytest.mark.parametrize("entry", _UNHASHABLE_AND_ODD.values(), ids=_UNHASHABLE_AND_ODD)
+    @pytest.mark.parametrize("where", ["among ints", "among strings"])
+    def test_odd_entry(self, entry, where):
+        if where == "among ints":
+            points = [(entry, 0, 0), (0, 1, 0), (0, 0, 1)]
+        else:
+            points = [("1/2", "0", "0"), ("0", "1", "0"), ("0", "1/3", entry)]
+        raw, read_first = _both_routes(simplex(2), points)
+        assert raw == read_first == _fraction_outcome(entry)
+
+    @pytest.mark.parametrize(
+        "points",
+        [
+            [(True, "1/2", 0), (0, 1, 0), (0, 0, 1)],
+            [(1, "1/2", 0), (0, True, 0), (0, 0, True)],
+        ],
+        ids=["bool first", "int first"],
+    )
+    def test_bool_beside_equal_int(self, points):
+        raw, read_first = _both_routes(simplex(2), points)
+        assert raw == read_first
+        assert raw[:2] == (((0, 0, 2), (0, 2, 0), (2, 1, 0)), 2)
+
+    @pytest.mark.parametrize(
+        "first, second, expected",
+        [
+            ("facet", "entry", (UnknownFacet, "vertex references unknown facets ['zz']")),
+            ("entry", "facet", (ValueError, "Invalid literal for Fraction: 'x'")),
+        ],
+    )
+    def test_first_error_in_vertex_order(self, first, second, expected):
+        """Vertex 0's coordinates are read, then its facets checked, then vertex 1's."""
+        s = simplex(2)
+        facets = [(f, s.facet_tags[f]) for f in s.facet_ids]
+        vertices = [[("1/2", "0", "0"), sorted(fs)] for fs in s.vertex_facets]
+        for i, what in enumerate((first, second)):
+            if what == "facet":
+                vertices[i][1] = vertices[i][1][:1] + ["zz"]
+            else:
+                vertices[i][0] = ("x", "1", "0")
+        with pytest.raises(expected[0]) as info:
+            SimplePolytope(2, facets, vertices)
+        assert (info.type, str(info.value)) == expected
+
+    def test_each_distinct_entry_read_once(self, monkeypatch):
+        data = json.loads(json.dumps(build_family(4, "GF2").to_json_dict()))
+        calls = []
+        reader = polytope._read_coord
+        monkeypatch.setattr(polytope, "_read_coord", lambda c: calls.append(c) or reader(c))
+        polys = [data["polytope"]] + [p["polytope"] for p in data["boundary"].values()]
+        for d in polys:
+            calls.clear()
+            SimplePolytope.from_json_dict(d)
+            entries = [c for v in d["vertices"] for c in v["coords"]]
+            distinct = {c for c in entries if type(c) not in (int, Fraction)}
+            assert len(entries) > len(distinct) > 1
+            assert sorted(calls) == sorted(distinct)
+
+    @pytest.mark.parametrize("ring", ["z", "z2"])
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_constructed_files_round_trip(self, tmp_path, k, ring):
+        out = tmp_path / "fam.json"
+        assert main(["construct", "--k", str(k), "--ring", ring, "--out", str(out)]) == 0
+        data = json.loads(out.read_text())
+        for d in [data["polytope"]] + [p["polytope"] for p in data["boundary"].values()]:
+            assert SimplePolytope.from_json_dict(d).to_json_dict() == d
+
+    def test_equivgen_pair_files_round_trip(self, tmp_path, monkeypatch):
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+        equivgen = importlib.import_module("equivgen")
+        lib = SimpleNamespace(
+            charpair=charpair, exactalg=exactalg, family=family, polytope=polytope
+        )
+        equivgen.generate(lib, 0, tmp_path)
+        paths = sorted(tmp_path.glob("*.json"))
+        assert len(paths) > 10
+        for path in paths:
+            d = json.loads(path.read_text())["polytope"]
+            assert SimplePolytope.from_json_dict(d).to_json_dict() == d, path.name
 
 
 class TestUnrealized:
