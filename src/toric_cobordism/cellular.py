@@ -5,9 +5,12 @@ table comes from counting vertex indices of a generic linear functional
 on the truncated simplex.  The involution-side spaces are built
 outright as finite regular CW complexes (one cell per coset and face)
 whose chain complexes are handed to exact Smith normal form or GF(2)
-rank computations.  A complex asked for a few degrees builds only the
-cells and boundaries those degrees read, down to one boundary below
-them, and verifies d o d on every composition it built.  Over GF(2)
+rank computations.  Each boundary entry steps a coset into its
+subface's by one test against the one vector the subface's group
+adds.  A complex asked for a few degrees enumerates only the faces and
+builds only the cells and boundaries those degrees read, down to one
+boundary below them, and verifies d o d on every composition it
+built.  Over GF(2)
 each boundary row is bit packed once per complex, and the packed rows
 serve both the d o d check and the elimination; over Z each row one
 degree down is split once into its columns with + and with -.  The two
@@ -45,6 +48,8 @@ class ConsistencyError(CellularError):
 
 # Largest n = 2k at which a real certificate runs the brute-force oracle.
 ORACLE_MAX_N = 6
+# Most cells a quotient complex may have; the k = 5 total space has 161,777.
+ORACLE_MAX_CELLS = 1 << 22
 
 
 # ---------------------------------------------------------------------------
@@ -298,33 +303,42 @@ def build_quotient_complex(
     The isotropy subgroup of a face is spanned by the vectors of its
     assigned facets.  With ``boundary_facets`` given, faces contained in
     any of them are dropped, which computes the pair relative to that
-    part of the boundary.  Faces below ``min_dim`` are dropped too; the
-    kept faces keep their order, so every cell keeps its position in
-    its dimension.
+    part of the boundary.  Faces below ``min_dim`` are never enumerated
+    (``poly.faces_down_to``); the kept faces keep their order, so every
+    cell keeps its position in its dimension.  The cells are counted
+    before any is built, and a count above ``ORACLE_MAX_CELLS`` raises.
+    A representative is reduced iff it has no bit at a key of its face's
+    basis, whose keys are distinct low bits, so that test guards them.
     """
     if beta.ring != RING_GF2:
         raise CellularError("quotient complexes are built from GF(2) data")
     rank = beta.rank
     excluded = frozenset(boundary_facets)
-    faces = [f for f in poly.faces if f.dim >= min_dim and not (f.facets & excluded)]
+    source = poly.faces if min_dim <= 0 else poly.faces_down_to(min_dim)
+    faces = [f for f in source if not (f.facets & excluded)]
     packed = {fid: gf2_pack(v) for fid, v in beta.vectors.items()}
+    keyed_bases = [
+        gf2_basis(packed[fid] for fid in sorted(f.facets) if fid in packed) for f in faces
+    ]
+    count = sum(1 << (rank - len(keyed)) for keyed in keyed_bases)
+    if count > ORACLE_MAX_CELLS:
+        raise CellularError(
+            f"the complex would have {count} cells, more than the ceiling {ORACLE_MAX_CELLS}"
+        )
     face_basis = []
     by_dim: list[list[tuple[int, int]]] = [[] for _ in range(poly.dim + 1)]
-    for idx, f in enumerate(faces):
-        keyed = gf2_basis(packed[fid] for fid in sorted(f.facets) if fid in packed)
+    for idx, (f, keyed) in enumerate(zip(faces, keyed_bases)):
         basis = tuple(keyed[c] for c in sorted(keyed))
         face_basis.append(basis)
-        # the representatives are the g with zero bits at the keys
+        # the representatives are the g with zero bits at the keys, ascending
         reps = [0]
         for c in range(rank):
             if c not in keyed:
                 reps += [g | 1 << c for g in reps]
-        if any(_reduce_coset(g, basis) != g for g in reps):
+        keys = sum(b & -b for b in basis)
+        if any(g & keys for g in reps):
             raise ConsistencyError("a coset representative is not reduced")
-        for g in reps:
-            by_dim[f.dim].append((idx, g))
-    for d in range(poly.dim + 1):
-        by_dim[d].sort()
+        by_dim[f.dim] += [(idx, g) for g in reps]
     return QuotientCWComplex(
         polytope=poly,
         group_rank=rank,
@@ -450,39 +464,73 @@ class ChainComplex:
         return tuple(packed)
 
 
+def _new_vector(basis: tuple[int, ...], sub_basis: tuple[int, ...], new: int) -> int:
+    """The vector of ``sub_basis`` whose key is the bit ``new``, reduced
+    by ``basis``.
+
+    A subface F_{S+j} has G_{S+j} = G_S + <lambda_j>, so its keys are
+    those of G_S and at most one more, ``new``.  The new class has one
+    representative with no bit at a key of G_S: this r, whose low bit
+    is ``new``.
+    """
+    for b in sub_basis:
+        if b & -b == new:
+            return _reduce_coset(b, basis)
+    raise ConsistencyError("a subface's group is not its face's plus one vector")
+
+
+def _boundary_steps(
+    cw: QuotientCWComplex, lowest_degree: int, ring: str
+) -> dict[int, list[tuple[int, int, int, int]]]:
+    """Face index -> [(subface index << group_rank, low bit of r, r,
+    entry)], for the faces ``_face_boundaries`` lists, where r is the
+    one vector the subface's group adds (0 when it adds none).
+
+    A coset g reduced in the face lies in the subface's coset
+    ``g ^ r if g & low else g``: that is g + <r>'s one element with no
+    bit at the subface's keys, the face's keys and the low bit of r.
+    """
+    rank = cw.group_rank
+    bases = cw.face_basis
+    keys = [sum(b & -b for b in basis) for basis in bases]
+    steps = {}
+    for fi, subs in _face_boundaries(cw, lowest_degree).items():
+        basis, face_keys = bases[fi], keys[fi]
+        row = []
+        for gi, sign in subs:
+            new = keys[gi] ^ face_keys
+            r = _new_vector(basis, bases[gi], new) if new else 0
+            row.append((gi << rank, new, r, sign if ring == RING_Z else 1))
+        steps[fi] = row
+    return steps
+
+
 def chain_complex(cw: QuotientCWComplex, ring: str = RING_Z) -> ChainComplex:
     """Boundary matrices of the quotient complex, with d o d == 0 verified.
 
     Cell boundaries carry the polytope's incidence numbers, read off the
-    facet order; the group coordinate is reduced into the smaller face's
-    coset.  Each cell (face index, coset) is keyed by the integer
-    ``face_index << group_rank | coset``, which keeps the cell order.
-    Distinct subfaces give distinct cells, so no entry sums two terms.
-    A complex whose cells start at ``cw.min_dim`` > 0 has boundaries from
-    degree ``min_dim + 1`` up.
+    facet order.  The group coordinate steps into the smaller face's
+    coset by one test against the one vector its subgroup adds
+    (``_boundary_steps``); a stepped cell missing from the complex
+    raises, which guards that derivation.  Each cell (face index, coset)
+    is keyed by the integer ``face_index << group_rank | coset``, which
+    keeps the cell order.  Distinct subfaces give distinct cells, so no
+    entry sums two terms.  A complex whose cells start at ``cw.min_dim``
+    > 0 has boundaries from degree ``min_dim + 1`` up.
     """
     if ring not in (RING_Z, RING_GF2):
         raise CellularError(f"unknown ring {ring!r}")
     rank = cw.group_rank
     lowest = cw.min_dim + 1 if cw.min_dim else 0
-    # per face, its subfaces as (key base, (low bit, vector) pairs, entry)
-    reducers = [tuple((b & -b, b) for b in basis) for basis in cw.face_basis]
-    subfaces = {
-        fi: [(gi << rank, reducers[gi], sign if ring == RING_Z else 1) for gi, sign in subs]
-        for fi, subs in _face_boundaries(cw, lowest).items()
-    }
+    steps = _boundary_steps(cw, lowest, ring)
     boundaries: list[SparseMatrix] = [[] for _ in range(max(1, lowest))]
     for d in range(max(1, lowest), cw.polytope.dim + 1):
         mat: SparseMatrix = []
         lower = {fi << rank | g: i for i, (fi, g) in enumerate(cw.cells[d - 1])}
         for fi, g in cw.cells[d]:
             row: dict[int, int] = {}
-            for base, reducer, entry in subfaces.get(fi, ()):
-                gg = g
-                for low, b in reducer:
-                    if gg & low:
-                        gg ^= b
-                col = lower.get(base | gg)
+            for base, low, r, entry in steps.get(fi, ()):
+                col = lower.get(base | (g ^ r if g & low else g))
                 if col is None:
                     raise ConsistencyError("boundary cell missing from complex")
                 row[col] = entry

@@ -238,11 +238,18 @@ class SimplePolytope:
 
     @cached_property
     def faces(self) -> tuple[Face, ...]:
-        """Every nonempty face, including vertices and the polytope itself.
+        """Every nonempty face, including vertices and the polytope itself:
+        ``faces_down_to(0)``, computed once."""
+        return self.faces_down_to(0)
 
-        In a simple polytope the faces through a vertex v correspond to
-        the subsets of the dim facets at v, so enumerating subsets per
-        vertex and deduplicating by vertex set is exhaustive.
+    def faces_down_to(self, min_dim: int) -> tuple[Face, ...]:
+        """The nonempty faces of dimension at least ``min_dim``, in the
+        order of ``faces``: by dimension, then by sorted vertex set.
+
+        In a simple polytope the faces of dimension dim - k through a
+        vertex v correspond to the k-subsets of the dim facets at v, so
+        enumerating the subsets of size at most dim - min_dim per vertex
+        and deduplicating by vertex set is exhaustive.  Nothing is cached.
         """
         masks = {
             fid: sum(1 << i for i in self._facet_vertices[fid])
@@ -250,11 +257,11 @@ class SimplePolytope:
         }
         all_mask = (1 << self.n_vertices) - 1
         found: dict[int, Face] = {}
-        top = Face(self.dim, frozenset(), frozenset(range(self.n_vertices)))
-        found[all_mask] = top
+        if min_dim <= self.dim:
+            found[all_mask] = Face(self.dim, frozenset(), frozenset(range(self.n_vertices)))
         for fs in self.vertex_facets:
             flist = sorted(fs)
-            for k in range(1, self.dim + 1):
+            for k in range(1, self.dim - min_dim + 1):
                 for sub in combinations(flist, k):
                     m = all_mask
                     for fid in sub:

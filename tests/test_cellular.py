@@ -944,3 +944,152 @@ class TestRestrictedComplex:
         cw = build_quotient_complex(fam.polytope, fam.pair.chi, ("p1", "p2", "p3"), n - 2)
         with pytest.raises(CellularError):
             cw.euler_characteristic()
+
+
+# -- the stepped coset: one test per boundary entry ---------------------------
+
+def _step_cases():
+    """(id, pair, relative, min_dim): the family pairs over both rings,
+    the n = 8 covers, and relative and restricted complexes."""
+    cases = []
+    for ring in ("Z", "GF2"):
+        for k in (2, 3, 4):
+            pair = _family(k, ring).pair
+            cases.append((f"{ring}-k{k}-full", pair, False, 0))
+            cases.append((f"{ring}-k{k}-rel", pair, True, 0))
+    fam = _family(4)
+    for piece in ("p1", "p2", "p3"):
+        cases.append((f"n8-{piece}", fam.boundary[piece], False, 0))
+    for source, pair, relative in (("rel-k4", fam.pair, True), ("n8-p3", fam.boundary["p3"], False)):
+        n = pair.polytope.dim
+        for min_dim in (1, 2, n - 2):
+            cases.append((f"{source}-min{min_dim}", pair, relative, min_dim))
+    return cases
+
+
+def _quotient(pair, relative, min_dim):
+    chi = pair.chi if pair.ring == "GF2" else pair.chi.mod2()
+    free = frozenset(pair.polytope.facet_ids) - chi.assigned() if relative else ()
+    return build_quotient_complex(pair.polytope, chi, free, min_dim)
+
+
+STEP_CASES = _step_cases()
+
+
+class TestSteppedCoset:
+    @pytest.mark.parametrize(
+        "pair,relative,min_dim", [c[1:] for c in STEP_CASES], ids=[c[0] for c in STEP_CASES]
+    )
+    def test_step_is_the_full_reduction(self, pair, relative, min_dim):
+        cw = _quotient(pair, relative, min_dim)
+        rank = cw.group_rank
+        lowest = min_dim + 1 if min_dim else 0
+        reps = {}
+        for cells in cw.cells:
+            for fi, g in cells:
+                reps.setdefault(fi, []).append(g)
+        subfaces = cellular._face_boundaries(cw, lowest)
+        checked = 0
+        for ring in ("Z", "GF2"):
+            steps = cellular._boundary_steps(cw, lowest, ring)
+            assert steps.keys() == subfaces.keys()
+            for fi, row in steps.items():
+                assert [(base >> rank, entry) for base, _, _, entry in row] == [
+                    (gi, sign if ring == "Z" else 1) for gi, sign in subfaces[fi]
+                ]
+                for base, low, r, _ in row:
+                    sub_basis = cw.face_basis[base >> rank]
+                    assert low == r & -r
+                    assert [g ^ r if g & low else g for g in reps[fi]] == [
+                        cellular._reduce_coset(g, sub_basis) for g in reps[fi]
+                    ]
+                    checked += len(reps[fi])
+        assert checked
+
+    @pytest.mark.parametrize(
+        "pair,relative,min_dim",
+        [c[1:] for c in STEP_CASES if c[0] in ("GF2-k3-rel", "n8-p1", "rel-k4-min2")],
+        ids=["GF2-k3-rel", "n8-p1", "rel-k4-min2"],
+    )
+    def test_planted_wrong_step_is_caught(self, pair, relative, min_dim, monkeypatch):
+        """r plus a vector of the face's own group steps into the same
+        coset, but leaves a bit at a key, so no cell has it."""
+        cw = _quotient(pair, relative, min_dim)
+        new_vector = cellular._new_vector
+
+        def planted(basis, sub_basis, new):
+            return new_vector(basis, sub_basis, new) ^ (basis[0] if basis else 0)
+
+        monkeypatch.setattr(cellular, "_new_vector", planted)
+        for ring in ("Z", "GF2"):
+            with pytest.raises(ConsistencyError, match="boundary cell missing"):
+                chain_complex(cw, ring)
+
+    def test_subgroup_not_one_vector_larger_is_caught(self):
+        """A vertex whose planted group lacks its edge's vectors."""
+        cw = _quotient(_family(4).boundary["p1"], False, 0)
+        bases = [() if face.dim == 0 else b for face, b in zip(cw.face_list, cw.face_basis)]
+        planted = dataclasses.replace(cw, face_basis=tuple(bases))
+        with pytest.raises(ConsistencyError, match="plus one vector"):
+            chain_complex(planted, "GF2")
+
+
+class TestRepresentativeCheck:
+    def test_key_mask_verdict_is_the_reduction_verdict(self):
+        rng = random.Random(20261019)
+        planted = 0
+        for _ in range(200):
+            rank = rng.randint(1, 10)
+            keyed = gf2_basis(rng.getrandbits(rank) | 1 << rng.randrange(rank)
+                              for _ in range(rng.randint(1, rank)))
+            basis = tuple(keyed[c] for c in sorted(keyed))
+            keys = sum(b & -b for b in basis)
+            assert keys == sum(1 << c for c in keyed)
+            reps = [g for g in range(1 << rank) if not g & keys]
+            # planted: representatives with a bit at a key
+            unreduced = [g | 1 << rng.choice(sorted(keyed)) for g in rng.choices(reps, k=3)]
+            planted += len(unreduced)
+            for g in reps + unreduced:
+                assert (not g & keys) == (cellular._reduce_coset(g, basis) == g)
+        assert planted > 300
+
+    def test_mislabelled_key_is_caught(self, monkeypatch):
+        """A basis filed under a key that is not its vector's low bit
+        gives representatives with a bit at that low bit."""
+        fam = _family(2)
+
+        def mislabelled(rows):
+            keyed = gf2_basis(rows)
+            if 0 in keyed and 1 not in keyed:
+                keyed[1] = keyed.pop(0)
+            return keyed
+
+        monkeypatch.setattr(cellular, "gf2_basis", mislabelled)
+        with pytest.raises(ConsistencyError, match="not reduced"):
+            build_quotient_complex(fam.polytope, fam.pair.chi)
+
+
+class TestCellCeiling:
+    @pytest.mark.parametrize("min_dim", [0, 3])
+    def test_ceiling_is_the_cell_count(self, min_dim, monkeypatch):
+        fam = _family(3)
+        cw = build_quotient_complex(fam.polytope, fam.pair.chi, (), min_dim)
+        total = sum(cw.cell_counts())
+        monkeypatch.setattr(cellular, "ORACLE_MAX_CELLS", total)
+        assert build_quotient_complex(fam.polytope, fam.pair.chi, (), min_dim) == cw
+        monkeypatch.setattr(cellular, "ORACLE_MAX_CELLS", total - 1)
+        with pytest.raises(CellularError, match=f"would have {total} cells"):
+            build_quotient_complex(fam.polytope, fam.pair.chi, (), min_dim)
+
+
+class TestRestrictedFaces:
+    @pytest.mark.parametrize("ring", ["Z", "GF2"])
+    def test_restricted_build_leaves_the_faces_cache_empty(self, ring):
+        fam = build_family(3, ring)
+        poly = fam.pair.polytope
+        n = poly.dim
+        table, cc = cover_homology(fam.pair, "Z", relative=True, degrees=[n])
+        assert cc.lowest_degree == n - 1
+        assert "faces" not in poly.__dict__
+        cover_homology(fam.pair, "Z", relative=True)
+        assert "faces" in poly.__dict__

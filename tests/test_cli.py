@@ -629,3 +629,48 @@ def test_seeded_mutations_keep_the_exit_code_contract(tmp_path, capsys):
             captured = capsys.readouterr()
             assert code in (0, 1, 2), (i, name, argv[0])
             assert "Traceback" not in captured.err, (i, name, argv[0])
+
+
+class TestOversizedRank:
+    """A declared rank far above the polytope's dimension asks for more
+    cells than the oracle builds: the count is taken before any cell is,
+    so the command exits 2 at once and names it."""
+
+    RANK = 40
+
+    @staticmethod
+    def _padded(vectors, rank):
+        return {fid: v + [0] * (rank - len(v)) for fid, v in vectors.items()}
+
+    def _assert_ceiling(self, argv, capsys):
+        capsys.readouterr()
+        with _time_limit(CALL_TIME_LIMIT_S, argv[0]):
+            assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: the complex would have ")
+        assert "more than the ceiling 4194304" in captured.err
+        assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("ring", ["z", "z2"])
+    def test_pair(self, tmp_path, ring, capsys):
+        from toric_cobordism.family import build_family
+
+        data = build_family(2, "GF2").boundary["p3"].to_json_dict()
+        data["rank"] = self.RANK
+        data["vectors"] = self._padded(data["vectors"], self.RANK)
+        path = tmp_path / "rank40.json"
+        path.write_text(json.dumps(data))
+        self._assert_ceiling(["oracle", "--in", str(path), "--ring", ring], capsys)
+
+    def test_family(self, tmp_path, z2_family_file, capsys):
+        # n = 40 over the n = 4 polytope: the family's rank n - 1 is 39
+        data = read(z2_family_file)
+        data["k"], data["n"] = 20, 40
+        data["vectors"] = self._padded(data["vectors"], 39)
+        z2_family_file.write_text(json.dumps(data))
+        self._assert_ceiling(["homology", "--in", str(z2_family_file), "--oracle"], capsys)
+        for ring in ("z", "z2"):
+            self._assert_ceiling(
+                ["oracle", "--in", str(z2_family_file), "--relative", "--ring", ring], capsys
+            )

@@ -446,6 +446,34 @@ class TestFacesBySetBits:
             assert poly.faces == _reference_faces(poly), name
 
 
+class TestFacesDownTo:
+    @staticmethod
+    def _assert_filtered(poly, name=None):
+        faces = poly.faces
+        for m in range(-1, poly.dim + 2):
+            assert poly.faces_down_to(m) == tuple(f for f in faces if f.dim >= m), (name, m)
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_family_faces(self, k):
+        fam = build_family(k, "Z")
+        for poly in (fam.polytope, *(pair.polytope for pair in fam.boundary.values())):
+            self._assert_filtered(poly)
+
+    def test_edge_case_faces(self):
+        cases = {name: p for name, p in _edge_cases().items() if p.dim <= 8}
+        assert len(cases) > 150
+        for name, poly in cases.items():
+            self._assert_filtered(poly, name)
+
+    def test_nothing_is_cached(self):
+        poly = build_delta_Q(6)
+        top = poly.faces_down_to(4)
+        assert "faces" not in poly.__dict__
+        assert [f.dim for f in top] == sorted(f.dim for f in top)
+        assert {f.dim for f in top} == {4, 5, 6}
+        assert poly.faces_down_to(7) == ()
+
+
 def _random_points(rng, count, ambient):
     """Rational points from a small pool, so that prefixes often tie."""
     pool = [Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3, 4, 6, 7, 9, 12))) for _ in range(5)]
