@@ -5,16 +5,15 @@ table comes from counting vertex indices of a generic linear functional
 on the truncated simplex.  The involution-side spaces are built
 outright as finite regular CW complexes (one cell per coset and face)
 whose chain complexes are handed to exact Smith normal form or GF(2)
-rank computations.  Each boundary entry steps a coset into its
-subface's by one test against the one vector the subface's group
-adds.  A complex asked for a few degrees enumerates only the faces and
-builds only the cells and boundaries those degrees read, down to one
-boundary below them, and verifies d o d on every composition it
-built.  Over GF(2)
-each boundary row is bit packed once per complex, and the packed rows
-serve both the d o d check and the elimination; over Z each row one
-degree down is split once into its columns with + and with -.  The two
-routes cross-check each other wherever both apply.
+rank computations.  ``chain_complex`` steps each boundary entry's
+coset into its subface's by the one vector the subface's group adds.
+A complex asked for a few degrees enumerates only the faces and builds
+only the cells and boundaries those degrees read, down to one boundary
+below them, and verifies d o d on every composition it built.  Over
+GF(2) each boundary row is bit packed once per complex, and the packed
+rows serve both the d o d check and the elimination; over Z each row
+one degree down is split once into its columns with + and with -.  The
+two routes cross-check each other wherever both apply.
 """
 
 from __future__ import annotations
@@ -392,38 +391,6 @@ def _vertex_signs(poly: SimplePolytope, pos: dict[str, int]) -> list[int]:
     return eps
 
 
-def _face_boundaries(
-    cw: QuotientCWComplex, lowest_degree: int
-) -> dict[int, list[tuple[int, int]]]:
-    """Face index -> [(subface index, incidence number)] over ``cw.face_list``,
-    for the faces of dimension at least ``lowest_degree`` and 1.
-
-    Subfaces dropped by a relative complex are skipped; the vertex signs
-    come from the whole polytope, whose vertices the complex may drop,
-    and are computed only when edge rows are built.
-    """
-    poly = cw.polytope
-    pos = {fid: i for i, fid in enumerate(poly.facet_ids)}
-    eps = _vertex_signs(poly, pos) if lowest_degree <= 1 else None
-    masks = [sum(1 << pos[s] for s in f.facets) for f in cw.face_list]
-    index = {mask: i for i, mask in enumerate(masks)}
-    boundaries: dict[int, list[tuple[int, int]]] = {}
-    for fi, (face, mask) in enumerate(zip(cw.face_list, masks)):
-        if face.dim < max(1, lowest_degree):
-            continue
-        subs = []
-        for j in range(poly.n_facets):
-            if mask >> j & 1 or (gi := index.get(mask | 1 << j)) is None:
-                continue
-            s = _sign(mask, j)
-            if face.dim == 1:
-                (v,) = cw.face_list[gi].vertices
-                s *= eps[v]
-            subs.append((gi, s))
-        boundaries[fi] = subs
-    return boundaries
-
-
 SparseMatrix = list[dict[int, int]]
 
 
@@ -464,67 +431,61 @@ class ChainComplex:
         return tuple(packed)
 
 
-def _new_vector(basis: tuple[int, ...], sub_basis: tuple[int, ...], new: int) -> int:
-    """The vector of ``sub_basis`` whose key is the bit ``new``, reduced
-    by ``basis``.
-
-    A subface F_{S+j} has G_{S+j} = G_S + <lambda_j>, so its keys are
-    those of G_S and at most one more, ``new``.  The new class has one
-    representative with no bit at a key of G_S: this r, whose low bit
-    is ``new``.
-    """
-    for b in sub_basis:
-        if b & -b == new:
-            return _reduce_coset(b, basis)
-    raise ConsistencyError("a subface's group is not its face's plus one vector")
-
-
-def _boundary_steps(
-    cw: QuotientCWComplex, lowest_degree: int, ring: str
-) -> dict[int, list[tuple[int, int, int, int]]]:
-    """Face index -> [(subface index << group_rank, low bit of r, r,
-    entry)], for the faces ``_face_boundaries`` lists, where r is the
-    one vector the subface's group adds (0 when it adds none).
-
-    A coset g reduced in the face lies in the subface's coset
-    ``g ^ r if g & low else g``: that is g + <r>'s one element with no
-    bit at the subface's keys, the face's keys and the low bit of r.
-    """
-    rank = cw.group_rank
-    bases = cw.face_basis
-    keys = [sum(b & -b for b in basis) for basis in bases]
-    steps = {}
-    for fi, subs in _face_boundaries(cw, lowest_degree).items():
-        basis, face_keys = bases[fi], keys[fi]
-        row = []
-        for gi, sign in subs:
-            new = keys[gi] ^ face_keys
-            r = _new_vector(basis, bases[gi], new) if new else 0
-            row.append((gi << rank, new, r, sign if ring == RING_Z else 1))
-        steps[fi] = row
-    return steps
-
-
 def chain_complex(cw: QuotientCWComplex, ring: str = RING_Z) -> ChainComplex:
     """Boundary matrices of the quotient complex, with d o d == 0 verified.
 
     Cell boundaries carry the polytope's incidence numbers, read off the
-    facet order.  The group coordinate steps into the smaller face's
-    coset by one test against the one vector its subgroup adds
-    (``_boundary_steps``); a stepped cell missing from the complex
-    raises, which guards that derivation.  Each cell (face index, coset)
-    is keyed by the integer ``face_index << group_rank | coset``, which
-    keeps the cell order.  Distinct subfaces give distinct cells, so no
-    entry sums two terms.  A complex whose cells start at ``cw.min_dim``
-    > 0 has boundaries from degree ``min_dim + 1`` up.
+    facet order; the vertex signs come from the whole polytope, whose
+    vertices the complex may drop, and subfaces a relative complex drops
+    are skipped.  The group coordinate steps by one vector: a subface
+    F_{S+j} has G_{S+j} = G_S + <lambda_j>, so its keys are the face's
+    and at most one more, and r, the subface's vector at that key reduced
+    by the face's basis, is the one vector it adds (0 when it adds none).
+    A coset g reduced in the face lies in the subface's coset
+    ``g ^ r if g & lowbit(r) else g``; a stepped cell missing from the
+    complex raises, which guards that derivation.  Each cell (face
+    index, coset) is keyed by the integer ``face_index << group_rank |
+    coset``, which keeps the cell order.  Distinct subfaces give
+    distinct cells, so no entry sums two terms.  A complex whose cells
+    start at ``cw.min_dim`` > 0 has boundaries from degree
+    ``min_dim + 1`` up.
     """
     if ring not in (RING_Z, RING_GF2):
         raise CellularError(f"unknown ring {ring!r}")
+    poly = cw.polytope
     rank = cw.group_rank
     lowest = cw.min_dim + 1 if cw.min_dim else 0
-    steps = _boundary_steps(cw, lowest, ring)
+    pos = {fid: i for i, fid in enumerate(poly.facet_ids)}
+    eps = _vertex_signs(poly, pos) if lowest <= 1 else None
+    masks = [sum(1 << pos[s] for s in f.facets) for f in cw.face_list]
+    index = {mask: i for i, mask in enumerate(masks)}
+    bases = cw.face_basis
+    keys = [sum(b & -b for b in basis) for basis in bases]
+    # face index -> [(subface index << rank, low bit of r, r, entry)]
+    steps: dict[int, list[tuple[int, int, int, int]]] = {}
+    for fi, (face, mask) in enumerate(zip(cw.face_list, masks)):
+        if face.dim < max(1, lowest):
+            continue
+        steps[fi] = subs = []
+        for j in range(poly.n_facets):
+            if mask >> j & 1 or (gi := index.get(mask | 1 << j)) is None:
+                continue
+            sign = _sign(mask, j)
+            if face.dim == 1:
+                (v,) = cw.face_list[gi].vertices
+                sign *= eps[v]
+            new, r = keys[gi] ^ keys[fi], 0
+            if new:
+                for b in bases[gi]:
+                    if b & -b == new:
+                        r = _reduce_coset(b, bases[fi])
+                        break
+                else:
+                    raise ConsistencyError("a subface's group is not its face's plus one vector")
+            subs.append((gi << rank, new, r, sign if ring == RING_Z else 1))
+
     boundaries: list[SparseMatrix] = [[] for _ in range(max(1, lowest))]
-    for d in range(max(1, lowest), cw.polytope.dim + 1):
+    for d in range(max(1, lowest), poly.dim + 1):
         mat: SparseMatrix = []
         lower = {fi << rank | g: i for i, (fi, g) in enumerate(cw.cells[d - 1])}
         for fi, g in cw.cells[d]:

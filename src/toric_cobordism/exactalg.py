@@ -290,27 +290,18 @@ def smith_normal_form(m: Iterable[Iterable[int]]) -> SmithDecomposition:
     )
 
 
-def invariant_factors(m: Iterable[Iterable[int]], ncols: int | None = None) -> tuple[int, ...]:
-    """Nonzero invariant factors of an integer matrix, without transforms.
+def invariant_factors(m: Iterable[Iterable[int]]) -> tuple[int, ...]:
+    """Nonzero invariant factors of dense integer rows, without transforms.
 
-    Accepts dense rows or sparse rows (dicts mapping column -> value, in
-    which case ``ncols`` is required).  The rows go through the same
-    elimination as ``unit_pivot_elimination`` with no rows skipped; they
-    are built here, so the elimination works on them without a copy.
+    The rows go through the same elimination as ``unit_pivot_elimination``
+    with no rows skipped; they are built here, so the elimination works
+    on them without a copy.
     """
     rows: dict[int, dict[int, int]] = {}
-    dense_input = True
     for i, row in enumerate(m):
-        if isinstance(row, dict):
-            dense_input = False
-            entries = row.items()
-        else:
-            entries = enumerate(row)
-        r = {j: int(x) for j, x in entries if x != 0}
+        r = {j: int(x) for j, x in enumerate(row) if x != 0}
         if r:
             rows[i] = r
-    if not dense_input and ncols is None:
-        raise DimensionMismatch("sparse input requires ncols")
     return _eliminate_units(rows)[0]
 
 

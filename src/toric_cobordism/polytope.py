@@ -105,6 +105,8 @@ class SimplePolytope:
             raise PolytopeError("duplicate facet ids")
 
         fsets, rows, m = self._prepare_by_table(vertices) or self._read_in_order(vertices)
+        if not fsets:
+            raise PolytopeError("a polytope has at least one vertex")
         if len({len(c) for c in rows if c is not None}) > 1:
             raise PolytopeError("vertex coordinate vectors differ in length")
         self._int_coords: Optional[tuple[tuple[int, ...], ...]] = None
@@ -577,12 +579,7 @@ def build_delta_Q(
     """
     r1, r2 = Fraction(r1), Fraction(r2)
     check_truncation_parameters(n, r1, r2)
-    poly = truncate(simplex(n), zip(("p1", "p2", "p3"), delta_q_cuts(n, r1, r2)))
-
-    for a, b in combinations(("p1", "p2", "p3"), 2):
-        if poly.facet_vertices(a) & poly.facet_vertices(b):
-            raise PolytopeError(f"cut facets {a} and {b} intersect")
-    return poly
+    return truncate(simplex(n), zip(("p1", "p2", "p3"), delta_q_cuts(n, r1, r2)))
 
 
 def facet_polytope(poly: SimplePolytope, fid: str) -> SimplePolytope:

@@ -314,6 +314,23 @@ class TestInputContract:
         self._assert_rejected(["oracle", "--in", str(bad), "--ring", "z"], capsys)
         self._assert_rejected(["equiv", "--pair1", str(bad), "--pair2", str(good)], capsys)
 
+    @pytest.mark.parametrize("dim", [0, 1, 3])
+    def test_pair_without_vertices(self, tmp_path, dim, capsys):
+        from toric_cobordism.family import build_family
+
+        data = build_family(2, "GF2").boundary["p3"].to_json_dict()
+        good = tmp_path / "good.json"
+        good.write_text(json.dumps(data))
+        data.update(polytope={"dim": dim, "facets": [], "vertices": []}, rank=0, vectors={})
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        for ring in ("z", "z2"):
+            err = self._assert_rejected(["oracle", "--in", str(bad), "--ring", ring], capsys)
+            assert "at least one vertex" in err
+        self._assert_rejected(["validate", "--in", str(bad)], capsys)
+        self._assert_rejected(["equiv", "--pair1", str(bad), "--pair2", str(good)], capsys)
+        self._assert_rejected(["equiv", "--pair1", str(good), "--pair2", str(bad)], capsys)
+
     @pytest.mark.parametrize("name", sorted(FAMILY_MUTATIONS))
     def test_malformed_family(self, tmp_path, name, capsys):
         fam = tmp_path / "fam.json"

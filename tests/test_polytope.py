@@ -284,6 +284,11 @@ class TestRealizationChecks:
         tri = self._triangle([(1, 0, 0), None, (0, 0, 1)])
         assert not tri.has_coords()
 
+    @pytest.mark.parametrize("dim", [0, 1, 3])
+    def test_no_vertices(self, dim):
+        with pytest.raises(PolytopeError, match="at least one vertex"):
+            SimplePolytope(dim, [], [])
+
     @pytest.mark.parametrize("dim", [2.0, True, "2", -1, None])
     def test_dimension_must_be_an_integer(self, dim):
         with pytest.raises(PolytopeError, match="dimension"):
