@@ -21,6 +21,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cached_property
+from math import comb
 from numbers import Rational
 from typing import Iterable, Optional, Sequence
 
@@ -154,38 +155,41 @@ def vertex_indices(
 ) -> IndexProfile:
     """Directed 1-skeleton data of a generic functional.
 
-    Each edge is oriented toward the larger functional value; ind(v)
-    counts inward edges.  An edge is old when it lies on dim-1 facets
-    tagged original, i.e. it is the trimmed edge of a parent simplex
-    edge.  For j >= 1 the pairs (v, e) collect vertices of index j whose
-    inward edge e is old.  Strict mode insists every vertex lies on
-    exactly one old edge, which holds for the truncated family.
+    Each edge of ``poly.edge_masks`` is oriented toward the larger
+    functional value; ind(v) counts inward edges.  An edge is old when
+    it lies on dim-1 facets tagged original, i.e. it is the trimmed edge
+    of a parent simplex edge: its facet mask meets the mask of original
+    facets in dim-1 bits.  For j >= 1 the pairs (v, e) collect vertices
+    of index j whose inward edge e is old.  Strict mode insists every
+    vertex lies on exactly one old edge, which holds for the truncated
+    family, so no vertex then contributes two pairs.
     """
     values = _scaled_values(poly, functional)
     if len(set(values)) != len(values):
         raise TieError("functional does not distinguish the vertices")
-    edges = poly.edges
+    original = sum(
+        1 << j for j, fid in enumerate(poly.facet_ids) if poly.facet_tags[fid] == "original"
+    )
+    old_bits = poly.dim - 1
     nv = poly.n_vertices
     indegree = [0] * nv
+    old_per_vertex = [0] * nv
     old_inward: list[list[frozenset[int]]] = [[] for _ in range(nv)]
     old_edges, new_edges = [], []
-    for e in edges:
-        a, b = sorted(e.vertices)
+    for a, b, mask in poly.edge_masks:
         head = a if values[a] > values[b] else b
         indegree[head] += 1
-        originals = sum(1 for f in e.facets if poly.facet_tags.get(f) == "original")
-        if originals == poly.dim - 1:
-            old_edges.append(e.vertices)
-            old_inward[head].append(e.vertices)
+        e = frozenset((a, b))
+        if (mask & original).bit_count() == old_bits:
+            old_edges.append(e)
+            old_inward[head].append(e)
+            old_per_vertex[a] += 1
+            old_per_vertex[b] += 1
         else:
-            new_edges.append(e.vertices)
+            new_edges.append(e)
 
     if strict:
-        per_vertex = [0] * nv
-        for e in old_edges:
-            for v in e:
-                per_vertex[v] += 1
-        bad = [v for v, c in enumerate(per_vertex) if c != 1]
+        bad = [v for v, c in enumerate(old_per_vertex) if c != 1]
         if bad:
             raise StrictModeViolation(
                 f"vertices {bad} do not lie on exactly one old edge"
@@ -197,10 +201,6 @@ def vertex_indices(
     for v in range(nv):
         for e in old_inward[v]:
             pairs[indegree[v]].append((v, e))
-    if strict:
-        seen_vertices = [v for ps in pairs.values() for v, _ in ps]
-        if len(seen_vertices) != len(set(seen_vertices)):
-            raise StrictModeViolation("a vertex contributes two index pairs")
 
     return IndexProfile(
         functional=functional,
@@ -291,6 +291,21 @@ class QuotientCWComplex:
         return sum((-1) ** d * len(c) for d, c in enumerate(self.cells))
 
 
+def _cell_floor(poly: SimplePolytope, rank: int, excluded: frozenset[str], min_dim: int) -> int:
+    """A lower bound on the cells of a quotient complex, from one vertex.
+
+    The kept faces through a vertex v are cut out by the subsets S of
+    its m_v facets outside ``excluded`` with |S| <= dim - min_dim, and
+    each carries at least 2^(rank - |S|) cells, since rank G_S <= |S|
+    even on an invalid pair.  The bound is the largest such sum.
+    """
+    kept = sum(1 << j for j, fid in enumerate(poly.facet_ids) if fid not in excluded)
+    return max(
+        sum(comb(m, c) << max(0, rank - c) for c in range(min(m, poly.dim - min_dim) + 1))
+        for m in {(mask & kept).bit_count() for mask in poly.vertex_masks}
+    )
+
+
 def build_quotient_complex(
     poly: SimplePolytope,
     beta: CharacteristicFunction,
@@ -305,14 +320,22 @@ def build_quotient_complex(
     part of the boundary.  Faces below ``min_dim`` are never enumerated
     (``poly.faces_down_to``); the kept faces keep their order, so every
     cell keeps its position in its dimension.  The cells are counted
-    before any is built, and a count above ``ORACLE_MAX_CELLS`` raises.
-    A representative is reduced iff it has no bit at a key of its face's
-    basis, whose keys are distinct low bits, so that test guards them.
+    before any is built, and a count above ``ORACLE_MAX_CELLS`` raises;
+    so does the lower bound ``_cell_floor``, checked before any face is
+    listed.  A representative is reduced iff it has no bit at a key of
+    its face's basis, whose keys are distinct low bits, so that test
+    guards them.
     """
     if beta.ring != RING_GF2:
         raise CellularError("quotient complexes are built from GF(2) data")
     rank = beta.rank
     excluded = frozenset(boundary_facets)
+    floor = _cell_floor(poly, rank, excluded, min_dim)
+    if floor > ORACLE_MAX_CELLS:
+        raise CellularError(
+            f"the complex would have at least {floor} cells,"
+            f" more than the ceiling {ORACLE_MAX_CELLS}"
+        )
     source = poly.faces if min_dim <= 0 else poly.faces_down_to(min_dim)
     faces = [f for f in source if not (f.facets & excluded)]
     packed = {fid: gf2_pack(v) for fid, v in beta.vectors.items()}
@@ -364,15 +387,18 @@ def _sign(mask: int, j: int) -> int:
     return 1 if (mask >> (j + 1)).bit_count() & 1 else -1
 
 
-def _vertex_signs(poly: SimplePolytope, pos: dict[str, int]) -> list[int]:
-    """eps_v from one walk over the edges from vertex 0, every edge checked."""
+def _vertex_signs(poly: SimplePolytope) -> list[int]:
+    """eps_v from one walk over the edges from vertex 0, every edge checked.
+
+    An edge's facet mask misses one facet of each end, whose position is
+    the one bit of that end's vertex mask XOR the edge's.
+    """
     links: list[list[tuple[int, int]]] = [[] for _ in range(poly.n_vertices)]
-    for e in poly.edges:
-        a, b = sorted(e.vertices)
-        (ja,) = poly.vertex_facets[a] - e.facets
-        (jb,) = poly.vertex_facets[b] - e.facets
-        mask = sum(1 << pos[s] for s in e.facets)
-        ratio = -_sign(mask, pos[ja]) * _sign(mask, pos[jb])
+    vm = poly.vertex_masks
+    for a, b, mask in poly.edge_masks:
+        ja = (vm[a] ^ mask).bit_length() - 1
+        jb = (vm[b] ^ mask).bit_length() - 1
+        ratio = -_sign(mask, ja) * _sign(mask, jb)
         links[a].append((b, ratio))
         links[b].append((a, ratio))
     eps: list[Optional[int]] = [None] * poly.n_vertices
@@ -456,7 +482,7 @@ def chain_complex(cw: QuotientCWComplex, ring: str = RING_Z) -> ChainComplex:
     rank = cw.group_rank
     lowest = cw.min_dim + 1 if cw.min_dim else 0
     pos = {fid: i for i, fid in enumerate(poly.facet_ids)}
-    eps = _vertex_signs(poly, pos) if lowest <= 1 else None
+    eps = _vertex_signs(poly) if lowest <= 1 else None
     masks = [sum(1 << pos[s] for s in f.facets) for f in cw.face_list]
     index = {mask: i for i, mask in enumerate(masks)}
     bases = cw.face_basis

@@ -2,8 +2,10 @@
 
 Polytopes are stored combinatorially (vertex-facet incidence) together
 with the integer image of their rational vertex coordinates, if known.
-Vertices are kept in a canonical order (lexicographic by coordinates,
-falling back to sorted facet labels) so that repeated constructions are
+Edges, the isomorphism search and induced vertex maps work on integer
+masks of the incidences, computed on first use and cached.  Vertices
+are kept in a canonical order (lexicographic by coordinates, falling
+back to sorted facet labels) so that repeated constructions are
 bit-identical.
 """
 
@@ -206,6 +208,17 @@ class SimplePolytope:
         except KeyError:
             raise UnknownFacet(fid) from None
 
+    @cached_property
+    def vertex_masks(self) -> tuple[int, ...]:
+        """Bit j of vertex v's mask is set when v lies on facet ``facet_ids[j]``."""
+        bit = {fid: 1 << j for j, fid in enumerate(self.facet_ids)}
+        return tuple(sum(map(bit.__getitem__, fs)) for fs in self.vertex_facets)
+
+    @cached_property
+    def facet_vertex_masks(self) -> tuple[int, ...]:
+        """Bit v of entry j is set when vertex v lies on facet ``facet_ids[j]``."""
+        return tuple(sum(map((1).__lshift__, self._facet_vertices[fid])) for fid in self.facet_ids)
+
     def has_coords(self) -> bool:
         return self._int_coords is not None
 
@@ -253,10 +266,7 @@ class SimplePolytope:
         enumerating the subsets of size at most dim - min_dim per vertex
         and deduplicating by vertex set is exhaustive.  Nothing is cached.
         """
-        masks = {
-            fid: sum(1 << i for i in self._facet_vertices[fid])
-            for fid in self.facet_ids
-        }
+        masks = dict(zip(self.facet_ids, self.facet_vertex_masks))
         all_mask = (1 << self.n_vertices) - 1
         found: dict[int, Face] = {}
         if min_dim <= self.dim:
@@ -278,22 +288,29 @@ class SimplePolytope:
         )
 
     @cached_property
-    def edges(self) -> tuple[Face, ...]:
-        """The 1-faces, computed without the full lattice.
+    def edge_masks(self) -> tuple[tuple[int, int, int], ...]:
+        """Each edge as (a, b, facet mask) with a < b, sorted by (a, b).
 
-        A vertex with facet set S lies on the edge cut out by S - {f} for
-        each f in S, so filing every vertex under those keys pairs them up.
+        A vertex with facet mask m lies on the edge cut out by m ^ b for
+        each set bit b of m, so filing every vertex under those keys
+        pairs them up.
         """
-        found: dict[frozenset[str], list[int]] = {}
-        for i, fs in enumerate(self.vertex_facets):
-            for f in fs:
-                found.setdefault(fs - {f}, []).append(i)
+        found: dict[int, list[int]] = {}
+        for v, m in enumerate(self.vertex_masks):
+            rest = m
+            while rest:
+                low = rest & -rest
+                found.setdefault(m ^ low, []).append(v)
+                rest ^= low
         if any(len(vs) != 2 for vs in found.values()):
             raise PolytopeError("edge with vertex count != 2")
-        return tuple(
-            Face(1, key, frozenset(vs))
-            for key, vs in sorted(found.items(), key=lambda kv: kv[1])
-        )
+        return tuple(sorted((a, b, key) for key, (a, b) in found.items()))
+
+    @cached_property
+    def edges(self) -> tuple[Face, ...]:
+        """The 1-faces of ``edge_masks``, in its order, as ``Face``s."""
+        vf = self.vertex_facets
+        return tuple(Face(1, vf[a] & vf[b], frozenset((a, b))) for a, b, _ in self.edge_masks)
 
     def f_vector(self) -> tuple[int, ...]:
         counts = [0] * self.dim
@@ -313,17 +330,13 @@ class SimplePolytope:
 
     # -- isomorphism -------------------------------------------------------
 
-    def _facet_profile(self) -> dict[str, tuple]:
-        sizes = {fid: len(self._facet_vertices[fid]) for fid in self.facet_ids}
-        prof = {}
-        for fid in self.facet_ids:
-            inter = sorted(
-                len(self._facet_vertices[fid] & self._facet_vertices[g])
-                for g in self.facet_ids
-                if g != fid
-            )
-            prof[fid] = (sizes[fid], tuple(inter))
-        return prof
+    def _facet_profile(self) -> tuple[list[tuple], list[list[int]]]:
+        """Per facet position: its vertex count with the sorted sizes of its
+        intersections with the other facets; and the matrix of those sizes."""
+        masks = self.facet_vertex_masks
+        inter = [[(a & b).bit_count() for b in masks] for a in masks]
+        prof = [(row[j], tuple(sorted(row[:j] + row[j + 1:]))) for j, row in enumerate(inter)]
+        return prof, inter
 
     def iter_isomorphisms(
         self,
@@ -332,14 +345,17 @@ class SimplePolytope:
     ) -> Iterator[dict[str, str]]:
         """Facet bijections inducing a vertex-lattice isomorphism.
 
-        The backtrack assigns facets in a fixed order.  A vertex is
-        checked as soon as its last facet is assigned: its image must be
-        a vertex of ``other``.  The facet map is injective, so distinct
-        vertices then have distinct images.  ``accept(assignment, f)``,
-        if given, is called right after facet f is assigned and prunes
-        the subtree when it returns False; the bijections yielded are
-        those of the unpruned search that every call accepted, in the
-        same order.
+        The backtrack assigns facets in a fixed order.  A candidate must
+        meet every assigned facet in as many vertices as its partner
+        does, read off the popcount matrices of the two polytopes' facet
+        vertex masks.  A vertex is checked as soon as its last facet is
+        assigned: the sum of its facets' image bits must be a vertex
+        mask of ``other``.  The facet map is injective, so that sum is
+        their OR, and distinct vertices have distinct images.
+        ``accept(assignment, f)``, if given, is called right after facet
+        f is assigned and prunes the subtree when it returns False; the
+        bijections yielded are those of the unpruned search that every
+        call accepted, in the same order.
         """
         if (
             self.dim != other.dim
@@ -347,61 +363,58 @@ class SimplePolytope:
             or self.n_vertices != other.n_vertices
         ):
             return
-        prof_p = self._facet_profile()
-        prof_q = other._facet_profile()
-        if sorted(prof_p.values()) != sorted(prof_q.values()):
+        prof_p, inter_p = self._facet_profile()
+        prof_q, inter_q = other._facet_profile()
+        if sorted(prof_p) != sorted(prof_q):
             return
 
-        order = sorted(
-            self.facet_ids,
-            key=lambda f: (
-                sum(1 for g in self.facet_ids if prof_p[g] == prof_p[f]),
-                f,
-            ),
-        )
-        candidates = {
-            f: [g for g in other.facet_ids if prof_q[g] == prof_p[f]] for f in order
-        }
-        q_vertex_sets = set(other.vertex_facets)
-        depth = {f: k for k, f in enumerate(order)}
-        completed: list[list[frozenset[str]]] = [[] for _ in order]
-        for fs in self.vertex_facets:
+        ids_p, ids_q = self.facet_ids, other.facet_ids
+        order = sorted(range(self.n_facets), key=lambda f: (prof_p.count(prof_p[f]), ids_p[f]))
+        candidates = [[g for g, pq in enumerate(prof_q) if pq == prof_p[f]] for f in order]
+        q_vertex_masks = set(other.vertex_masks)
+        depth = [0] * self.n_facets
+        for k, f in enumerate(order):
+            depth[f] = k
+        completed: list[list[list[int]]] = [[] for _ in order]
+        for m in self.vertex_masks:
             # a vertex on no facet is the point of a 0-dimensional
             # polytope, and ``other`` then is that point too
-            if fs:
-                completed[max(depth[f] for f in fs)].append(fs)
+            if m:
+                bits = _set_bits(m)
+                completed[max(depth[f] for f in bits)].append(bits)
 
         assignment: dict[str, str] = {}
-        used: set[str] = set()
+        pairs: list[tuple[int, int]] = []  # the assigned (f, g), in order
+        image = [0] * self.n_facets  # 1 << g for each assigned f
+        used = [False] * self.n_facets
 
         def backtrack(k: int) -> Iterator[dict[str, str]]:
             if k == len(order):
                 yield dict(assignment)
                 return
             f = order[k]
-            fv = self._facet_vertices[f]
-            for g in candidates[f]:
-                if g in used:
+            fid = ids_p[f]
+            row_p = inter_p[f]
+            for g in candidates[k]:
+                if used[g]:
                     continue
-                gv = other._facet_vertices[g]
-                ok = True
-                for f2, g2 in assignment.items():
-                    if len(fv & self._facet_vertices[f2]) != len(
-                        gv & other._facet_vertices[g2]
-                    ):
-                        ok = False
+                row_q = inter_q[g]
+                for f2, g2 in pairs:
+                    if row_p[f2] != row_q[g2]:
                         break
-                if not ok:
-                    continue
-                assignment[f] = g
-                if all(
-                    frozenset(assignment[x] for x in fs) in q_vertex_sets
-                    for fs in completed[k]
-                ) and (accept is None or accept(assignment, f)):
-                    used.add(g)
-                    yield from backtrack(k + 1)
-                    used.discard(g)
-                del assignment[f]
+                else:
+                    image[f] = 1 << g
+                    assignment[fid] = ids_q[g]
+                    if all(
+                        sum(map(image.__getitem__, bits)) in q_vertex_masks
+                        for bits in completed[k]
+                    ) and (accept is None or accept(assignment, fid)):
+                        used[g] = True
+                        pairs.append((f, g))
+                        yield from backtrack(k + 1)
+                        pairs.pop()
+                        used[g] = False
+                    del assignment[fid]
 
         yield from backtrack(0)
 
@@ -418,12 +431,17 @@ class SimplePolytope:
         Entry i is the vertex of ``other`` whose facet set is the image
         of vertex i's.  None when the vertex counts differ, or when some
         image is not a vertex of ``other`` or is the image of two vertices.
+        An image is the sum of its facets' image bits.  A facet sent
+        outside ``other`` adds 0, and two facets sent onto one carry, so
+        either leaves fewer than dim bits set, which no vertex mask has.
         """
         if self.n_vertices != other.n_vertices:
             return None
-        index = {fs: i for i, fs in enumerate(other.vertex_facets)}
+        bit = {fid: 1 << j for j, fid in enumerate(other.facet_ids)}
+        img = {fid: bit.get(fmap.get(fid), 0) for fid in self.facet_ids}
+        index = {m: i for i, m in enumerate(other.vertex_masks)}
         images = tuple(
-            index.get(frozenset(fmap.get(f) for f in fs)) for fs in self.vertex_facets
+            index.get(sum(map(img.__getitem__, fs))) for fs in self.vertex_facets
         )
         if None in images or len(set(images)) != len(images):
             return None
@@ -549,8 +567,7 @@ def truncate(poly: SimplePolytope, cuts: Iterable[tuple[str, Halfspace]]) -> Sim
         for i, (p, fs) in enumerate(zip(points, poly.vertex_facets))
         if all(vs[i] > 0 for _, vs in values)
     ]
-    for edge in poly.edges:
-        i, j = sorted(edge.vertices)
+    for i, j, _ in poly.edge_masks:
         for fid, vs in values:
             vi, vj = vs[i], vs[j]
             if (vi > 0) == (vj > 0):
@@ -559,7 +576,8 @@ def truncate(poly: SimplePolytope, cuts: Iterable[tuple[str, Halfspace]]) -> Sim
                 if ws is not vs and (vi * ws[j] - vj * ws[i]) * (vi - vj) <= 0:
                     raise PolytopeError(f"cut {fid} crosses an edge outside cut {gid}")
             point = tuple(vi * b - vj * a for a, b in zip(points[i], points[j]))
-            ratios.append((point, vi - vj, edge.facets | {fid}))
+            edge_facets = poly.vertex_facets[i] & poly.vertex_facets[j]
+            ratios.append((point, vi - vj, edge_facets | {fid}))
     m = lcm(*(d for _, d, _ in ratios))
     vertices = [(tuple(m // d * x for x in p), fs) for p, d, fs in ratios]
     facets = [(g, poly.facet_tags[g]) for g in poly.facet_ids]

@@ -984,7 +984,7 @@ STEP_CASES = _step_cases()
 def _reference_face_boundaries(cw, lowest_degree):
     poly = cw.polytope
     pos = {fid: i for i, fid in enumerate(poly.facet_ids)}
-    eps = cellular._vertex_signs(poly, pos) if lowest_degree <= 1 else None
+    eps = cellular._vertex_signs(poly) if lowest_degree <= 1 else None
     masks = [sum(1 << pos[s] for s in f.facets) for f in cw.face_list]
     index = {mask: i for i, mask in enumerate(masks)}
     boundaries = {}

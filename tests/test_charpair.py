@@ -518,7 +518,20 @@ class TestTranslationSearch:
 # find_delta_translation as they stood before the search pruned inside
 # the backtrack: every vertex is checked at the leaf, and every bijection
 # is tried, with the assigned-set test and a full matvec per vector.
-# They are kept here unchanged as the reference for the pruned search.
+# They are kept here unchanged as the reference for the pruned search,
+# with _reference_facet_profile the frozenset facet profile of that time.
+
+def _reference_facet_profile(poly):
+    prof = {}
+    for fid in poly.facet_ids:
+        inter = sorted(
+            len(poly.facet_vertices(fid) & poly.facet_vertices(g))
+            for g in poly.facet_ids
+            if g != fid
+        )
+        prof[fid] = (len(poly.facet_vertices(fid)), tuple(inter))
+    return prof
+
 
 def _reference_isomorphisms(self, other):
     if (
@@ -527,8 +540,8 @@ def _reference_isomorphisms(self, other):
         or self.n_vertices != other.n_vertices
     ):
         return
-    prof_p = self._facet_profile()
-    prof_q = other._facet_profile()
+    prof_p = _reference_facet_profile(self)
+    prof_q = _reference_facet_profile(other)
     if sorted(prof_p.values()) != sorted(prof_q.values()):
         return
 

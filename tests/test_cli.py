@@ -680,6 +680,16 @@ class TestOversizedRank:
         path.write_text(json.dumps(data))
         self._assert_ceiling(["oracle", "--in", str(path), "--ring", ring], capsys)
 
+    def test_closed_rp22(self, tmp_path, capsys):
+        """RP^22 has rank 22 = dim: its 2^23 faces were listed before any
+        cell was counted, until a MemoryError traceback; a vertex's 3^22
+        cells now stop it first, with the one error line."""
+        from toric_cobordism.charpair import standard_pair
+
+        path = tmp_path / "rp22.json"
+        path.write_text(json.dumps(standard_pair("real_projective", 22).to_json_dict()))
+        self._assert_ceiling(["oracle", "--in", str(path), "--ring", "z2"], capsys)
+
     def test_family(self, tmp_path, z2_family_file, capsys):
         # n = 40 over the n = 4 polytope: the family's rank n - 1 is 39
         data = read(z2_family_file)
