@@ -126,7 +126,6 @@ class IndexProfile:
     ind: tuple[int, ...]
     pairs: dict[int, tuple[tuple[int, frozenset[int]], ...]]  # j -> ((v, edge), ...)
     old_edges: tuple[frozenset[int], ...]
-    new_edges: tuple[frozenset[int], ...]
 
     def index_counts(self) -> dict[int, int]:
         counts: dict[int, int] = {}
@@ -175,18 +174,16 @@ def vertex_indices(
     indegree = [0] * nv
     old_per_vertex = [0] * nv
     old_inward: list[list[frozenset[int]]] = [[] for _ in range(nv)]
-    old_edges, new_edges = [], []
+    old_edges = []
     for a, b, mask in poly.edge_masks:
         head = a if values[a] > values[b] else b
         indegree[head] += 1
-        e = frozenset((a, b))
         if (mask & original).bit_count() == old_bits:
+            e = frozenset((a, b))
             old_edges.append(e)
             old_inward[head].append(e)
             old_per_vertex[a] += 1
             old_per_vertex[b] += 1
-        else:
-            new_edges.append(e)
 
     if strict:
         bad = [v for v, c in enumerate(old_per_vertex) if c != 1]
@@ -207,7 +204,6 @@ def vertex_indices(
         ind=tuple(indegree),
         pairs={j: tuple(ps) for j, ps in pairs.items()},
         old_edges=tuple(old_edges),
-        new_edges=tuple(new_edges),
     )
 
 

@@ -1,4 +1,5 @@
-"""Simple convex polytopes: simplices, truncations, faces, isomorphism.
+"""Simple convex polytopes: simplices, the truncated simplex Delta_Q written
+down by its combinatorial rule, facets, products, faces, isomorphism.
 
 Polytopes are stored combinatorially (vertex-facet incidence) together
 with the integer image of their rational vertex coordinates, if known.
@@ -49,17 +50,6 @@ def _scale_each(rows) -> tuple[list[tuple[int, ...]], int]:
     """The rows of read entries times the lcm m of their denominators, and m."""
     m = lcm(*(x.denominator for row in rows for x in row))
     return [tuple(m // x.denominator * x.numerator for x in row) for row in rows], m
-
-
-@dataclass(frozen=True)
-class Halfspace:
-    """Constraint <normal, x> >= offset (or == offset as an equality)."""
-
-    normal: Coords
-    offset: Fraction
-
-    def value(self, point: Sequence[Fraction]) -> Fraction:
-        return sum(a * x for a, x in zip(self.normal, point)) - self.offset
 
 
 @dataclass(frozen=True)
@@ -504,24 +494,6 @@ def simplex(n: int) -> SimplePolytope:
     return SimplePolytope(n, facets, vertices)
 
 
-def delta_q_cuts(n: int, r1: Fraction, r2: Fraction) -> tuple[Halfspace, ...]:
-    """The three cuts that truncate the n-simplex (coordinates summing to 1).
-
-    They remove a neighborhood of the face spanned by the first n/2
-    vertices, of the face spanned by the last n/2 vertices, and of the
-    middle vertex A_{n/2}.
-    """
-    half = n // 2
-    return (
-        # sum_{j >= n/2} x_j >= r2   (cuts the first-half face)
-        Halfspace(tuple(Fraction(1 if i >= half else 0) for i in range(n + 1)), r2),
-        # sum_{j <= n/2} x_j >= r2   (cuts the second-half face)
-        Halfspace(tuple(Fraction(1 if i <= half else 0) for i in range(n + 1)), r2),
-        # x_{n/2} <= 1 - r1          (cuts the middle vertex)
-        Halfspace(tuple(Fraction(-1 if i == half else 0) for i in range(n + 1)), r1 - 1),
-    )
-
-
 def check_truncation_parameters(n: int, r1: Fraction, r2: Fraction) -> None:
     if n < 4 or n % 2 != 0:
         raise PolytopeError("truncation requires even dimension n >= 4")
@@ -531,73 +503,40 @@ def check_truncation_parameters(n: int, r1: Fraction, r2: Fraction) -> None:
         )
 
 
-def truncate(poly: SimplePolytope, cuts: Iterable[tuple[str, Halfspace]]) -> SimplePolytope:
-    """Cut a realized simple polytope by every ``(fid, halfspace)`` of ``cuts``.
-
-    The cuts are applied to the parent's edges in one pass.  Vertices
-    with <normal, x> > offset for every cut are kept.  Each edge whose
-    ends lie on opposite sides of a cut's hyperplane gets a new vertex
-    at the exact crossing point, lying on the edge's facets and the new
-    facet ``fid``, tagged "cut".  A vertex exactly on a hyperplane would
-    make the result non-simple and raises PolytopeError.  So does a
-    crossing point that is not strictly inside another cut: the slice
-    of the polytope by a hyperplane is the convex hull of its crossing
-    points, so this alone rules out two cut facets meeting, and every
-    vertex of the result is a kept vertex or a crossing point.
-
-    Each cut is evaluated, times a positive integer, on the integer
-    image X = D x; the crossing point x_i + t (x_j - x_i) with
-    t = v_i / (v_i - v_j) is then (v_i X_j - v_j X_i) / ((v_i - v_j) D),
-    another cut's value there is (v_i w_j - v_j w_i) / (v_i - v_j), and
-    every point is put over their least common multiple.
-    """
-    points = poly.int_coords
-    values = []  # (fid, the cut's value at each vertex)
-    for fid, cut in cuts:
-        scale = lcm(cut.offset.denominator, *(a.denominator for a in cut.normal))
-        normal = [scale // a.denominator * a.numerator for a in cut.normal]
-        offset = scale // cut.offset.denominator * cut.offset.numerator * poly.coord_scale
-        vs = [sum(a * x for a, x in zip(normal, p)) - offset for p in points]
-        if 0 in vs:
-            raise PolytopeError(f"a vertex lies on the hyperplane of cut {fid}")
-        values.append((fid, vs))
-    # (X, d, facets) for each vertex X / (d D) of the result
-    ratios = [
-        (p, 1, fs)
-        for i, (p, fs) in enumerate(zip(points, poly.vertex_facets))
-        if all(vs[i] > 0 for _, vs in values)
-    ]
-    for i, j, _ in poly.edge_masks:
-        for fid, vs in values:
-            vi, vj = vs[i], vs[j]
-            if (vi > 0) == (vj > 0):
-                continue
-            for gid, ws in values:
-                if ws is not vs and (vi * ws[j] - vj * ws[i]) * (vi - vj) <= 0:
-                    raise PolytopeError(f"cut {fid} crosses an edge outside cut {gid}")
-            point = tuple(vi * b - vj * a for a, b in zip(points[i], points[j]))
-            edge_facets = poly.vertex_facets[i] & poly.vertex_facets[j]
-            ratios.append((point, vi - vj, edge_facets | {fid}))
-    m = lcm(*(d for _, d, _ in ratios))
-    vertices = [(tuple(m // d * x for x in p), fs) for p, d, fs in ratios]
-    facets = [(g, poly.facet_tags[g]) for g in poly.facet_ids]
-    facets += [(fid, "cut") for fid, _ in values]
-    return SimplePolytope(poly.dim, facets, vertices, m * poly.coord_scale)
-
-
 def build_delta_Q(
     n: int, r1: Fraction | str = Fraction(1, 6), r2: Fraction | str = Fraction(1, 4)
 ) -> SimplePolytope:
     """The n-dimensional truncated simplex with cut facets p1, p2, p3.
 
-    The three cuts of ``delta_q_cuts`` are applied to ``simplex(n)``
-    in one ``truncate`` pass.  All n+1 original facets survive; the
-    three cut facets are pairwise disjoint.  The combinatorial type does
-    not depend on the choice of valid (r1, r2).
+    The simplex vertices A_0..A_n (coordinates summing to 1) fall into
+    three classes, each cut off by one cut facet: A_0..A_{n/2-1} by p1,
+    A_{n/2} by p3 and A_{n/2+1}..A_n by p2.  Each edge A_iA_j whose ends
+    lie in different classes keeps one vertex next to A_i, at 1 - t in
+    coordinate i and t in coordinate j, where t = r1 for i = n/2 and
+    t = r2 otherwise.  It lies on every d_l with l not in {i, j} and on
+    A_i's cut facet.  These are the 2 (n/2) (n/2 + 2) vertices; all n+1
+    original facets survive and the three cut facets are pairwise
+    disjoint.  The facet sets do not depend on the choice of valid
+    (r1, r2), so neither does the combinatorial type.
     """
     r1, r2 = Fraction(r1), Fraction(r2)
     check_truncation_parameters(n, r1, r2)
-    return truncate(simplex(n), zip(("p1", "p2", "p3"), delta_q_cuts(n, r1, r2)))
+    half = n // 2
+    cut_of = ["p1"] * half + ["p3"] + ["p2"] * half
+    scale = lcm(r1.denominator, r2.denominator)
+    t1, t2 = (scale // r.denominator * r.numerator for r in (r1, r2))
+    originals = [f"d{l}" for l in range(n + 1)]
+    on_all = frozenset(originals)
+    vertices = []
+    for i, cut in enumerate(cut_of):
+        t = t1 if i == half else t2
+        for j, other in enumerate(cut_of):
+            if other != cut:
+                coords = [0] * (n + 1)
+                coords[i], coords[j] = scale - t, t
+                vertices.append((coords, on_all - {originals[i], originals[j]} | {cut}))
+    facets = [(d, "original") for d in originals] + [(p, "cut") for p in ("p1", "p2", "p3")]
+    return SimplePolytope(n, facets, vertices, scale)
 
 
 def facet_polytope(poly: SimplePolytope, fid: str) -> SimplePolytope:

@@ -168,7 +168,6 @@ def _reference_vertex_indices(poly, functional, strict):
         tuple(indegree),
         {j: tuple(ps) for j, ps in pairs.items()},
         tuple(e.vertices for e in edges if is_old(e)),
-        tuple(e.vertices for e in edges if not is_old(e)),
     )
 
 
@@ -189,7 +188,7 @@ class TestVertexIndices:
                         vertex_indices(poly, func, strict=strict)
                     continue
                 prof = vertex_indices(poly, func, strict=strict)
-                assert (prof.ind, prof.pairs, prof.old_edges, prof.new_edges) == expected
+                assert (prof.ind, prof.pairs, prof.old_edges) == expected
 
     def test_simplex_complete_graph(self):
         for n in (2, 3, 4):

@@ -47,10 +47,9 @@ class TestConstruct:
         assert main(["construct", "--k", "1", "--ring", "z"]) == 2
 
     def test_bad_parameters_rejected(self):
-        assert (
-            main(["construct", "--k", "2", "--ring", "z", "--r1", "1/4", "--r2", "1/4"])
-            == 2
-        )
+        # each pair lies on the boundary of 0 < r1 < r2 and r1 + 2 r2 < 1
+        for r1, r2 in (("1/4", "1/4"), ("0", "1/4"), ("1/5", "2/5")):
+            assert main(["construct", "--k", "2", "--ring", "z", "--r1", r1, "--r2", r2]) == 2
 
     def test_deterministic_bytes(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"

@@ -142,7 +142,7 @@ def _reference_vertex_indices(poly, functional, strict):
     nv = poly.n_vertices
     indegree = [0] * nv
     old_inward = [[] for _ in range(nv)]
-    old_edges, new_edges = [], []
+    old_edges = []
     for e in _reference_edges(poly):
         a, b = sorted(e.vertices)
         head = a if values[a] > values[b] else b
@@ -151,8 +151,6 @@ def _reference_vertex_indices(poly, functional, strict):
         if originals == poly.dim - 1:
             old_edges.append(e.vertices)
             old_inward[head].append(e.vertices)
-        else:
-            new_edges.append(e.vertices)
     if strict:
         per_vertex = [0] * nv
         for e in old_edges:
@@ -173,7 +171,6 @@ def _reference_vertex_indices(poly, functional, strict):
         tuple(indegree),
         {j: tuple(ps) for j, ps in pairs.items()},
         tuple(old_edges),
-        tuple(new_edges),
     )
 
 
@@ -364,7 +361,7 @@ class TestVertexIndicesOnMasks:
         expected = _outcome(_reference_vertex_indices, poly, func, strict)
         got = _outcome(functools.partial(vertex_indices, strict=strict), poly, func)
         if isinstance(got, cellular.IndexProfile):
-            got = (got.ind, got.pairs, got.old_edges, got.new_edges)
+            got = (got.ind, got.pairs, got.old_edges)
         assert got == expected, name
         return got
 

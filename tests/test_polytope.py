@@ -17,17 +17,15 @@ from toric_cobordism.cli import main
 from toric_cobordism.family import CUT_FACETS, build_family
 from toric_cobordism.polytope import (
     Face,
-    Halfspace,
     PolytopeError,
     SimplePolytope,
     UnknownFacet,
     build_delta_Q,
-    delta_q_cuts,
     facet_polytope,
     product,
     simplex,
-    truncate,
 )
+from truncation import Halfspace, delta_q_cuts, truncate
 
 
 class TestSimplex:
@@ -168,6 +166,39 @@ class TestTruncate:
     def test_matches_vertex_enumeration(self, n, params):
         text = json.dumps(build_delta_Q(n, *PARAMETERS[params]).to_json_dict(), sort_keys=True)
         assert hashlib.sha256(text.encode()).hexdigest() == ENUMERATED_DIGESTS[params, n]
+
+
+def _admissible_parameters(rng, count):
+    """``count`` seeded (r1, r2) with 0 < r1 < r2 and r1 + 2 r2 < 1."""
+    found = []
+    while len(found) < count:
+        r1, r2 = (Fraction(rng.randint(1, 30), rng.randint(2, 40)) for _ in range(2))
+        if 0 < r1 < r2 and r1 + 2 * r2 < 1:
+            found.append((r1, r2))
+    return found
+
+
+class TestClosedForm:
+    """``build_delta_Q`` writes down what the geometric routes cut out."""
+
+    @pytest.mark.parametrize("n", range(4, 17, 2))
+    def test_matches_truncation_over_a_seeded_sweep(self, n):
+        half = n // 2
+        for r1, r2 in _admissible_parameters(random.Random(22 + n), 4):
+            q = build_delta_Q(n, r1, r2)
+            cuts = list(zip(CUT_FACETS, delta_q_cuts(n, r1, r2)))
+            assert q.to_json_dict() == truncate(simplex(n), cuts).to_json_dict(), (r1, r2)
+            successive = simplex(n)
+            for fid, cut in cuts:
+                successive = _reference_truncate(successive, cut, fid)
+            assert q.to_json_dict() == successive.to_json_dict(), (r1, r2)
+            assert q.n_vertices == 2 * half * (half + 2)
+            old = [
+                e.vertices
+                for e in q.edges
+                if sum(q.facet_tags[f] == "original" for f in e.facets) == n - 1
+            ]
+            assert sorted(v for e in old for v in e) == list(range(q.n_vertices)), (r1, r2)
 
 
 class TestFacetPolytope:
