@@ -7,7 +7,10 @@ coordinate string of the Z and GF(2) family files, with the default and
 with the other truncation parameters.  Homology commands read Z family files written by
 ``construct`` with the default and with the other truncation parameters,
 and GF(2) family files (``construct --ring z2``) with and without
-``--oracle``.
+``--oracle``.  ``oracle`` digests cover the closed n = 8 p1 and p3 covers
+(boundary pairs copied out of the k = 4 GF(2) family file) and the
+``--relative`` complexes of the k = 2..4 GF(2) family files, each on
+``--ring z`` and ``z2``.
 
 Runs under pytest, and also as a plain script for interpreters without
 pytest (``PYTHONPATH=src python tests/test_golden_digests.py``), which
@@ -21,6 +24,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import json
 import os
 import sys
 import tempfile
@@ -34,6 +38,9 @@ CONSTRUCT_KS = (2, 3, 4, 5)
 HOMOLOGY_KS = (2, 3, 4)
 GF2_FAMILY = ("--ring", "z2")
 GF2_HOMOLOGY_KS = (2, 3)
+ORACLE_RINGS = ("z", "z2")
+ORACLE_KS = (2, 3, 4)
+ORACLE_PIECES = ("p1", "p3")
 
 GOLDEN = {
     "certify --kind complex --k 2 --seed 0": "41bab8e2cb6f5c02d7f078981140d074c27fab994a61e875f53b4411fddc1831",
@@ -121,6 +128,16 @@ GOLDEN = {
     "homology z2 k=3 --seed 7 --oracle": "9a5e53336f4cdcda5f8247d2a2b2f95fa1db94bc3f585b996b25bddadfa0de59",
     "homology z2 k=3 --seed 123": "2c3b9e45af5428d3876160a62a23a0a5d46164e3c865fba1dc93f8e854f31933",
     "homology z2 k=3 --seed 123 --oracle": "4fe0d80dfb43f72cc679f54fd4ba376229d442f23163e3b1a86672dda7eac26c",
+    "oracle n8 p1 --ring z": "5e23bb8f7c0309adc43ed76ff61614ce590478e042f8f2cd251adc4b537c56f9",
+    "oracle n8 p1 --ring z2": "bb021f69c810305421f05ee7f239b100d850b68a9983350daee1c015c3db19d8",
+    "oracle n8 p3 --ring z": "08d73710e01ff523613997e1b2a7d47a012392af2f0dc9ab2ade3e0765f7993b",
+    "oracle n8 p3 --ring z2": "27da52546c7329a844daacbc1f5d944d0ad15b8ec3aa566d182b81874b283fee",
+    "oracle z2 k=2 --relative --ring z": "f2693e4689ee730dd1fee85b82ba63b3e8a71a764dea9915d51a9ccaf15a6682",
+    "oracle z2 k=2 --relative --ring z2": "735a69362b19b828c172bd8414c1d5eab407ce7c882ae40bc7919b620066fb61",
+    "oracle z2 k=3 --relative --ring z": "375296f817f78a07d2f2150343fbb21b04f70025c1d7382fcd7c576ff6ab9b8e",
+    "oracle z2 k=3 --relative --ring z2": "b2ec90a6f95ccb632d83978d2b93dd8774366f4c5cf3091034742b71661702f9",
+    "oracle z2 k=4 --relative --ring z": "b76108be2a8a3f9856a74f7a6f42a4d2282cefcd7c71cc61ae875efb9a5aec3b",
+    "oracle z2 k=4 --relative --ring z2": "ca9d4f1b8388eb51aa7807651662cda6cc3e757d2fe85ddb0a6b20151397f46e",
 }
 
 
@@ -172,14 +189,45 @@ def homology_commands() -> list[tuple[str, tuple[str, ...], int]]:
     return z + gf2
 
 
+def oracle_commands() -> list[tuple[str, str, tuple[str, ...]]]:
+    """(command name, input file name, ``oracle`` arguments) for every
+    oracle digest; ``z2-4.json`` is the k = 4 GF(2) family file and
+    ``n8-<piece>.json`` one of its boundary pairs."""
+    closed = [
+        (f"oracle n8 {piece} --ring {ring}", f"n8-{piece}.json", ("--ring", ring))
+        for piece in ORACLE_PIECES
+        for ring in ORACLE_RINGS
+    ]
+    relative = [
+        (f"oracle z2 k={k} --relative --ring {ring}", f"z2-{k}.json", ("--relative", "--ring", ring))
+        for k in ORACLE_KS
+        for ring in ORACLE_RINGS
+    ]
+    return closed + relative
+
+
 def compute_digests() -> dict[str, str]:
     out = {cmd: _digest(cmd.split()) for cmd in certify_commands() + construct_commands()}
     with tempfile.TemporaryDirectory() as tmp:
-        for name, construct_args, k in homology_commands():
-            path = os.path.join(tmp, f"{name.split()[1]}-{k}.json")
+
+        def family_file(kind: str, k: int, construct_args: tuple[str, ...]) -> str:
+            path = os.path.join(tmp, f"{kind}-{k}.json")
             if not os.path.exists(path):
                 _stdout(["construct", "--k", str(k), *construct_args, "--out", path])
+            return path
+
+        for name, construct_args, k in homology_commands():
+            path = family_file(name.split()[1], k, construct_args)
             out[name] = _digest(["homology", "--in", path, *name.split()[3:]])
+        for k in ORACLE_KS:
+            family_file("z2", k, GF2_FAMILY)
+        with open(os.path.join(tmp, "z2-4.json"), encoding="utf-8") as fh:
+            boundary = json.load(fh)["boundary"]
+        for piece in ORACLE_PIECES:
+            with open(os.path.join(tmp, f"n8-{piece}.json"), "w", encoding="utf-8") as fh:
+                json.dump(boundary[piece], fh)
+        for name, infile, args in oracle_commands():
+            out[name] = _digest(["oracle", "--in", os.path.join(tmp, infile), *args])
     return out
 
 
