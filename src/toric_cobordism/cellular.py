@@ -5,8 +5,11 @@ table comes from counting vertex indices of a generic linear functional
 on the truncated simplex.  The involution-side spaces are built
 outright as finite regular CW complexes (one cell per coset and face)
 whose chain complexes are handed to exact Smith normal form or GF(2)
-rank computations.  ``chain_complex`` steps each boundary entry's
-coset into its subface's by the one vector the subface's group adds.
+rank computations.  A face is the polytope's (dim, facet mask, vertex
+mask) triple, so a subface is found by its facet mask and an isotropy
+group by the facet positions it sets.  ``chain_complex`` steps each
+boundary entry's coset into its subface's by the one vector the
+subface's group adds.
 A complex asked for a few degrees enumerates only the faces and builds
 only the cells and boundaries those degrees read, down to one boundary
 below them, and verifies d o d on every composition it built.  Over
@@ -27,7 +30,7 @@ from typing import Iterable, Optional, Sequence
 
 from .charpair import RING_GF2, RING_Z, CharacteristicFunction, CharacteristicPair
 from .exactalg import gf2_basis, gf2_pack, unit_pivot_elimination
-from .polytope import Face, SimplePolytope
+from .polytope import SimplePolytope, _set_bits
 
 
 class CellularError(ValueError):
@@ -124,8 +127,8 @@ class IndexProfile:
 
     functional: LinearFunctional
     ind: tuple[int, ...]
-    pairs: dict[int, tuple[tuple[int, frozenset[int]], ...]]  # j -> ((v, edge), ...)
-    old_edges: tuple[frozenset[int], ...]
+    pairs: dict[int, tuple[tuple[int, tuple[int, int]], ...]]  # j -> ((v, (a, b)), ...)
+    old_edges: tuple[tuple[int, int], ...]  # (a, b) with a < b
 
     def index_counts(self) -> dict[int, int]:
         counts: dict[int, int] = {}
@@ -159,9 +162,9 @@ def vertex_indices(
     it lies on dim-1 facets tagged original, i.e. it is the trimmed edge
     of a parent simplex edge: its facet mask meets the mask of original
     facets in dim-1 bits.  For j >= 1 the pairs (v, e) collect vertices
-    of index j whose inward edge e is old.  Strict mode insists every
-    vertex lies on exactly one old edge, which holds for the truncated
-    family, so no vertex then contributes two pairs.
+    of index j whose inward edge e = (a, b), a < b, is old.  Strict mode
+    insists every vertex lies on exactly one old edge, which holds for
+    the truncated family, so no vertex then contributes two pairs.
     """
     values = _scaled_values(poly, functional)
     if len(set(values)) != len(values):
@@ -173,13 +176,13 @@ def vertex_indices(
     nv = poly.n_vertices
     indegree = [0] * nv
     old_per_vertex = [0] * nv
-    old_inward: list[list[frozenset[int]]] = [[] for _ in range(nv)]
+    old_inward: list[list[tuple[int, int]]] = [[] for _ in range(nv)]
     old_edges = []
     for a, b, mask in poly.edge_masks:
         head = a if values[a] > values[b] else b
         indegree[head] += 1
         if (mask & original).bit_count() == old_bits:
-            e = frozenset((a, b))
+            e = (a, b)
             old_edges.append(e)
             old_inward[head].append(e)
             old_per_vertex[a] += 1
@@ -192,7 +195,7 @@ def vertex_indices(
                 f"vertices {bad} do not lie on exactly one old edge"
             )
 
-    pairs: dict[int, list[tuple[int, frozenset[int]]]] = {
+    pairs: dict[int, list[tuple[int, tuple[int, int]]]] = {
         j: [] for j in range(1, poly.dim + 1)
     }
     for v in range(nv):
@@ -267,15 +270,16 @@ class QuotientCWComplex:
     """Cells (coset, face) of a quotient of group x polytope.
 
     Identifications act only on the group coordinate, so every closed
-    cell embeds and the incidence numbers are the polytope's own.
+    cell embeds and the incidence numbers are the polytope's own.  The
+    faces are the polytope's (dim, facet mask, vertex mask) triples
+    that the complex keeps, in the order of ``SimplePolytope.faces``.
     """
 
     polytope: SimplePolytope
     group_rank: int
     cells: tuple[tuple[tuple[int, int], ...], ...]  # per dim: (face_index, coset)
-    face_list: tuple[Face, ...]
+    face_list: tuple[tuple[int, int, int], ...]  # (dim, facet mask, vertex mask)
     face_basis: tuple[tuple[int, ...], ...]  # XOR basis of G_F per face, ascending keys
-    relative_to: frozenset[str]
     min_dim: int = 0  # cells below this dimension are not built
 
     def cell_counts(self) -> tuple[int, ...]:
@@ -287,18 +291,18 @@ class QuotientCWComplex:
         return sum((-1) ** d * len(c) for d, c in enumerate(self.cells))
 
 
-def _cell_floor(poly: SimplePolytope, rank: int, excluded: frozenset[str], min_dim: int) -> int:
+def _cell_floor(poly: SimplePolytope, rank: int, excluded: int, min_dim: int) -> int:
     """A lower bound on the cells of a quotient complex, from one vertex.
 
     The kept faces through a vertex v are cut out by the subsets S of
-    its m_v facets outside ``excluded`` with |S| <= dim - min_dim, and
-    each carries at least 2^(rank - |S|) cells, since rank G_S <= |S|
-    even on an invalid pair.  The bound is the largest such sum.
+    its m_v facets outside the facet mask ``excluded`` with
+    |S| <= dim - min_dim, and each carries at least 2^(rank - |S|)
+    cells, since rank G_S <= |S| even on an invalid pair.  The bound is
+    the largest such sum.
     """
-    kept = sum(1 << j for j, fid in enumerate(poly.facet_ids) if fid not in excluded)
     return max(
         sum(comb(m, c) << max(0, rank - c) for c in range(min(m, poly.dim - min_dim) + 1))
-        for m in {(mask & kept).bit_count() for mask in poly.vertex_masks}
+        for m in {(mask & ~excluded).bit_count() for mask in poly.vertex_masks}
     )
 
 
@@ -311,21 +315,23 @@ def build_quotient_complex(
     """Cells of the GF(2) quotient space, optionally relative.
 
     The isotropy subgroup of a face is spanned by the vectors of its
-    assigned facets.  With ``boundary_facets`` given, faces contained in
-    any of them are dropped, which computes the pair relative to that
-    part of the boundary.  Faces below ``min_dim`` are never enumerated
-    (``poly.faces_down_to``); the kept faces keep their order, so every
-    cell keeps its position in its dimension.  The cells are counted
-    before any is built, and a count above ``ORACLE_MAX_CELLS`` raises;
-    so does the lower bound ``_cell_floor``, checked before any face is
-    listed.  A representative is reduced iff it has no bit at a key of
-    its face's basis, whose keys are distinct low bits, so that test
-    guards them.
+    assigned facets, packed once per facet position and read off the
+    face's facet mask.  With ``boundary_facets`` given, faces whose facet
+    mask meets theirs are dropped, which computes the pair relative to
+    that part of the boundary.  Faces below ``min_dim`` are never
+    enumerated (``poly.faces_down_to``); the kept faces keep their
+    order, so every cell keeps its position in its dimension.  The
+    cells are counted before any is built, and a count above
+    ``ORACLE_MAX_CELLS`` raises; so does the lower bound ``_cell_floor``,
+    checked before any face is listed.  A representative is reduced iff
+    it has no bit at a key of its face's basis, whose keys are distinct
+    low bits, so that test guards them.
     """
     if beta.ring != RING_GF2:
         raise CellularError("quotient complexes are built from GF(2) data")
     rank = beta.rank
-    excluded = frozenset(boundary_facets)
+    boundary = set(boundary_facets)
+    excluded = sum(1 << j for j, fid in enumerate(poly.facet_ids) if fid in boundary)
     floor = _cell_floor(poly, rank, excluded, min_dim)
     if floor > ORACLE_MAX_CELLS:
         raise CellularError(
@@ -333,11 +339,9 @@ def build_quotient_complex(
             f" more than the ceiling {ORACLE_MAX_CELLS}"
         )
     source = poly.faces if min_dim <= 0 else poly.faces_down_to(min_dim)
-    faces = [f for f in source if not (f.facets & excluded)]
-    packed = {fid: gf2_pack(v) for fid, v in beta.vectors.items()}
-    keyed_bases = [
-        gf2_basis(packed[fid] for fid in sorted(f.facets) if fid in packed) for f in faces
-    ]
+    faces = [f for f in source if not f[1] & excluded]
+    packed = [gf2_pack(beta.vectors.get(fid, ())) for fid in poly.facet_ids]
+    keyed_bases = [gf2_basis(map(packed.__getitem__, _set_bits(fm))) for _, fm, _ in faces]
     count = sum(1 << (rank - len(keyed)) for keyed in keyed_bases)
     if count > ORACLE_MAX_CELLS:
         raise CellularError(
@@ -345,7 +349,7 @@ def build_quotient_complex(
         )
     face_basis = []
     by_dim: list[list[tuple[int, int]]] = [[] for _ in range(poly.dim + 1)]
-    for idx, (f, keyed) in enumerate(zip(faces, keyed_bases)):
+    for idx, ((dim, _, _), keyed) in enumerate(zip(faces, keyed_bases)):
         basis = tuple(keyed[c] for c in sorted(keyed))
         face_basis.append(basis)
         # the representatives are the g with zero bits at the keys, ascending
@@ -356,14 +360,13 @@ def build_quotient_complex(
         keys = sum(b & -b for b in basis)
         if any(g & keys for g in reps):
             raise ConsistencyError("a coset representative is not reduced")
-        by_dim[f.dim] += [(idx, g) for g in reps]
+        by_dim[dim] += [(idx, g) for g in reps]
     return QuotientCWComplex(
         polytope=poly,
         group_rank=rank,
         cells=tuple(tuple(c) for c in by_dim),
         face_list=tuple(faces),
         face_basis=tuple(face_basis),
-        relative_to=excluded,
         min_dim=min_dim,
     )
 
@@ -459,8 +462,10 @@ def chain_complex(cw: QuotientCWComplex, ring: str = RING_Z) -> ChainComplex:
     Cell boundaries carry the polytope's incidence numbers, read off the
     facet order; the vertex signs come from the whole polytope, whose
     vertices the complex may drop, and subfaces a relative complex drops
-    are skipped.  The group coordinate steps by one vector: a subface
-    F_{S+j} has G_{S+j} = G_S + <lambda_j>, so its keys are the face's
+    are skipped.  A subface is found by its facet mask, and an edge's
+    vertex is the one bit of its subface's vertex mask.  The group
+    coordinate steps by one vector: a subface F_{S+j} has
+    G_{S+j} = G_S + <lambda_j>, so its keys are the face's
     and at most one more, and r, the subface's vector at that key reduced
     by the face's basis, is the one vector it adds (0 when it adds none).
     A coset g reduced in the face lies in the subface's coset
@@ -477,25 +482,22 @@ def chain_complex(cw: QuotientCWComplex, ring: str = RING_Z) -> ChainComplex:
     poly = cw.polytope
     rank = cw.group_rank
     lowest = cw.min_dim + 1 if cw.min_dim else 0
-    pos = {fid: i for i, fid in enumerate(poly.facet_ids)}
     eps = _vertex_signs(poly) if lowest <= 1 else None
-    masks = [sum(1 << pos[s] for s in f.facets) for f in cw.face_list]
-    index = {mask: i for i, mask in enumerate(masks)}
+    index = {mask: i for i, (_, mask, _) in enumerate(cw.face_list)}
     bases = cw.face_basis
     keys = [sum(b & -b for b in basis) for basis in bases]
     # face index -> [(subface index << rank, low bit of r, r, entry)]
     steps: dict[int, list[tuple[int, int, int, int]]] = {}
-    for fi, (face, mask) in enumerate(zip(cw.face_list, masks)):
-        if face.dim < max(1, lowest):
+    for fi, (dim, mask, _) in enumerate(cw.face_list):
+        if dim < max(1, lowest):
             continue
         steps[fi] = subs = []
         for j in range(poly.n_facets):
             if mask >> j & 1 or (gi := index.get(mask | 1 << j)) is None:
                 continue
             sign = _sign(mask, j)
-            if face.dim == 1:
-                (v,) = cw.face_list[gi].vertices
-                sign *= eps[v]
+            if dim == 1:
+                sign *= eps[cw.face_list[gi][2].bit_length() - 1]
             new, r = keys[gi] ^ keys[fi], 0
             if new:
                 for b in bases[gi]:

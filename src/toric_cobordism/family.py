@@ -438,7 +438,8 @@ def glue_certificate(
     if kind not in ("complex", "real"):
         raise InvalidKind(f"unknown kind {kind!r}")
     n = 2 * k
-    if kind == "real" and n % 4 != 2:
+    # a k below 2 is left to build_family, which names k
+    if kind == "real" and k >= 2 and n % 4 != 2:
         raise InvalidKind(
             "real certificates need n = 2k congruent to 2 mod 4; the total"
             " space is nonorientable when 4 divides n"

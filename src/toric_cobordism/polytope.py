@@ -3,17 +3,19 @@ down by its combinatorial rule, facets, products, faces, isomorphism.
 
 Polytopes are stored combinatorially (vertex-facet incidence) together
 with the integer image of their rational vertex coordinates, if known.
-Edges, the isomorphism search and induced vertex maps work on integer
-masks of the incidences, computed on first use and cached.  Vertices
-are kept in a canonical order (lexicographic by coordinates, falling
-back to sorted facet labels) so that repeated constructions are
+Faces, edges, the isomorphism search and induced vertex maps work on
+integer masks of the incidences, computed on first use and cached: a
+face is a (dim, facet mask, vertex mask) triple and an edge an
+(a, b, facet mask) triple, where bit j of a facet mask is
+``facet_ids[j]`` and bit v of a vertex mask is vertex v.  Vertices are
+kept in a canonical order (lexicographic by coordinates, falling back
+to sorted facet labels) so that repeated constructions are
 bit-identical.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, combinations
@@ -50,15 +52,6 @@ def _scale_each(rows) -> tuple[list[tuple[int, ...]], int]:
     """The rows of read entries times the lcm m of their denominators, and m."""
     m = lcm(*(x.denominator for row in rows for x in row))
     return [tuple(m // x.denominator * x.numerator for x in row) for row in rows], m
-
-
-@dataclass(frozen=True)
-class Face:
-    """A face given by its defining facet set and its vertex set."""
-
-    dim: int
-    facets: frozenset[str]
-    vertices: frozenset[int]
 
 
 def _set_bits(mask: int) -> list[int]:
@@ -242,38 +235,40 @@ class SimplePolytope:
     # -- faces -------------------------------------------------------------
 
     @cached_property
-    def faces(self) -> tuple[Face, ...]:
+    def faces(self) -> tuple[tuple[int, int, int], ...]:
         """Every nonempty face, including vertices and the polytope itself:
         ``faces_down_to(0)``, computed once."""
         return self.faces_down_to(0)
 
-    def faces_down_to(self, min_dim: int) -> tuple[Face, ...]:
-        """The nonempty faces of dimension at least ``min_dim``, in the
-        order of ``faces``: by dimension, then by sorted vertex set.
+    def faces_down_to(self, min_dim: int) -> tuple[tuple[int, int, int], ...]:
+        """The nonempty faces of dimension at least ``min_dim`` as
+        (dim, facet mask, vertex mask) triples, in the order of ``faces``:
+        by dimension, then by ascending vertex list.  The facet mask holds
+        the facets containing the face, so the polytope itself has 0.
 
         In a simple polytope the faces of dimension dim - k through a
         vertex v correspond to the k-subsets of the dim facets at v, so
         enumerating the subsets of size at most dim - min_dim per vertex
-        and deduplicating by vertex set is exhaustive.  Nothing is cached.
+        and deduplicating by vertex mask is exhaustive.  Nothing is cached.
         """
-        masks = dict(zip(self.facet_ids, self.facet_vertex_masks))
+        fmasks = self.facet_vertex_masks
         all_mask = (1 << self.n_vertices) - 1
-        found: dict[int, Face] = {}
+        found: dict[int, tuple[int, int]] = {}  # vertex mask -> (dim, facet mask)
         if min_dim <= self.dim:
-            found[all_mask] = Face(self.dim, frozenset(), frozenset(range(self.n_vertices)))
-        for fs in self.vertex_facets:
-            flist = sorted(fs)
+            found[all_mask] = (self.dim, 0)
+        for vm in self.vertex_masks:
+            bits = _set_bits(vm)
             for k in range(1, self.dim - min_dim + 1):
-                for sub in combinations(flist, k):
+                for sub in combinations(bits, k):
                     m = all_mask
-                    for fid in sub:
-                        m &= masks[fid]
+                    for j in sub:
+                        m &= fmasks[j]
                     if m not in found:
-                        found[m] = Face(self.dim - k, frozenset(sub), frozenset(_set_bits(m)))
+                        found[m] = (self.dim - k, sum(map((1).__lshift__, sub)))
         return tuple(
             sorted(
-                found.values(),
-                key=lambda f: (f.dim, tuple(sorted(f.vertices))),
+                ((dim, fm, vm) for vm, (dim, fm) in found.items()),
+                key=lambda f: (f[0], _set_bits(f[2])),
             )
         )
 
@@ -296,17 +291,11 @@ class SimplePolytope:
             raise PolytopeError("edge with vertex count != 2")
         return tuple(sorted((a, b, key) for key, (a, b) in found.items()))
 
-    @cached_property
-    def edges(self) -> tuple[Face, ...]:
-        """The 1-faces of ``edge_masks``, in its order, as ``Face``s."""
-        vf = self.vertex_facets
-        return tuple(Face(1, vf[a] & vf[b], frozenset((a, b))) for a, b, _ in self.edge_masks)
-
     def f_vector(self) -> tuple[int, ...]:
         counts = [0] * self.dim
-        for f in self.faces:
-            if f.dim < self.dim:
-                counts[f.dim] += 1
+        for dim, _, _ in self.faces:
+            if dim < self.dim:
+                counts[dim] += 1
         return tuple(counts)
 
     def euler_ok(self) -> bool:

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from facesets import edge_sets, face_sets, profile_sets
 from toric_cobordism import cellular
 from toric_cobordism.cellular import (
     CellularError,
@@ -145,7 +146,7 @@ def _reference_vertex_indices(poly, functional, strict):
     values = [functional.value(c) for c in poly.vertex_coords]
     if len(set(values)) != len(values):
         raise TieError("functional does not distinguish the vertices")
-    edges = poly.edges
+    edges = edge_sets(poly)
     indegree = [0] * poly.n_vertices
     inward = [[] for _ in range(poly.n_vertices)]
     for e in edges:
@@ -188,7 +189,7 @@ class TestVertexIndices:
                         vertex_indices(poly, func, strict=strict)
                     continue
                 prof = vertex_indices(poly, func, strict=strict)
-                assert (prof.ind, prof.pairs, prof.old_edges) == expected
+                assert profile_sets(prof) == expected
 
     def test_simplex_complete_graph(self):
         for n in (2, 3, 4):
@@ -274,7 +275,7 @@ class TestQuotientComplex:
         from toric_cobordism.exactalg import gf2_rank
 
         expect = [0] * (fam.n + 1)
-        for face in fam.polytope.faces:
+        for face in face_sets(fam.polytope, fam.polytope.faces):
             vecs = [
                 fam.pair.chi.vectors[f]
                 for f in face.facets
@@ -287,7 +288,7 @@ class TestQuotientComplex:
     def test_relative_drops_boundary_faces(self):
         fam = build_family(2, "GF2")
         cw = build_quotient_complex(fam.polytope, fam.pair.chi, ("p1", "p2", "p3"))
-        for face in cw.face_list:
+        for face in face_sets(fam.polytope, cw.face_list):
             assert not (face.facets & {"p1", "p2", "p3"})
 
 
@@ -665,7 +666,7 @@ class TestCosetRepresentatives:
                 for fi, g in d:
                     reps.setdefault(fi, []).append(g)
             assert len(cw.face_list) == len(pair.polytope.faces)
-            for fi, face in enumerate(cw.face_list):
+            for fi, face in enumerate(face_sets(pair.polytope, cw.face_list)):
                 old = _reference_echelon(
                     sum(bit << i for i, bit in enumerate(pair.chi.vectors[fid]))
                     for fid in sorted(face.facets)
@@ -984,10 +985,11 @@ def _reference_face_boundaries(cw, lowest_degree):
     poly = cw.polytope
     pos = {fid: i for i, fid in enumerate(poly.facet_ids)}
     eps = cellular._vertex_signs(poly) if lowest_degree <= 1 else None
-    masks = [sum(1 << pos[s] for s in f.facets) for f in cw.face_list]
+    faces = face_sets(poly, cw.face_list)
+    masks = [sum(1 << pos[s] for s in f.facets) for f in faces]
     index = {mask: i for i, mask in enumerate(masks)}
     boundaries = {}
-    for fi, (face, mask) in enumerate(zip(cw.face_list, masks)):
+    for fi, (face, mask) in enumerate(zip(faces, masks)):
         if face.dim < max(1, lowest_degree):
             continue
         subs = []
@@ -996,7 +998,7 @@ def _reference_face_boundaries(cw, lowest_degree):
                 continue
             s = cellular._sign(mask, j)
             if face.dim == 1:
-                (v,) = cw.face_list[gi].vertices
+                (v,) = faces[gi].vertices
                 s *= eps[v]
             subs.append((gi, s))
         boundaries[fi] = subs
@@ -1052,7 +1054,7 @@ class TestSteppedCoset:
     def test_subgroup_not_one_vector_larger_is_caught(self):
         """A vertex whose planted group lacks its edge's vectors."""
         cw = _quotient(_family(4).boundary["p1"], False, 0)
-        bases = [() if face.dim == 0 else b for face, b in zip(cw.face_list, cw.face_basis)]
+        bases = [() if dim == 0 else b for (dim, _, _), b in zip(cw.face_list, cw.face_basis)]
         planted = dataclasses.replace(cw, face_basis=tuple(bases))
         with pytest.raises(ConsistencyError, match="plus one vector"):
             chain_complex(planted, "GF2")

@@ -43,8 +43,18 @@ class TestConstruct:
         z2 = read(out2)["vectors"]
         assert z2 == {fid: [x % 2 for x in v] for fid, v in z.items()}
 
-    def test_k1_rejected(self, capsys):
-        assert main(["construct", "--k", "1", "--ring", "z"]) == 2
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["construct", "--k", "1", "--ring", "z"],
+            # k is checked before the real kind's rule that n = 2k is 2 mod 4
+            *(["certify", "--k", k, "--kind", "real"] for k in ("-2", "-1", "0", "1")),
+        ],
+        ids=["construct-k1", "certify-real-k-2", "certify-real-k-1", "certify-real-k0", "certify-real-k1"],
+    )
+    def test_k1_rejected(self, argv, capsys):
+        assert main(argv) == 2
+        assert "k must be at least 2" in capsys.readouterr().err
 
     def test_bad_parameters_rejected(self):
         # each pair lies on the boundary of 0 < r1 < r2 and r1 + 2 r2 < 1

@@ -4,7 +4,8 @@ Each ``_reference_*`` function below is the frozenset implementation as
 it stood before edges, isomorphisms, vertex maps, vertex indices and
 vertex signs were read off ``vertex_masks`` and ``facet_vertex_masks``.
 They run on the k = 2..6 families over both rings, their boundary
-pieces, and the polytopes of ``test_polytope._edge_cases``.
+pieces, and the polytopes of ``test_polytope._edge_cases``.  Edges and
+index pairs are compared as id and vertex sets, decoded by ``facesets``.
 """
 
 import functools
@@ -13,6 +14,7 @@ from itertools import islice
 
 import pytest
 
+from facesets import FaceSets, edge_sets, profile_sets
 from test_polytope import _edge_cases
 from toric_cobordism import cellular
 from toric_cobordism.cellular import (
@@ -25,7 +27,7 @@ from toric_cobordism.cellular import (
 )
 from toric_cobordism.charpair import standard_pair
 from toric_cobordism.family import build_family
-from toric_cobordism.polytope import Face, PolytopeError, SimplePolytope, product, simplex
+from toric_cobordism.polytope import PolytopeError, SimplePolytope, product, simplex
 
 # bijections compared per search; the largest searches have ~10^6
 CAP = 12
@@ -61,7 +63,7 @@ def _reference_edges(poly):
     if any(len(vs) != 2 for vs in found.values()):
         raise PolytopeError("edge with vertex count != 2")
     return tuple(
-        Face(1, key, frozenset(vs)) for key, vs in sorted(found.items(), key=lambda kv: kv[1])
+        FaceSets(1, key, frozenset(vs)) for key, vs in sorted(found.items(), key=lambda kv: kv[1])
     )
 
 
@@ -279,15 +281,15 @@ class TestMasks:
 
     def test_not_computed_on_construction(self):
         poly = build_family(3, "Z").polytope
-        for attr in ("vertex_masks", "facet_vertex_masks", "edge_masks", "edges"):
+        for attr in ("vertex_masks", "facet_vertex_masks", "edge_masks", "faces"):
             assert attr not in vars(poly)
 
     def test_edges_order_and_contents(self):
         for name, poly in _cases().items():
-            assert poly.edges == _reference_edges(poly), name
+            assert edge_sets(poly) == _reference_edges(poly), name
             vm = poly.vertex_masks
             assert [(a, b) for a, b, _ in poly.edge_masks] == [
-                tuple(sorted(e.vertices)) for e in poly.edges
+                tuple(sorted(e.vertices)) for e in _reference_edges(poly)
             ], name
             assert all(mask == vm[a] & vm[b] for a, b, mask in poly.edge_masks), name
 
@@ -311,7 +313,7 @@ class TestMasks:
             with pytest.raises(PolytopeError, match="vertex count != 2"):
                 _reference_edges(bad)
             with pytest.raises(PolytopeError, match="vertex count != 2"):
-                bad.edges
+                bad.edge_masks
             planted += 1
         assert planted >= 40
 
@@ -361,7 +363,7 @@ class TestVertexIndicesOnMasks:
         expected = _outcome(_reference_vertex_indices, poly, func, strict)
         got = _outcome(functools.partial(vertex_indices, strict=strict), poly, func)
         if isinstance(got, cellular.IndexProfile):
-            got = (got.ind, got.pairs, got.old_edges)
+            got = profile_sets(got)
         assert got == expected, name
         return got
 
@@ -421,13 +423,14 @@ class TestCellFloor:
             pair = standard_pair("real_projective", m)
             cases.append((pair.polytope, pair.chi, ()))
         for poly, chi, excluded in cases:
+            mask = sum(1 << poly.facet_ids.index(fid) for fid in excluded)
             for min_dim in range(poly.dim + 1):
                 cw = cellular.build_quotient_complex(poly, chi, excluded, min_dim)
-                floor = cellular._cell_floor(poly, chi.rank, frozenset(excluded), min_dim)
+                floor = cellular._cell_floor(poly, chi.rank, mask, min_dim)
                 assert 0 < floor <= sum(cw.cell_counts())
 
     def test_closed_projective_space(self):
         # the faces through one vertex of RP^m carry 3^m cells
         for m in (2, 5, 22):
             pair = standard_pair("real_projective", m)
-            assert cellular._cell_floor(pair.polytope, m, frozenset(), 0) == 3 ** m
+            assert cellular._cell_floor(pair.polytope, m, 0, 0) == 3 ** m

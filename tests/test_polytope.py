@@ -16,7 +16,6 @@ from toric_cobordism import charpair, exactalg, family, polytope
 from toric_cobordism.cli import main
 from toric_cobordism.family import CUT_FACETS, build_family
 from toric_cobordism.polytope import (
-    Face,
     PolytopeError,
     SimplePolytope,
     UnknownFacet,
@@ -25,6 +24,7 @@ from toric_cobordism.polytope import (
     product,
     simplex,
 )
+from facesets import FaceSets, edge_sets, face_sets
 from truncation import Halfspace, delta_q_cuts, truncate
 
 
@@ -195,7 +195,7 @@ class TestClosedForm:
             assert q.n_vertices == 2 * half * (half + 2)
             old = [
                 e.vertices
-                for e in q.edges
+                for e in edge_sets(q)
                 if sum(q.facet_tags[f] == "original" for f in e.facets) == n - 1
             ]
             assert sorted(v for e in old for v in e) == list(range(q.n_vertices)), (r1, r2)
@@ -266,9 +266,9 @@ class TestIsomorphism:
         pr = product(simplex(1), simplex(2))
         iso = p1.is_combinatorially_isomorphic(pr)
         assert iso is not None
-        index = {f.vertices: f.dim for f in pr.faces}
+        index = {f.vertices: f.dim for f in face_sets(pr, pr.faces)}
         vertex_map = p1.vertex_map(pr, iso)
-        for face in p1.faces:
+        for face in face_sets(p1, p1.faces):
             image = frozenset(vertex_map[v] for v in face.vertices)
             assert index[image] == face.dim
 
@@ -339,7 +339,7 @@ def _reference_edges(poly):
                 *(poly.facet_vertices(f) for f in sub)
             ) if sub else frozenset(range(poly.n_vertices))
             if verts not in found:
-                found[verts] = Face(1, frozenset(sub), verts)
+                found[verts] = FaceSets(1, frozenset(sub), verts)
     edges = tuple(sorted(found.values(), key=lambda f: tuple(sorted(f.vertices))))
     for e in edges:
         if len(e.vertices) != 2:
@@ -395,13 +395,13 @@ class TestHashedEdges:
         for name, poly in cases.items():
             if poly.dim == 0:
                 # the reference asks for (-1)-subsets there and fails
-                assert poly.edges == (), name
+                assert poly.edge_masks == (), name
                 continue
-            assert poly.edges == _reference_edges(poly), name
+            assert edge_sets(poly) == _reference_edges(poly), name
 
     def test_cached(self):
         q = build_delta_Q(6)
-        assert q.edges is q.edges
+        assert q.edge_masks is q.edge_masks
 
     def test_malformed_polytopes_still_raise(self):
         """Vertex-deleted polytopes whose 1-skeleton breaks raise as before."""
@@ -430,10 +430,10 @@ class TestHashedEdges:
                 expected = _reference_edges(poly)
             except PolytopeError:
                 with pytest.raises(PolytopeError, match="vertex count != 2"):
-                    poly.edges
+                    poly.edge_masks
                 raised += 1
                 continue
-            assert poly.edges == expected
+            assert edge_sets(poly) == expected
             agreed += 1
         assert raised > 50
 
@@ -443,7 +443,7 @@ class TestHashedEdges:
         with pytest.raises(PolytopeError, match="vertex count != 2"):
             _reference_edges(poly)
         with pytest.raises(PolytopeError, match="vertex count != 2"):
-            poly.edges
+            poly.edge_masks
 
 
 def _reference_faces(poly):
@@ -451,7 +451,7 @@ def _reference_faces(poly):
     was read off its mask by testing every vertex bit."""
     masks = {fid: sum(1 << i for i in poly.facet_vertices(fid)) for fid in poly.facet_ids}
     all_mask = (1 << poly.n_vertices) - 1
-    found = {all_mask: Face(poly.dim, frozenset(), frozenset(range(poly.n_vertices)))}
+    found = {all_mask: FaceSets(poly.dim, frozenset(), frozenset(range(poly.n_vertices)))}
     for fs in poly.vertex_facets:
         for k in range(1, poly.dim + 1):
             for sub in combinations(sorted(fs), k):
@@ -459,7 +459,7 @@ def _reference_faces(poly):
                 for fid in sub:
                     m &= masks[fid]
                 if m not in found:
-                    found[m] = Face(
+                    found[m] = FaceSets(
                         poly.dim - k,
                         frozenset(sub),
                         frozenset(j for j in range(poly.n_vertices) if (m >> j) & 1),
@@ -472,14 +472,14 @@ class TestFacesBySetBits:
     def test_family_faces_match_the_full_scan(self, k):
         fam = build_family(k, "Z")
         for poly in (fam.polytope, *(pair.polytope for pair in fam.boundary.values())):
-            assert poly.faces == _reference_faces(poly)
+            assert face_sets(poly, poly.faces) == _reference_faces(poly)
 
     def test_edge_case_faces_match_the_full_scan(self):
         # the full scan takes seconds per polytope above dimension 8
         cases = {name: p for name, p in _edge_cases().items() if p.dim <= 8}
         assert len(cases) > 150
         for name, poly in cases.items():
-            assert poly.faces == _reference_faces(poly), name
+            assert face_sets(poly, poly.faces) == _reference_faces(poly), name
 
 
 class TestFacesDownTo:
@@ -487,7 +487,7 @@ class TestFacesDownTo:
     def _assert_filtered(poly, name=None):
         faces = poly.faces
         for m in range(-1, poly.dim + 2):
-            assert poly.faces_down_to(m) == tuple(f for f in faces if f.dim >= m), (name, m)
+            assert poly.faces_down_to(m) == tuple(f for f in faces if f[0] >= m), (name, m)
 
     @pytest.mark.parametrize("k", [2, 3, 4, 5])
     def test_family_faces(self, k):
@@ -505,8 +505,9 @@ class TestFacesDownTo:
         poly = build_delta_Q(6)
         top = poly.faces_down_to(4)
         assert "faces" not in poly.__dict__
-        assert [f.dim for f in top] == sorted(f.dim for f in top)
-        assert {f.dim for f in top} == {4, 5, 6}
+        dims = [dim for dim, _, _ in top]
+        assert dims == sorted(dims)
+        assert set(dims) == {4, 5, 6}
         assert poly.faces_down_to(7) == ()
 
 
