@@ -318,9 +318,10 @@ def build_quotient_complex(
     assigned facets, packed once per facet position and read off the
     face's facet mask.  With ``boundary_facets`` given, faces whose facet
     mask meets theirs are dropped, which computes the pair relative to
-    that part of the boundary.  Faces below ``min_dim`` are never
-    enumerated (``poly.faces_down_to``); the kept faces keep their
-    order, so every cell keeps its position in its dimension.  The
+    that part of the boundary.  Neither those faces nor the faces below
+    ``min_dim`` are ever enumerated (``poly.faces_down_to`` walks only
+    the facets outside the boundary); the kept faces keep their order,
+    so every cell keeps its position in its dimension.  The
     cells are counted before any is built, and a count above
     ``ORACLE_MAX_CELLS`` raises; so does the lower bound ``_cell_floor``,
     checked before any face is listed.  A representative is reduced iff
@@ -338,8 +339,10 @@ def build_quotient_complex(
             f"the complex would have at least {floor} cells,"
             f" more than the ceiling {ORACLE_MAX_CELLS}"
         )
-    source = poly.faces if min_dim <= 0 else poly.faces_down_to(min_dim)
-    faces = [f for f in source if not f[1] & excluded]
+    if min_dim <= 0 and not excluded:
+        faces = poly.faces
+    else:
+        faces = poly.faces_down_to(min_dim, excluded)
     packed = [gf2_pack(beta.vectors.get(fid, ())) for fid in poly.facet_ids]
     keyed_bases = [gf2_basis(map(packed.__getitem__, _set_bits(fm))) for _, fm, _ in faces]
     count = sum(1 << (rank - len(keyed)) for keyed in keyed_bases)

@@ -25,7 +25,6 @@ from .exactalg import (
     gf2_pack,
     is_direct_summand,
     mat_vec,
-    permutation_sign,
 )
 from .polytope import SimplePolytope, facet_polytope, simplex
 
@@ -133,16 +132,15 @@ class CharacteristicFunction:
 
 @dataclass(frozen=True)
 class CharacteristicPair:
-    """A polytope with a characteristic function and orientation datum.
+    """A polytope with a characteristic function.
 
-    ``vertex_order`` lists vertex indices in the order fixed as the
-    pair's orientation datum; None means the polytope's canonical
-    (lexicographic) order.
+    The pair carries no orientation datum: the sign of a gluing is read
+    off its group automorphism (``orientation_effect``), and the
+    polytope factor is a declared assumption of the certificate.
     """
 
     polytope: SimplePolytope
     chi: CharacteristicFunction
-    vertex_order: Optional[tuple[int, ...]] = None
 
     def __post_init__(self):
         unknown = self.chi.assigned() - set(self.polytope.facet_ids)
@@ -150,9 +148,6 @@ class CharacteristicPair:
             raise MissingVector(
                 f"vectors on unknown facets {sorted(unknown)}"
             )
-        if self.vertex_order is not None:
-            if sorted(self.vertex_order) != list(range(self.polytope.n_vertices)):
-                raise PairError("vertex_order is not a permutation of the vertices")
 
     @property
     def ring(self) -> str:
@@ -160,11 +155,6 @@ class CharacteristicPair:
 
     def is_closed(self) -> bool:
         return self.chi.assigned() == set(self.polytope.facet_ids)
-
-    def order(self) -> tuple[int, ...]:
-        if self.vertex_order is not None:
-            return self.vertex_order
-        return tuple(range(self.polytope.n_vertices))
 
     def to_json_dict(self) -> dict:
         return {
@@ -650,25 +640,17 @@ def find_delta_translation(
     return None
 
 
-def orientation_effect(
-    t: DeltaTranslation,
-    source: CharacteristicPair,
-    target: CharacteristicPair,
-) -> int:
-    """Orientation effect of a translation between Z pairs.
+def orientation_effect(t: DeltaTranslation) -> int:
+    """Orientation effect of a Z translation: the sign of det(delta).
 
-    The sign is det(delta) times the parity of the vertex permutation
-    induced by the facet map, measured against the two pairs' declared
-    vertex-order data.
+    The sign of a gluing (phi, delta) is its polytope factor times
+    det(delta).  The polytope factor is not computed: the certificate
+    declares it orientation preserving, one of its listed assumptions
+    (the ROADMAP item on orientation assumptions would check it).
     """
     if t.ring != RING_Z:
         raise RingMismatch("orientation effect is defined for Z translations")
     d = det_sign(t.delta)
     if d == 0:
         raise SingularDelta("delta is singular")
-
-    vmap = source.polytope.vertex_map(target.polytope, t.facet_map)
-    if vmap is None:
-        raise PairError("facet map does not induce a vertex bijection")
-    tgt_pos = {v: k for k, v in enumerate(target.order())}
-    return d * permutation_sign([tgt_pos[vmap[i]] for i in source.order()])
+    return d

@@ -102,6 +102,8 @@ def cmd_homology(args) -> int:
     fam = _read(args.infile)
     if not isinstance(fam, FamilyDescriptor):
         raise InputError(f"{args.infile} holds a pair, not a family")
+    if args.oracle and fam.ring != RING_GF2:
+        raise InputError("--oracle needs a GF(2) family (construct --ring z2)")
     seed = _seed(args)
     if args.distinguished:
         functional = cellular.distinguished_functional(fam.polytope, fam.n, seed)

@@ -240,16 +240,20 @@ class SimplePolytope:
         ``faces_down_to(0)``, computed once."""
         return self.faces_down_to(0)
 
-    def faces_down_to(self, min_dim: int) -> tuple[tuple[int, int, int], ...]:
-        """The nonempty faces of dimension at least ``min_dim`` as
-        (dim, facet mask, vertex mask) triples, in the order of ``faces``:
-        by dimension, then by ascending vertex list.  The facet mask holds
-        the facets containing the face, so the polytope itself has 0.
+    def faces_down_to(
+        self, min_dim: int, excluded: int = 0
+    ) -> tuple[tuple[int, int, int], ...]:
+        """The nonempty faces of dimension at least ``min_dim`` whose facet
+        mask misses ``excluded``, as (dim, facet mask, vertex mask)
+        triples, in the order of ``faces``: by dimension, then by
+        ascending vertex list.  The facet mask holds the facets
+        containing the face, so the polytope itself has 0.
 
         In a simple polytope the faces of dimension dim - k through a
         vertex v correspond to the k-subsets of the dim facets at v, so
-        enumerating the subsets of size at most dim - min_dim per vertex
-        and deduplicating by vertex mask is exhaustive.  Nothing is cached.
+        enumerating the subsets of size at most dim - min_dim of the
+        facets at v outside ``excluded``, per vertex, and deduplicating by
+        vertex mask is exhaustive.  Nothing is cached.
         """
         fmasks = self.facet_vertex_masks
         all_mask = (1 << self.n_vertices) - 1
@@ -257,7 +261,7 @@ class SimplePolytope:
         if min_dim <= self.dim:
             found[all_mask] = (self.dim, 0)
         for vm in self.vertex_masks:
-            bits = _set_bits(vm)
+            bits = _set_bits(vm & ~excluded)
             for k in range(1, self.dim - min_dim + 1):
                 for sub in combinations(bits, k):
                     m = all_mask

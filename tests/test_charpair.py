@@ -234,7 +234,7 @@ class TestTranslations:
         p = standard_pair("complex_projective", 3)
         t = identity_translation(p)
         assert verify_delta_translation(p, p, t)
-        assert orientation_effect(t, p, p) == 1
+        assert orientation_effect(t) == 1
 
     def test_find_self(self):
         for pair in (RP2, standard_pair("complex_projective", 2)):
@@ -319,21 +319,19 @@ class TestOrientationEffect:
             for i in range(3)
         )
         t = DeltaTranslation("Z", {f_: f_ for f_ in p.polytope.facet_ids}, f)
-        assert orientation_effect(t, p, p) == -1
+        assert orientation_effect(t) == -1
 
     def test_phi_h_for_n4(self):
         fam = build_family(2, "Z")
         from toric_cobordism.family import boundary_translation
 
         t = boundary_translation(fam)
-        assert (
-            orientation_effect(t, fam.boundary["p1"], fam.boundary["p2"]) == -1
-        )
+        assert orientation_effect(t) == -1
 
     def test_gf2_rejected(self):
         t = identity_translation(RP2)
         with pytest.raises(RingMismatch):
-            orientation_effect(t, RP2, RP2)
+            orientation_effect(t)
 
     def test_multiplicative_under_composition(self):
         p = standard_pair("complex_projective", 3)
@@ -343,7 +341,7 @@ class TestOrientationEffect:
         )
         t = DeltaTranslation("Z", {f_: f_ for f_ in p.polytope.facet_ids}, f)
         tt = compose_translations(t, t)
-        assert orientation_effect(tt, p, p) == 1
+        assert orientation_effect(tt) == 1
 
 
 class TestSignClasses:

@@ -128,6 +128,17 @@ class TestHomology:
         assert data["oracle_agrees"] is False
         assert data["euler_identity"]["cells"] == data["euler_identity"]["index_pairs"]
 
+    def test_z_family_oracle_rejected(self, tmp_path, family_file, capsys):
+        """The oracle table is GF(2)-only; on a Z family --oracle is refused,
+        not silently dropped."""
+        out = tmp_path / "h.json"
+        capsys.readouterr()
+        assert main(["homology", "--in", str(family_file), "--oracle", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+        assert "--oracle needs a GF(2) family" in captured.err
+
     @pytest.mark.parametrize("flags", [[], ["--oracle"]])
     def test_coordinate_free_family_rejected(self, tmp_path, flags, capsys):
         fam = tmp_path / "famr.json"

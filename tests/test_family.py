@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from fractions import Fraction
 
@@ -194,6 +195,24 @@ class TestBuildFamily:
         assert back.pair.chi.vectors == fam.pair.chi.vectors
         assert back.to_json_dict() == fam.to_json_dict()
 
+    @pytest.mark.parametrize("ring", ["Z", "GF2"])
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_json_round_trip_keeps_the_boundary_pairs(self, k, ring):
+        """A pair is its polytope and its vectors, with no orientation datum,
+        so the pairs read back equal the built ones field by field."""
+        assert [f.name for f in dataclasses.fields(charpair.CharacteristicPair)] == [
+            "polytope",
+            "chi",
+        ]
+        fam = build_family(k, ring)
+        back = FamilyDescriptor.from_json_dict(fam.to_json_dict())
+        assert sorted(back.boundary) == sorted(fam.boundary) == sorted(CUT_FACETS)
+        for fid, pair in fam.boundary.items():
+            read = back.boundary[fid]
+            assert read.chi == pair.chi, (k, ring, fid)
+            assert read.polytope.to_json_dict() == pair.polytope.to_json_dict(), (k, ring, fid)
+            assert read.polytope.vertex_masks == pair.polytope.vertex_masks, (k, ring, fid)
+
 
 class TestIdentification:
     @pytest.mark.parametrize("k", (2, 3, 4, 5))
@@ -215,7 +234,7 @@ class TestIdentification:
         fam = build_family(k, "Z")
         t, target = gluing_translation(fam)
         assert verify_delta_translation(fam.boundary["p1"], target, t)
-        assert orientation_effect(t, fam.boundary["p1"], target) == -1
+        assert orientation_effect(t) == -1
 
     def test_phi_maps_p1_onto_p2(self):
         fam = build_family(2, "Z")
@@ -271,6 +290,16 @@ class TestCertificates:
         assert cert.gluing["orientation_effect"] == -1
         # the composed automorphism is f h, with determinant -1
         assert det_sign(tuple(tuple(r) for r in cert.gluing["delta"])) == -1
+
+    @pytest.mark.parametrize("k", range(2, 9))
+    def test_complex_orientation_effect_is_det_delta(self, k):
+        """The effect is read off delta alone; the polytope factor is declared."""
+        cert = glue_certificate(k, "complex")
+        assert cert.ok
+        delta = tuple(tuple(r) for r in cert.gluing["delta"])
+        assert cert.gluing["orientation_effect"] == det_sign(delta) == -1
+        assert cert.gluing["orientation_source"] == "computed"
+        assert any("polytope factor" in a for a in cert.assumptions)
 
     def test_real_k3(self):
         cert = glue_certificate(3, "real")

@@ -484,10 +484,12 @@ class TestFacesBySetBits:
 
 class TestFacesDownTo:
     @staticmethod
-    def _assert_filtered(poly, name=None):
+    def _assert_filtered(poly, name=None, excluded=0):
         faces = poly.faces
         for m in range(-1, poly.dim + 2):
-            assert poly.faces_down_to(m) == tuple(f for f in faces if f[0] >= m), (name, m)
+            kept = tuple(f for f in faces if f[0] >= m and not f[1] & excluded)
+            got = poly.faces_down_to(m, excluded) if excluded else poly.faces_down_to(m)
+            assert got == kept, (name, excluded, m)
 
     @pytest.mark.parametrize("k", [2, 3, 4, 5])
     def test_family_faces(self, k):
@@ -500,6 +502,22 @@ class TestFacesDownTo:
         assert len(cases) > 150
         for name, poly in cases.items():
             self._assert_filtered(poly, name)
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_excluded_cut_facets_of_delta_q(self, k):
+        poly = build_family(k, "Z").polytope
+        cuts = sum(1 << poly.facet_ids.index(fid) for fid in CUT_FACETS)
+        self._assert_filtered(poly, k, cuts)
+
+    def test_excluded_random_masks_on_n8_pieces(self):
+        rng = random.Random(24)
+        fam = build_family(4, "Z")
+        for fid in ("p1", "p3"):
+            poly = fam.boundary[fid].polytope
+            for _ in range(12):
+                excluded = rng.getrandbits(poly.n_facets)
+                self._assert_filtered(poly, fid, excluded)
+            self._assert_filtered(poly, fid, (1 << poly.n_facets) - 1)
 
     def test_nothing_is_cached(self):
         poly = build_delta_Q(6)
