@@ -199,45 +199,53 @@ def validate_pairs(pairs: Sequence[CharacteristicPair]) -> list[ValidityReport]:
     direct summand (over Z) or an independent subspace (over GF(2)) of
     rank equal to the number of assigned facets there.  Checking
     vertices suffices: every face contains a vertex, and a subset of a
-    basis again spans a summand.  The pairs share one verdict table
-    keyed by the ring, the rank and the vectors in sorted facet order,
-    so each distinct vector set is tested once across all of them, and
-    two pairs that give the same facet ids different vectors never share
-    a verdict.  A failure is reported at every vertex carrying it.
+    basis again spans a summand.  A vertex is read as its facet mask
+    (``vertex_masks``) restricted to the assigned facets, and each
+    distinct restricted mask of a pair is decided once.  The pairs share
+    one verdict table keyed by the ring, the rank and the vectors in
+    sorted facet order, so each distinct vector set is tested once
+    across all of them, and two pairs that give the same facet ids
+    different vectors never share a verdict.  A failure is reported at
+    every vertex carrying it.
     """
     verdicts: dict[tuple, Optional[str]] = {}
     reports = []
     for pair in pairs:
-        chi = pair.chi
-        assigned = chi.assigned()
+        chi, poly = pair.chi, pair.polytope
+        bit = {fid: 1 << j for j, fid in enumerate(poly.facet_ids)}
+        tagged = [(bit[fid], vec) for fid, vec in sorted(chi.vectors.items())]
+        assigned = sum(b for b, _ in tagged)
+        by_mask: dict[int, Optional[str]] = {0: None}
         failures = []
-        for i, fs in enumerate(pair.polytope.vertex_facets):
-            key = fs & assigned
-            if not key:
-                continue
-            vecs = tuple(chi.vectors[f] for f in sorted(key))
-            shared = (chi.ring, chi.rank, vecs)
-            if shared not in verdicts:
-                verdicts[shared] = _basis_failure(chi, list(vecs))
-            if verdicts[shared]:
-                failures.append((i, verdicts[shared]))
+        for i, mask in enumerate(poly.vertex_masks):
+            key = mask & assigned
+            if key not in by_mask:
+                vecs = tuple(vec for b, vec in tagged if key & b)
+                shared = (chi.ring, chi.rank, vecs)
+                if shared not in verdicts:
+                    verdicts[shared] = _basis_failure(chi, vecs)
+                by_mask[key] = verdicts[shared]
+            if by_mask[key]:
+                failures.append((i, by_mask[key]))
         reports.append(ValidityReport(
             ok=not failures,
-            checked_vertices=pair.polytope.n_vertices,
+            checked_vertices=poly.n_vertices,
             failures=tuple(failures),
         ))
     return reports
 
 
-def _basis_failure(chi: CharacteristicFunction, vecs: list) -> Optional[str]:
+def _basis_failure(chi: CharacteristicFunction, vecs: Sequence) -> Optional[str]:
     """Why ``vecs`` fail the basis condition, or None if they pass."""
     if len(vecs) > chi.rank:
         return f"{len(vecs)} assigned vectors exceed group rank"
     if chi.ring == RING_Z:
-        ok = is_direct_summand(vecs, chi.rank)
-    else:
-        ok = exactalg.gf2_rank(vecs) == len(vecs)
-    return None if ok else "facet vectors at this vertex do not span a direct summand"
+        if is_direct_summand(vecs, chi.rank):
+            return None
+        return "facet vectors at this vertex do not span a direct summand"
+    if len(exactalg.gf2_basis(map(gf2_pack, vecs))) == len(vecs):
+        return None
+    return "facet vectors at this vertex are dependent mod 2"
 
 
 def orientable_small_cover(pair: CharacteristicPair) -> bool:

@@ -418,18 +418,38 @@ def integer_rank(m: Iterable[Iterable[int]]) -> int:
 
 def is_direct_summand(vectors: Sequence[Sequence[int]], ambient_rank: int) -> bool:
     """True iff the vectors span a direct summand of Z^ambient_rank of
-    rank equal to the number of vectors (all invariant factors 1)."""
+    rank equal to the number of vectors (all invariant factors 1).
+
+    A unit vector +-e_c is split off together with coordinate c first:
+    Z^r / <e_c : c in C> is Z^(r-|C|) on the other coordinates, so the
+    span of m vectors is a summand of rank m iff the image of the rest,
+    the core, is a summand of rank m - |C| there.  Two units on one
+    coordinate leave the rank short.  The Smith normal form decides
+    the core with the coordinates C deleted.
+    """
     for v in vectors:
         if len(v) != ambient_rank:
             raise DimensionMismatch(
                 f"vector length {len(v)} != ambient rank {ambient_rank}"
             )
-    if not vectors:
-        return True
     if len(vectors) > ambient_rank:
         return False
-    fs = invariant_factors(vectors)
-    return len(fs) == len(vectors) and all(f == 1 for f in fs)
+    units: set[int] = set()
+    core = []
+    for v in vectors:
+        # one nonzero entry, and it is +-1
+        if v.count(0) == ambient_rank - 1 and (1 in v or -1 in v):
+            c = v.index(1) if 1 in v else v.index(-1)
+            if c in units:
+                return False
+            units.add(c)
+        else:
+            core.append(v)
+    if not core:
+        return True
+    kept = [j for j in range(ambient_rank) if j not in units]
+    fs = invariant_factors([[v[j] for j in kept] for v in core])
+    return len(fs) == len(core) and all(f == 1 for f in fs)
 
 
 # ---------------------------------------------------------------------------

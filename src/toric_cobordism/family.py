@@ -37,6 +37,9 @@ from .exactalg import Gf2Matrix, as_matrix
 from .polytope import SimplePolytope, build_delta_Q, product, simplex
 
 CUT_FACETS = ("p1", "p2", "p3")
+# Most entries Delta_Q's coordinate table may have: 2k(k+2)(2k+1) is
+# 252,642 at k = 39 and 272,160 at k = 40.
+MAX_COORDINATE_ENTRIES = 1 << 18
 
 
 class FamilyError(ValueError):
@@ -228,12 +231,21 @@ def build_family(
     The full pair on the truncated simplex leaves the three cut facets
     unassigned; the boundary pairs are its restrictions.  ``validate``
     checks a pair, and ``glue_certificate`` checks every claim it records.
+    A k whose Delta_Q would have more than ``MAX_COORDINATE_ENTRIES``
+    coordinate entries raises before any vertex is built; time and
+    memory grow about as k^3.
     """
     if k < 2:
         raise FamilyError("k must be at least 2 (n = 2k >= 4)")
     if ring not in (RING_Z, RING_GF2):
         raise FamilyError(f"unknown ring {ring!r}")
     n = 2 * k
+    entries = n * (k + 2) * (n + 1)
+    if entries > MAX_COORDINATE_ENTRIES:
+        raise FamilyError(
+            f"k = {k} needs {entries} coordinate entries, more than the ceiling"
+            f" {MAX_COORDINATE_ENTRIES}"
+        )
     r1, r2 = Fraction(r1), Fraction(r2)
     poly = build_delta_Q(n, r1, r2)
     chi = xi(n) if ring == RING_Z else mu(n)

@@ -509,6 +509,98 @@ class TestTranslationSearch:
         assert find_delta_translation(pair, pair) == identity_translation(pair)
 
 
+# _reference_validate_pairs is the vertex loop of validate_pairs as it
+# stood before it read vertex masks: each vertex's frozenset of facets
+# meets the assigned facets, and every vector set goes whole to the Smith
+# normal form (over Z) or the GF(2) rank.  Kept as the reference for the
+# mask loop and the unit split; the GF(2) message is today's.
+
+def _reference_validate_pairs(pairs):
+    verdicts = {}
+    reports = []
+    for pair in pairs:
+        chi = pair.chi
+        assigned = chi.assigned()
+        failures = []
+        for i, fs in enumerate(pair.polytope.vertex_facets):
+            key = fs & assigned
+            if not key:
+                continue
+            vecs = tuple(chi.vectors[f] for f in sorted(key))
+            shared = (chi.ring, chi.rank, vecs)
+            if shared not in verdicts:
+                verdicts[shared] = _reference_basis_failure(chi, list(vecs))
+            if verdicts[shared]:
+                failures.append((i, verdicts[shared]))
+        reports.append(charpair.ValidityReport(
+            ok=not failures,
+            checked_vertices=pair.polytope.n_vertices,
+            failures=tuple(failures),
+        ))
+    return reports
+
+
+def _reference_basis_failure(chi, vecs):
+    if len(vecs) > chi.rank:
+        return f"{len(vecs)} assigned vectors exceed group rank"
+    if chi.ring == "Z":
+        fs = exactalg.invariant_factors(vecs)
+        if len(fs) == len(vecs) and all(f == 1 for f in fs):
+            return None
+        return "facet vectors at this vertex do not span a direct summand"
+    if exactalg.gf2_rank(vecs) == len(vecs):
+        return None
+    return "facet vectors at this vertex are dependent mod 2"
+
+
+def _certificate_pairs(pair):
+    """A full pair and its restrictions to the three cut facets."""
+    return [pair] + [restrict(pair, fid) for fid in family.CUT_FACETS]
+
+
+class TestValidateMatchesReference:
+    @pytest.mark.parametrize("ring", ["Z", "GF2"])
+    @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+    def test_families(self, k, ring):
+        fam = build_family(k, ring)
+        pairs = [fam.pair] + [fam.boundary[fid] for fid in family.CUT_FACETS]
+        reports = validate_pairs(pairs)
+        assert all(r.ok for r in reports)
+        assert reports == _reference_validate_pairs(pairs)
+
+    def test_single_vector_mutations(self):
+        """One facet's vector replaced by a unit, a multiple of a unit,
+        another facet's vector or a random vector; the restrictions inherit
+        it, so a failure is shared by the full pair and a boundary piece."""
+        rng = random.Random(2510)
+        failed = shared = 0
+        for trial in range(120):
+            k, ring = rng.choice((2, 3, 4)), rng.choice(("Z", "GF2"))
+            base = build_family(k, ring).pair
+            rank = base.chi.rank
+            fid = rng.choice(sorted(base.chi.vectors))
+            kind = rng.choice(("unit", "multiple", "copy", "random"))
+            if kind == "copy":
+                vec = base.chi.vectors[rng.choice(sorted(base.chi.vectors))]
+            else:
+                vec = [0] * rank
+                if kind == "random":
+                    vec = [rng.randint(-2, 2) for _ in range(rank)]
+                else:
+                    vec[rng.randrange(rank)] = 1 if kind == "unit" else rng.choice((2, -3))
+            vectors = dict(base.chi.vectors, **{fid: tuple(vec)})
+            pair = CharacteristicPair(
+                base.polytope, CharacteristicFunction(ring, rank, vectors)
+            )
+            pairs = _certificate_pairs(pair)
+            reports = validate_pairs(pairs)
+            assert reports == _reference_validate_pairs(pairs), (trial, fid, vec)
+            if not reports[0].ok:
+                failed += 1
+                shared += any(not r.ok for r in reports[1:])
+        assert failed >= 40 and shared >= 20, (failed, shared)
+
+
 # -- reference: the unpruned search -------------------------------------------
 #
 # _reference_isomorphisms is SimplePolytope.iter_isomorphisms and

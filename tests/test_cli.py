@@ -721,3 +721,43 @@ class TestOversizedRank:
             self._assert_ceiling(
                 ["oracle", "--in", str(z2_family_file), "--relative", "--ring", ring], capsys
             )
+
+
+class TestOversizedK:
+    """Delta_Q's coordinate table has 2k(k+2)(2k+1) entries, so time and
+    memory grow about as k^3; past the ceiling the command exits 2 before
+    any vertex is built, where it once ended in a MemoryError traceback."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["certify", "--k", "40", "--kind", "complex"],
+            ["construct", "--k", "40"],
+            ["construct", "--k", "40", "--ring", "z2"],
+            ["certify", "--k", "3000", "--kind", "complex"],
+        ],
+        ids=["certify-complex-k40", "construct-k40", "construct-z2-k40", "certify-complex-k3000"],
+    )
+    def test_rejected_at_once(self, argv, capsys):
+        with _time_limit(1, " ".join(argv)):
+            assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: k = {argv[2]} needs ")
+        assert "more than the ceiling 262144" in captured.err
+        assert captured.err.count("\n") == 1
+
+    def test_ceiling_lies_between_k39_and_k40(self, monkeypatch):
+        from toric_cobordism import family
+
+        class Built(Exception):
+            pass
+
+        def build_delta_Q(*args):
+            raise Built
+
+        monkeypatch.setattr(family, "build_delta_Q", build_delta_Q)
+        with pytest.raises(Built):
+            family.build_family(39)
+        with pytest.raises(family.FamilyError, match="k = 40 needs 272160 coordinate entries"):
+            family.build_family(40)

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -115,6 +116,61 @@ class TestDirectSummand:
         vectors = [(1, 0, 0), (0, 0, 1)]
         moved = [tuple(sum(u[i][j] * v[j] for j in range(3)) for i in range(3)) for v in vectors]
         assert is_direct_summand(vectors, 3) == is_direct_summand(moved, 3)
+
+    def test_unit_split_matches_smith_route(self):
+        """Splitting off unit vectors never changes a verdict of the
+        Smith normal form taken over every vector."""
+        rng = random.Random(25)
+        seen = Counter()
+        for _ in range(12_000):
+            r = rng.randint(1, 6)
+            hub = rng.randrange(r)  # a coordinate many vectors meet
+            all_units = rng.random() < 0.2
+            vectors = []
+            for _ in range(rng.randint(0, r + 1)):
+                kind = "unit" if all_units else rng.choice(
+                    ("unit", "unit", "multiple", "zero", "dense", "meets hub")
+                )
+                c = hub if rng.random() < 0.4 else rng.randrange(r)
+                v = [0] * r
+                if kind == "unit":
+                    v[c] = rng.choice((1, -1))
+                elif kind == "multiple":
+                    v[c] = rng.choice((2, -2, 3, -3))
+                elif kind == "dense":
+                    v = [rng.randint(-2, 2) for _ in range(r)]
+                elif kind == "meets hub":
+                    v = [rng.randint(-1, 1) for _ in range(r)]
+                    v[hub] = rng.choice((1, -1, 2))
+                vectors.append(tuple(v))
+            expected = _summand_by_smith(vectors, r)
+            assert is_direct_summand(vectors, r) == expected, (vectors, r)
+            seen[expected] += 1
+            units = [v.index(1) if 1 in v else v.index(-1) for v in vectors if sum(map(abs, v)) == 1]
+            if len(set(units)) < len(units):
+                seen["duplicate unit"] += 1
+            if any(v[c] and sum(map(abs, v)) > 1 for c in units for v in vectors):
+                seen["unit beside a vector nonzero there"] += 1
+            if any(max(map(abs, v)) >= 2 and v.count(0) == r - 1 for v in vectors):
+                seen["multiple of a unit"] += 1
+            if any(not any(v) for v in vectors):
+                seen["zero vector"] += 1
+            if vectors and len(units) == len(vectors):
+                seen["all units"] += 1
+        for case in (True, False, "duplicate unit", "unit beside a vector nonzero there",
+                     "multiple of a unit", "zero vector", "all units"):
+            assert seen[case] >= 200, (case, seen)
+
+
+def _summand_by_smith(vectors, ambient_rank):
+    """``is_direct_summand`` as it stood before unit vectors were split
+    off: the invariant factors of all the vectors at once."""
+    if not vectors:
+        return True
+    if len(vectors) > ambient_rank:
+        return False
+    fs = invariant_factors(vectors)
+    return len(fs) == len(vectors) and all(f == 1 for f in fs)
 
 
 class TestGf2:
