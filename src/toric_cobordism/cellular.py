@@ -100,19 +100,12 @@ def distinguished_functional(poly: SimplePolytope, n: int, seed: int = 0) -> Lin
     the vertices A_0 and A_{n/2 + 1} of the parent simplex, the
     normalization used for the explicit top boundary computation.
     """
-    target_facets = frozenset(
-        f"d{i}" for i in range(n + 1) if i not in (0, n // 2 + 1)
-    ) | {"p2"}
-    target = next(
-        (
-            i
-            for i, fs in enumerate(poly.vertex_facets)
-            if fs == target_facets
-        ),
-        None,
-    )
-    if target is None:
-        raise CellularError("distinguished edge endpoint not found")
+    bit = {fid: 1 << j for j, fid in enumerate(poly.facet_ids)}
+    on = [f"d{i}" for i in range(n + 1) if i not in (0, n // 2 + 1)] + ["p2"]
+    try:
+        target = poly.vertex_masks.index(sum(bit[fid] for fid in on))
+    except (KeyError, ValueError):
+        raise CellularError("distinguished edge endpoint not found") from None
     for attempt in range(10_000):
         func = draw_functional(poly, seed * 10_007 + attempt)
         values = _scaled_values(poly, func)

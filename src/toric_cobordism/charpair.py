@@ -206,7 +206,8 @@ def validate_pairs(pairs: Sequence[CharacteristicPair]) -> list[ValidityReport]:
     sorted facet order, so each distinct vector set is tested once
     across all of them, and two pairs that give the same facet ids
     different vectors never share a verdict.  A failure is reported at
-    every vertex carrying it.
+    every vertex carrying it.  Over GF(2) each vector of a pair is bit
+    packed once.
     """
     verdicts: dict[tuple, Optional[str]] = {}
     reports = []
@@ -214,6 +215,7 @@ def validate_pairs(pairs: Sequence[CharacteristicPair]) -> list[ValidityReport]:
         chi, poly = pair.chi, pair.polytope
         bit = {fid: 1 << j for j, fid in enumerate(poly.facet_ids)}
         tagged = [(bit[fid], vec) for fid, vec in sorted(chi.vectors.items())]
+        packed = {vec: gf2_pack(vec) for _, vec in tagged} if chi.ring == RING_GF2 else None
         assigned = sum(b for b, _ in tagged)
         by_mask: dict[int, Optional[str]] = {0: None}
         failures = []
@@ -223,7 +225,7 @@ def validate_pairs(pairs: Sequence[CharacteristicPair]) -> list[ValidityReport]:
                 vecs = tuple(vec for b, vec in tagged if key & b)
                 shared = (chi.ring, chi.rank, vecs)
                 if shared not in verdicts:
-                    verdicts[shared] = _basis_failure(chi, vecs)
+                    verdicts[shared] = _basis_failure(chi, vecs, packed)
                 by_mask[key] = verdicts[shared]
             if by_mask[key]:
                 failures.append((i, by_mask[key]))
@@ -235,15 +237,18 @@ def validate_pairs(pairs: Sequence[CharacteristicPair]) -> list[ValidityReport]:
     return reports
 
 
-def _basis_failure(chi: CharacteristicFunction, vecs: Sequence) -> Optional[str]:
-    """Why ``vecs`` fail the basis condition, or None if they pass."""
+def _basis_failure(
+    chi: CharacteristicFunction, vecs: Sequence, packed: Optional[dict]
+) -> Optional[str]:
+    """Why ``vecs`` fail the basis condition, or None if they pass;
+    ``packed`` holds each GF(2) vector bit packed."""
     if len(vecs) > chi.rank:
         return f"{len(vecs)} assigned vectors exceed group rank"
     if chi.ring == RING_Z:
         if is_direct_summand(vecs, chi.rank):
             return None
         return "facet vectors at this vertex do not span a direct summand"
-    if len(exactalg.gf2_basis(map(gf2_pack, vecs))) == len(vecs):
+    if len(exactalg.gf2_basis(map(packed.__getitem__, vecs))) == len(vecs):
         return None
     return "facet vectors at this vertex are dependent mod 2"
 

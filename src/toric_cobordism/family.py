@@ -450,11 +450,9 @@ def glue_certificate(
     checks["pair_valid"] = reports[0].ok
     for fid, report in zip(CUT_FACETS, reports[1:]):
         checks[f"boundary_valid_{fid}"] = report.ok
+    on_facet = dict(zip(fam.polytope.facet_ids, fam.polytope.facet_vertex_masks))
     checks["boundary_disjoint"] = all(
-        not (fam.polytope.facet_vertices(a) & fam.polytope.facet_vertices(b))
-        for a in CUT_FACETS
-        for b in CUT_FACETS
-        if a < b
+        not on_facet[a] & on_facet[b] for a in CUT_FACETS for b in CUT_FACETS if a < b
     )
 
     std_name = "complex_projective" if kind == "complex" else "real_projective"

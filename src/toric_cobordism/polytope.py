@@ -1,16 +1,16 @@
 """Simple convex polytopes: simplices, the truncated simplex Delta_Q written
 down by its combinatorial rule, facets, products, faces, isomorphism.
 
-Polytopes are stored combinatorially (vertex-facet incidence) together
-with the integer image of their rational vertex coordinates, if known.
-Faces, edges, the isomorphism search and induced vertex maps work on
-integer masks of the incidences, computed on first use and cached: a
-face is a (dim, facet mask, vertex mask) triple and an edge an
-(a, b, facet mask) triple, where bit j of a facet mask is
-``facet_ids[j]`` and bit v of a vertex mask is vertex v.  Vertices are
-kept in a canonical order (lexicographic by coordinates, falling back
-to sorted facet labels) so that repeated constructions are
-bit-identical.
+A polytope stores its vertex-facet incidence as integer masks, one per
+vertex (bit j is ``facet_ids[j]``) and one per facet (bit v is vertex
+v), with the integer image of its rational vertex coordinates, if
+known.  The public constructor parses facet ids into masks; simplices,
+Delta_Q, facets and products build theirs directly.  Facet sets,
+vertex sets, faces and edges are computed from the masks on first use
+and cached: a face is a (dim, facet mask, vertex mask) triple and an
+edge an (a, b, facet mask) triple.  Vertices are kept in a canonical
+order (lexicographic by coordinates, falling back to sorted facet
+labels) so that repeated constructions are bit-identical.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import chain, combinations
 from math import gcd, lcm
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Collection, Iterator, Optional, Sequence
 
 
 class PolytopeError(ValueError):
@@ -54,6 +54,77 @@ def _scale_each(rows) -> tuple[list[tuple[int, ...]], int]:
     return [tuple(m // x.denominator * x.numerator for x in row) for row in rows], m
 
 
+def _prepare_by_table(bit: dict[str, int], vertices) -> Optional[tuple[list[int], list, int]]:
+    """The vertex masks (``bit`` maps a facet id to its bit), the
+    coordinates times the lcm m of their denominators, and m; None when
+    a vertex is unrealized, names an unknown facet or lists a facet
+    twice, or when anything fails.
+
+    Int and ``Fraction`` coordinates are numbers already.  Otherwise
+    each distinct entry is read and scaled once and every row is mapped
+    through that table; a ``Fraction`` among them (its hash costs more
+    than reading it) sends the rows to ``_read_in_order`` instead.
+    """
+    try:
+        listed = [fids for _, fids in vertices]
+        masks = [sum(map(bit.__getitem__, fids)) for fids in listed]
+        # a repeated id carries into a higher bit, so the mask holds
+        # fewer bits than its list has ids only then
+        if sum(map(int.bit_count, masks)) != sum(map(len, listed)):
+            return None
+        rows = [coords for coords, _ in vertices]
+        if None in rows:
+            return None
+        kinds = set(map(type, chain.from_iterable(rows)))
+        if kinds <= {int}:
+            return masks, list(map(tuple, rows)), 1
+        if kinds <= {int, Fraction}:
+            return masks, *_scale_each(rows)
+        if Fraction in kinds:
+            return None
+        read = {
+            c: c if type(c) is int else _read_coord(c)
+            for c in set(chain.from_iterable(rows))
+        }
+    except (ArithmeticError, LookupError, TypeError, ValueError):
+        # the per-entry route raises what is wrong, in vertex order
+        return None
+    m = lcm(*(q.denominator for q in read.values()))
+    image = {c: m // q.denominator * q.numerator for c, q in read.items()}
+    return masks, [tuple(map(image.__getitem__, row)) for row in rows], m
+
+
+def _read_in_order(bit: dict[str, int], vertices) -> tuple[list[int], list, Optional[int]]:
+    """What ``_prepare_by_table`` gives, read entry by entry (the rows
+    kept as given and m None when a vertex is unrealized), raising the
+    first bad entry or facet: a vertex's coordinates are read before
+    its facets are checked."""
+    masks, rows = [], []
+    for coords, fids in vertices:
+        if coords is not None:
+            coords = tuple(
+                c if type(c) is int or type(c) is Fraction else _read_coord(c) for c in coords
+            )
+        fset = frozenset(fids)
+        unknown = fset - bit.keys()
+        if unknown:
+            raise UnknownFacet(f"vertex references unknown facets {sorted(unknown)}")
+        masks.append(sum(map(bit.__getitem__, fset)))
+        rows.append(coords)
+    if None in rows:
+        return masks, rows, None
+    return masks, *_scale_each(rows)
+
+
+def _label_order(facet_ids: Sequence[str], masks: Sequence[int]) -> list[int]:
+    """The vertex positions sorted by their sorted facet labels, the
+    order of an unrealized polytope."""
+    return sorted(
+        range(len(masks)),
+        key=lambda i: tuple(sorted(map(facet_ids.__getitem__, _set_bits(masks[i])))),
+    )
+
+
 def _set_bits(mask: int) -> list[int]:
     """The positions of the set bits of ``mask``, ascending."""
     bits = []
@@ -64,143 +135,130 @@ def _set_bits(mask: int) -> list[int]:
     return bits
 
 
+def _transpose(rows: Sequence[int], width: int) -> tuple[int, ...]:
+    """The columns of a bit matrix: bit i of entry j is bit j of ``rows[i]``.
+
+    The rows' binary digit strings, last row first, are transposed by
+    ``zip``, so column j reads as an integer with row 0 lowest.
+    """
+    if not rows:
+        return (0,) * width
+    top = 1 << width
+    digits = [bin(r | top)[3:] for r in reversed(rows)]
+    return tuple(int("".join(col), 2) for col in zip(*digits))[::-1]
+
+
 class SimplePolytope:
     """Combinatorial simple polytope with optional rational realization.
 
     ``facets`` is a list of (id, tag) pairs; each vertex is a pair of
     optional coordinates (ints, ``Fraction``s or strings, all divided by
-    ``denominator``) and the set of facet ids containing it.  A realized
-    polytope stores only ``int_coords``, its coordinates times the least
-    common multiple ``coord_scale`` of their denominators, in vertex order.
+    ``denominator``) and the facet ids containing it (an id listed twice
+    counts once).  ``vertex_masks`` and its transpose ``facet_vertex_masks``
+    hold the incidence.  A realized polytope stores only ``int_coords``,
+    its coordinates times the least common multiple ``coord_scale`` of
+    their denominators, in vertex order.
     """
 
     def __init__(
         self,
         dim: int,
         facets: Sequence[tuple[str, str]],
-        vertices: Sequence[tuple[Optional[Sequence[int | Fraction | str]], Iterable[str]]],
+        vertices: Sequence[tuple[Optional[Sequence[int | Fraction | str]], Collection[str]]],
         denominator: int = 1,
     ):
         if not isinstance(dim, int) or isinstance(dim, bool) or dim < 0:
             raise PolytopeError(f"dimension {dim!r} is not a nonnegative integer")
-        self.dim = dim
-        self.facet_ids: tuple[str, ...] = tuple(fid for fid, _ in facets)
-        self.facet_tags: dict[str, str] = {fid: tag for fid, tag in facets}
-        if len(self.facet_tags) != len(self.facet_ids):
+        facet_ids = tuple(fid for fid, _ in facets)
+        facet_tags = {fid: tag for fid, tag in facets}
+        if len(facet_tags) != len(facet_ids):
             raise PolytopeError("duplicate facet ids")
-
-        fsets, rows, m = self._prepare_by_table(vertices) or self._read_in_order(vertices)
-        if not fsets:
+        bit = {fid: 1 << j for j, fid in enumerate(facet_ids)}
+        masks, rows, m = _prepare_by_table(bit, vertices) or _read_in_order(bit, vertices)
+        if not masks:
             raise PolytopeError("a polytope has at least one vertex")
         if len({len(c) for c in rows if c is not None}) > 1:
             raise PolytopeError("vertex coordinate vectors differ in length")
-        self._int_coords: Optional[tuple[tuple[int, ...], ...]] = None
-        self.coord_scale: Optional[int] = None
-        if m is not None:
+        if m is None:
+            order = _label_order(facet_ids, masks)
+            rows = scale = None
+        else:
             order = sorted(range(len(rows)), key=rows.__getitem__)
             if len(set(rows)) != len(rows):
                 raise PolytopeError("two vertices lie at the same point")
-            # the image is over m * denominator; one gcd makes the scale least
+            rows = [rows[i] for i in order]
+            scale = m * denominator
+        self._set_incidence(dim, facet_tags, [masks[i] for i in order], rows, scale)
+
+    def _set_incidence(self, dim, facet_tags, masks, rows, scale) -> None:
+        """The one initializer: the facet ids are the keys of
+        ``facet_tags``, and the vertex masks and the coordinate rows (times
+        ``scale``; None when unrealized) come in vertex order.  One gcd
+        makes the scale least.  Checks that the facet sets are distinct
+        and that the polytope is simple.
+        """
+        self.dim = dim
+        self.facet_ids: tuple[str, ...] = tuple(facet_tags)
+        self.facet_tags: dict[str, str] = facet_tags
+        self._int_coords: Optional[tuple[tuple[int, ...], ...]] = None
+        self.coord_scale: Optional[int] = None
+        if rows is not None:
             distinct = set(chain.from_iterable(rows))
-            g = gcd(m * denominator, *distinct)
+            g = gcd(scale, *distinct)
             if g != 1:
                 image = {x: x // g for x in distinct}
                 rows = [tuple(map(image.__getitem__, c)) for c in rows]
-            self.coord_scale = m * denominator // g
-            self._int_coords = tuple(rows[i] for i in order)
-        else:
-            order = sorted(range(len(fsets)), key=lambda i: tuple(sorted(fsets[i])))
-        self.vertex_facets: tuple[frozenset[str], ...] = tuple(fsets[i] for i in order)
-        if len(set(self.vertex_facets)) != len(self.vertex_facets):
+            self.coord_scale = scale // g
+            self._int_coords = tuple(rows)
+        self.vertex_masks: tuple[int, ...] = tuple(masks)
+        if len(set(masks)) != len(masks):
             raise PolytopeError("two vertices lie on the same facet set")
-
-        filed: dict[str, list[int]] = {fid: [] for fid in self.facet_ids}
-        for i, fs in enumerate(self.vertex_facets):
-            for fid in fs:
-                filed[fid].append(i)
-        self._facet_vertices = {fid: frozenset(vs) for fid, vs in filed.items()}
-        self._check_simple()
-
-    def _prepare_by_table(self, vertices) -> Optional[tuple[list, list[tuple[int, ...]], int]]:
-        """The facet sets, the coordinates times the lcm m of their
-        denominators, and m; None when a vertex is unrealized or names an
-        unknown facet, or when anything fails.
-
-        Int and ``Fraction`` coordinates are numbers already.  Otherwise
-        each distinct entry is read and scaled once and every row is mapped
-        through that table; a ``Fraction`` among them (its hash costs more
-        than reading it) sends the rows to ``_read_in_order`` instead.
-        """
-        try:
-            fsets = [frozenset(fids) for _, fids in vertices]
-            rows = [coords for coords, _ in vertices]
-            if None in rows or frozenset().union(*fsets) - self.facet_tags.keys():
-                return None
-            kinds = set(map(type, chain.from_iterable(rows)))
-            if kinds <= {int}:
-                return fsets, list(map(tuple, rows)), 1
-            if kinds <= {int, Fraction}:
-                return fsets, *_scale_each(rows)
-            if Fraction in kinds:
-                return None
-            read = {
-                c: c if type(c) is int else _read_coord(c)
-                for c in set(chain.from_iterable(rows))
-            }
-        except (ArithmeticError, TypeError, ValueError):
-            # the per-entry route raises what is wrong, in vertex order
-            return None
-        m = lcm(*(q.denominator for q in read.values()))
-        image = {c: m // q.denominator * q.numerator for c, q in read.items()}
-        return fsets, [tuple(map(image.__getitem__, row)) for row in rows], m
-
-    def _read_in_order(self, vertices) -> tuple[list, list, Optional[int]]:
-        """What ``_prepare_by_table`` gives, read entry by entry (the rows
-        kept as given and m None when a vertex is unrealized), raising the
-        first bad entry or facet: a vertex's coordinates are read before
-        its facets are checked."""
-        fsets, rows = [], []
-        for coords, fids in vertices:
-            if coords is not None:
-                coords = tuple(
-                    c if type(c) is int or type(c) is Fraction else _read_coord(c) for c in coords
+        self.facet_vertex_masks: tuple[int, ...] = _transpose(masks, len(facet_tags))
+        for i, m in enumerate(masks):
+            if m.bit_count() != dim:
+                raise NotSimple(f"vertex {i} lies on {m.bit_count()} facets, expected {dim}")
+        for fid, fm in zip(facet_tags, self.facet_vertex_masks):
+            if fm.bit_count() < dim:
+                raise PolytopeError(
+                    f"facet {fid} has {fm.bit_count()} vertices, fewer than dim {dim}"
                 )
-            fset = frozenset(fids)
-            unknown = fset - self.facet_tags.keys()
-            if unknown:
-                raise UnknownFacet(f"vertex references unknown facets {sorted(unknown)}")
-            fsets.append(fset)
-            rows.append(coords)
-        if None in rows:
-            return fsets, rows, None
-        return fsets, *_scale_each(rows)
+
+    @classmethod
+    def _from_masks(cls, *incidence) -> "SimplePolytope":
+        """A polytope stored by ``_set_incidence`` alone."""
+        poly = cls.__new__(cls)
+        poly._set_incidence(*incidence)
+        return poly
 
     # -- basic accessors ---------------------------------------------------
 
     @property
     def n_vertices(self) -> int:
-        return len(self.vertex_facets)
+        return len(self.vertex_masks)
 
     @property
     def n_facets(self) -> int:
         return len(self.facet_ids)
 
-    def facet_vertices(self, fid: str) -> frozenset[int]:
+    @cached_property
+    def vertex_facets(self) -> tuple[frozenset[str], ...]:
+        """Each vertex's facet ids, read off ``vertex_masks``."""
+        ids = self.facet_ids
+        return tuple(frozenset(map(ids.__getitem__, _set_bits(m))) for m in self.vertex_masks)
+
+    def _facet_index(self, fid: str) -> int:
         try:
-            return self._facet_vertices[fid]
-        except KeyError:
+            return self.facet_ids.index(fid)
+        except ValueError:
             raise UnknownFacet(fid) from None
 
     @cached_property
-    def vertex_masks(self) -> tuple[int, ...]:
-        """Bit j of vertex v's mask is set when v lies on facet ``facet_ids[j]``."""
-        bit = {fid: 1 << j for j, fid in enumerate(self.facet_ids)}
-        return tuple(sum(map(bit.__getitem__, fs)) for fs in self.vertex_facets)
+    def _facet_vertex_sets(self) -> tuple[frozenset[int], ...]:
+        return tuple(frozenset(_set_bits(fm)) for fm in self.facet_vertex_masks)
 
-    @cached_property
-    def facet_vertex_masks(self) -> tuple[int, ...]:
-        """Bit v of entry j is set when vertex v lies on facet ``facet_ids[j]``."""
-        return tuple(sum(map((1).__lshift__, self._facet_vertices[fid])) for fid in self.facet_ids)
+    def facet_vertices(self, fid: str) -> frozenset[int]:
+        """The vertices on facet ``fid``, read off ``facet_vertex_masks``."""
+        return self._facet_vertex_sets[self._facet_index(fid)]
 
     def has_coords(self) -> bool:
         return self._int_coords is not None
@@ -218,19 +276,6 @@ class SimplePolytope:
         if self._int_coords is None:
             return (None,) * self.n_vertices
         return tuple(tuple(Fraction(x, self.coord_scale) for x in p) for p in self._int_coords)
-
-    def _check_simple(self) -> None:
-        for i, fs in enumerate(self.vertex_facets):
-            if len(fs) != self.dim:
-                raise NotSimple(
-                    f"vertex {i} lies on {len(fs)} facets, expected {self.dim}"
-                )
-        for fid in self.facet_ids:
-            if len(self._facet_vertices[fid]) < self.dim:
-                raise PolytopeError(
-                    f"facet {fid} has {len(self._facet_vertices[fid])} vertices,"
-                    f" fewer than dim {self.dim}"
-                )
 
     # -- faces -------------------------------------------------------------
 
@@ -254,6 +299,11 @@ class SimplePolytope:
         enumerating the subsets of size at most dim - min_dim of the
         facets at v outside ``excluded``, per vertex, and deduplicating by
         vertex mask is exhaustive.  Nothing is cached.
+
+        Two faces of one dimension are never nested, so their ascending
+        vertex lists first differ at the lowest vertex where their masks
+        differ, and the list holding it comes first: that is descending
+        order of the bit-reversed masks (vertex 0 highest).
         """
         fmasks = self.facet_vertex_masks
         all_mask = (1 << self.n_vertices) - 1
@@ -269,10 +319,11 @@ class SimplePolytope:
                         m &= fmasks[j]
                     if m not in found:
                         found[m] = (self.dim - k, sum(map((1).__lshift__, sub)))
+        top = 1 << self.n_vertices
         return tuple(
             sorted(
                 ((dim, fm, vm) for vm, (dim, fm) in found.items()),
-                key=lambda f: (f[0], _set_bits(f[2])),
+                key=lambda f: (f[0], -int(bin(f[2] | top)[:2:-1], 2)),
             )
         )
 
@@ -412,20 +463,23 @@ class SimplePolytope:
         """The vertex bijection onto ``other`` that the facet map induces.
 
         Entry i is the vertex of ``other`` whose facet set is the image
-        of vertex i's.  None when the vertex counts differ, or when some
-        image is not a vertex of ``other`` or is the image of two vertices.
-        An image is the sum of its facets' image bits.  A facet sent
-        outside ``other`` adds 0, and two facets sent onto one carry, so
-        either leaves fewer than dim bits set, which no vertex mask has.
+        of vertex i's.  None when the vertex counts differ, when a facet
+        is not sent to a facet of ``other``, or when some image is not a
+        vertex of ``other`` or is the image of two vertices.  Row g of
+        the sent incidence is the union of the vertex masks of the facets
+        sent to g, and its transpose is every vertex's image mask at once.
         """
         if self.n_vertices != other.n_vertices:
             return None
-        bit = {fid: 1 << j for j, fid in enumerate(other.facet_ids)}
-        img = {fid: bit.get(fmap.get(fid), 0) for fid in self.facet_ids}
+        position = {fid: g for g, fid in enumerate(other.facet_ids)}
+        sent = [0] * other.n_facets
+        for fid, fm in zip(self.facet_ids, self.facet_vertex_masks):
+            g = position.get(fmap.get(fid))
+            if g is None:
+                return None
+            sent[g] |= fm
         index = {m: i for i, m in enumerate(other.vertex_masks)}
-        images = tuple(
-            index.get(sum(map(img.__getitem__, fs))) for fs in self.vertex_facets
-        )
+        images = tuple(map(index.get, _transpose(sent, self.n_vertices)))
         if None in images or len(set(images)) != len(images):
             return None
         return images
@@ -475,16 +529,16 @@ def simplex(n: int) -> SimplePolytope:
     """The n-simplex with vertices the standard basis of R^{n+1}.
 
     Facet ``d{j}`` is the coordinate hyperplane x_j = 0, the facet not
-    containing vertex A_j.
+    containing vertex A_j.  Sorted by coordinates the vertices run
+    A_n, ..., A_0.
     """
     if n < 1:
         raise PolytopeError("simplex dimension must be >= 1")
-    facets = [(f"d{j}", "original") for j in range(n + 1)]
-    vertices = []
-    for j in range(n + 1):
-        coords = [1 if i == j else 0 for i in range(n + 1)]
-        vertices.append((coords, {f"d{i}" for i in range(n + 1) if i != j}))
-    return SimplePolytope(n, facets, vertices)
+    order = range(n, -1, -1)
+    rows = [tuple(int(i == j) for i in range(n + 1)) for j in order]
+    masks = [(1 << n + 1) - 1 ^ 1 << j for j in order]
+    tags = {f"d{j}": "original" for j in range(n + 1)}
+    return SimplePolytope._from_masks(n, tags, masks, rows, 1)
 
 
 def check_truncation_parameters(n: int, r1: Fraction, r2: Fraction) -> None:
@@ -515,11 +569,10 @@ def build_delta_Q(
     r1, r2 = Fraction(r1), Fraction(r2)
     check_truncation_parameters(n, r1, r2)
     half = n // 2
-    cut_of = ["p1"] * half + ["p3"] + ["p2"] * half
+    # bits n + 1, n + 2 and n + 3 are p1, p2 and p3
+    cut_of = [1 << n + 1] * half + [1 << n + 3] + [1 << n + 2] * half
     scale = lcm(r1.denominator, r2.denominator)
     t1, t2 = (scale // r.denominator * r.numerator for r in (r1, r2))
-    originals = [f"d{l}" for l in range(n + 1)]
-    on_all = frozenset(originals)
     vertices = []
     for i, cut in enumerate(cut_of):
         t = t1 if i == half else t2
@@ -527,43 +580,47 @@ def build_delta_Q(
             if other != cut:
                 coords = [0] * (n + 1)
                 coords[i], coords[j] = scale - t, t
-                vertices.append((coords, on_all - {originals[i], originals[j]} | {cut}))
-    facets = [(d, "original") for d in originals] + [(p, "cut") for p in ("p1", "p2", "p3")]
-    return SimplePolytope(n, facets, vertices, scale)
+                vertices.append((tuple(coords), (1 << n + 1) - 1 ^ 1 << i ^ 1 << j | cut))
+    rows, masks = zip(*sorted(vertices))
+    tags = {f"d{l}": "original" for l in range(n + 1)} | dict.fromkeys(("p1", "p2", "p3"), "cut")
+    return SimplePolytope._from_masks(n, tags, masks, rows, scale)
 
 
 def facet_polytope(poly: SimplePolytope, fid: str) -> SimplePolytope:
     """A facet as an (n-1)-dimensional simple polytope.
 
     Its facets are the nonempty intersections with the other facets of
-    the parent; facet identifiers are preserved.
+    the parent; facet identifiers are preserved.  Its vertices keep the
+    parent's order, still sorted by coordinates, or by labels less the
+    shared ``fid``; their masks drop the bits of ``fid`` and of the
+    facets that miss it.
     """
-    fverts = poly.facet_vertices(fid)
-    child_facets = [
-        (g, poly.facet_tags[g])
-        for g in poly.facet_ids
-        if g != fid and poly.facet_vertices(g) & fverts
-    ]
-    keep = set(g for g, _ in child_facets)
-    points = poly._int_coords or (None,) * poly.n_vertices
-    vertices = [(points[i], (poly.vertex_facets[i] - {fid}) & keep) for i in sorted(fverts)]
-    return SimplePolytope(poly.dim - 1, child_facets, vertices, poly.coord_scale or 1)
+    j = poly._facet_index(fid)
+    fmasks = poly.facet_vertex_masks
+    kept = [g for g, fm in enumerate(fmasks) if g != j and fm & fmasks[j]]
+    dropped = [g for g in reversed(range(poly.n_facets)) if g not in kept]
+    vertices = _set_bits(fmasks[j])
+    masks = []
+    for m in map(poly.vertex_masks.__getitem__, vertices):
+        for g in dropped:
+            m = m & ((1 << g) - 1) | (m >> g + 1) << g
+        masks.append(m)
+    tags = {g: poly.facet_tags[g] for g in map(poly.facet_ids.__getitem__, kept)}
+    rows = None if poly._int_coords is None else [poly._int_coords[v] for v in vertices]
+    return SimplePolytope._from_masks(poly.dim - 1, tags, masks, rows, poly.coord_scale)
 
 
 def product(p: SimplePolytope, q: SimplePolytope) -> SimplePolytope:
-    """Product polytope; facets are facet x Q and P x facet."""
-    facets = [(f"L.{fid}", p.facet_tags[fid]) for fid in p.facet_ids] + [
-        (f"R.{fid}", q.facet_tags[fid]) for fid in q.facet_ids
-    ]
-    scale = lcm(p.coord_scale, q.coord_scale) if p.has_coords() and q.has_coords() else None
-    vertices = []
-    for i in range(p.n_vertices):
-        for j in range(q.n_vertices):
-            coords = None if scale is None else tuple(
-                scale // p.coord_scale * x for x in p.int_coords[i]
-            ) + tuple(scale // q.coord_scale * y for y in q.int_coords[j])
-            fs = {f"L.{f}" for f in p.vertex_facets[i]} | {
-                f"R.{f}" for f in q.vertex_facets[j]
-            }
-            vertices.append((coords, fs))
-    return SimplePolytope(p.dim + q.dim, facets, vertices, scale or 1)
+    """Product polytope; facets are facet x Q and P x facet.  Realized,
+    the vertices (i, j) are sorted in the order of (i, j)."""
+    tags = {f"L.{f}": p.facet_tags[f] for f in p.facet_ids}
+    tags |= {f"R.{f}": q.facet_tags[f] for f in q.facet_ids}
+    masks = [a | b << p.n_facets for a in p.vertex_masks for b in q.vertex_masks]
+    if not (p.has_coords() and q.has_coords()):
+        masks = [masks[i] for i in _label_order(tuple(tags), masks)]
+        return SimplePolytope._from_masks(p.dim + q.dim, tags, masks, None, None)
+    scale = lcm(p.coord_scale, q.coord_scale)
+    left = [tuple(scale // p.coord_scale * x for x in row) for row in p.int_coords]
+    right = [tuple(scale // q.coord_scale * y for y in row) for row in q.int_coords]
+    rows = [a + b for a in left for b in right]
+    return SimplePolytope._from_masks(p.dim + q.dim, tags, masks, rows, scale)

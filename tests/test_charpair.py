@@ -666,15 +666,15 @@ def _reference_isomorphisms(self, other):
                 yield dict(assignment)
             return
         f = order[k]
-        fv = self._facet_vertices[f]
+        fv = self.facet_vertices(f)
         for g in candidates[f]:
             if g in used:
                 continue
-            gv = other._facet_vertices[g]
+            gv = other.facet_vertices(g)
             ok = True
             for f2, g2 in assignment.items():
-                if len(fv & self._facet_vertices[f2]) != len(
-                    gv & other._facet_vertices[g2]
+                if len(fv & self.facet_vertices(f2)) != len(
+                    gv & other.facet_vertices(g2)
                 ):
                     ok = False
                     break

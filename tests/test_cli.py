@@ -81,6 +81,37 @@ class TestValidate:
         out = capsys.readouterr().out
         assert "vertex" in out
 
+    @pytest.mark.parametrize("vertex", range(4))
+    def test_a_facet_id_listed_twice_counts_once(self, tmp_path, family_file, capsys, vertex):
+        """Summing the facet bits would carry a repeated id into the next
+        facet's bit; the n = 4 p3 pair must read as if listed once."""
+        p3 = read(family_file)["boundary"]["p3"]
+        clean = tmp_path / "p3.json"
+        clean.write_text(json.dumps(p3))
+        fids = p3["polytope"]["vertices"][vertex]["facets"]
+        fids.append(fids[0])
+        twice = tmp_path / "p3-twice.json"
+        twice.write_text(json.dumps(p3))
+        for argv in (["validate"], ["oracle", "--ring", "z"]):
+            assert main([*argv, "--in", str(clean)]) == 0
+            expected = capsys.readouterr().out
+            assert main([*argv, "--in", str(twice)]) == 0
+            assert capsys.readouterr().out == expected
+            if argv == ["validate"]:
+                assert expected == "pair: valid at all 4 vertices\n"
+
+    def test_unrealized_pair_reads_in_label_order(self, tmp_path, family_file, capsys):
+        p3 = read(family_file)["boundary"]["p3"]
+        clean = tmp_path / "p3.json"
+        clean.write_text(json.dumps(p3))
+        bare = tmp_path / "p3-null.json"
+        bare.write_text(json.dumps(without_coords(p3)))
+        for argv in (["validate"], ["oracle", "--ring", "z"]):
+            assert main([*argv, "--in", str(clean)]) == 0
+            expected = capsys.readouterr().out
+            assert main([*argv, "--in", str(bare)]) == 0
+            assert capsys.readouterr().out == expected
+
     def test_truncated_json(self, tmp_path, family_file, capsys):
         bad = tmp_path / "trunc.json"
         bad.write_text(family_file.read_text()[:100])

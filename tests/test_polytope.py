@@ -853,3 +853,192 @@ class TestUnrealized:
         cut = Halfspace(tuple(Fraction(-1 if i == 0 else 0) for i in range(4)), Fraction(-1, 2))
         with pytest.raises(PolytopeError, match="no rational realization"):
             truncate(self._unrealized(), [("p", cut)])
+
+
+# ---------------------------------------------------------------------------
+# constructions built from masks against the public constructor
+# ---------------------------------------------------------------------------
+
+def _stored(poly):
+    """What a polytope stores, vertex order included."""
+    return (
+        poly.dim,
+        poly.facet_ids,
+        poly.facet_tags,
+        poly.vertex_masks,
+        poly.facet_vertex_masks,
+        poly._int_coords,
+        poly.coord_scale,
+    )
+
+
+def _shuffled(rng, vertices):
+    vertices = list(vertices)
+    rng.shuffle(vertices)
+    return vertices
+
+
+def _public_simplex(n, rng):
+    """``simplex`` through the public constructor, as it was written there."""
+    facets = [(f"d{j}", "original") for j in range(n + 1)]
+    vertices = [
+        ([1 if i == j else 0 for i in range(n + 1)], {f"d{i}" for i in range(n + 1) if i != j})
+        for j in range(n + 1)
+    ]
+    return SimplePolytope(n, facets, _shuffled(rng, vertices))
+
+
+def _public_delta_q(n, r1, r2, rng):
+    """``build_delta_Q`` through the public constructor, with Fraction
+    coordinates and facet sets of labels."""
+    half = n // 2
+    cut_of = ["p1"] * half + ["p3"] + ["p2"] * half
+    originals = [f"d{l}" for l in range(n + 1)]
+    vertices = []
+    for i, cut in enumerate(cut_of):
+        t = r1 if i == half else r2
+        for j, other in enumerate(cut_of):
+            if other != cut:
+                coords = [Fraction(0)] * (n + 1)
+                coords[i], coords[j] = 1 - t, t
+                vertices.append((coords, set(originals) - {originals[i], originals[j]} | {cut}))
+    facets = [(d, "original") for d in originals] + [(p, "cut") for p in ("p1", "p2", "p3")]
+    return SimplePolytope(n, facets, _shuffled(rng, vertices))
+
+
+def _public_facet_polytope(poly, fid, rng):
+    """``facet_polytope`` through the public constructor, as it was written
+    there, reading the parent's facet-set views."""
+    fverts = poly.facet_vertices(fid)
+    child_facets = [
+        (g, poly.facet_tags[g])
+        for g in poly.facet_ids
+        if g != fid and poly.facet_vertices(g) & fverts
+    ]
+    keep = {g for g, _ in child_facets}
+    points = poly._int_coords or (None,) * poly.n_vertices
+    vertices = [(points[i], (poly.vertex_facets[i] - {fid}) & keep) for i in sorted(fverts)]
+    return SimplePolytope(
+        poly.dim - 1, child_facets, _shuffled(rng, vertices), poly.coord_scale or 1
+    )
+
+
+def _public_product(p, q, rng):
+    """``product`` through the public constructor, as it was written there."""
+    facets = [(f"L.{fid}", p.facet_tags[fid]) for fid in p.facet_ids] + [
+        (f"R.{fid}", q.facet_tags[fid]) for fid in q.facet_ids
+    ]
+    scale = math.lcm(p.coord_scale, q.coord_scale) if p.has_coords() and q.has_coords() else None
+    vertices = []
+    for i in range(p.n_vertices):
+        for j in range(q.n_vertices):
+            coords = None if scale is None else tuple(
+                scale // p.coord_scale * x for x in p.int_coords[i]
+            ) + tuple(scale // q.coord_scale * y for y in q.int_coords[j])
+            fs = {f"L.{f}" for f in p.vertex_facets[i]} | {f"R.{f}" for f in q.vertex_facets[j]}
+            vertices.append((coords, fs))
+    return SimplePolytope(p.dim + q.dim, facets, _shuffled(rng, vertices), scale or 1)
+
+
+def _without_coords(poly):
+    facets = [(f, poly.facet_tags[f]) for f in poly.facet_ids]
+    return SimplePolytope(poly.dim, facets, [(None, fs) for fs in poly.vertex_facets])
+
+
+def _label_order_differs(poly):
+    return _stored(_without_coords(poly))[3] != poly.vertex_masks
+
+
+class TestMaskConstructions:
+    """Every construction that builds its masks directly stores what the
+    public constructor stores for the same vertices given in any order."""
+
+    def test_simplex(self):
+        rng = random.Random(26)
+        for n in range(1, 8):
+            assert _stored(simplex(n)) == _stored(_public_simplex(n, rng)), n
+
+    @pytest.mark.parametrize("params", [("1/6", "1/4"), ("1/10", "1/3")])
+    def test_delta_q_and_each_facet(self, params):
+        rng = random.Random(26)
+        r1, r2 = map(Fraction, params)
+        for k in range(2, 7):
+            q = build_delta_Q(2 * k, r1, r2)
+            assert _stored(q) == _stored(_public_delta_q(2 * k, r1, r2, rng)), k
+            bare = _without_coords(q)
+            for parent in (q, bare):
+                for fid in parent.facet_ids:
+                    got = facet_polytope(parent, fid)
+                    expected = _public_facet_polytope(parent, fid, rng)
+                    assert _stored(got) == _stored(expected), (k, fid, parent.has_coords())
+
+    def test_facet_of_a_facet(self):
+        rng = random.Random(26)
+        p1 = facet_polytope(build_delta_Q(8), "p1")
+        for parent in (p1, _without_coords(p1)):
+            for fid in parent.facet_ids:
+                got = facet_polytope(parent, fid)
+                assert _stored(got) == _stored(_public_facet_polytope(parent, fid, rng)), fid
+
+    def test_product_of_simplices(self):
+        rng = random.Random(26)
+        for a in range(1, 5):
+            for b in range(1, 5):
+                realized = (simplex(a), simplex(b))
+                bare = tuple(map(_without_coords, realized))
+                for p, q in (realized, bare, (realized[0], bare[1]), (bare[0], realized[1])):
+                    expected = _public_product(p, q, rng)
+                    assert _stored(product(p, q)) == _stored(expected), (a, b)
+
+    def test_product_of_delta_q_facets(self):
+        """Realized factors with different scales meet at their lcm; with
+        either factor bare, the vertices of a realized one, in coordinate
+        order, are not in label order."""
+        rng = random.Random(26)
+        p = facet_polytope(build_delta_Q(4), "p3")
+        q = facet_polytope(build_delta_Q(4, "1/10", "1/3"), "d0")
+        assert p.coord_scale != q.coord_scale
+        assert _label_order_differs(q)
+        for a, b in ((p, q), (q, p), (_without_coords(p), q), (q, _without_coords(p))):
+            assert _stored(product(a, b)) == _stored(_public_product(a, b, rng))
+
+    def test_unknown_facet(self):
+        with pytest.raises(UnknownFacet):
+            facet_polytope(simplex(3), "p1")
+
+    @pytest.mark.parametrize("kind", ["int", "str", "none"])
+    def test_a_facet_id_listed_twice_counts_once(self, kind):
+        """Summing the bits of d0 twice at A_1 would give d1's bit, and A_1
+        would lie on A_0's facets."""
+        s = simplex(3)
+        facets = [(f, s.facet_tags[f]) for f in s.facet_ids]
+        coords = {
+            "int": s.int_coords,
+            "str": [tuple(map(str, c)) for c in s.int_coords],
+            "none": (None,) * 4,
+        }[kind]
+        listed = [sorted(fs) for fs in s.vertex_facets]
+        clean = SimplePolytope(3, facets, list(zip(coords, listed)))
+        for v in range(4):
+            twice = [fs + [fs[0]] if i == v else fs for i, fs in enumerate(listed)]
+            got = SimplePolytope(3, facets, list(zip(coords, twice)))
+            assert _stored(got) == _stored(clean), (kind, v)
+
+
+class TestFaceOrderKey:
+    """The bit-reversed sort key of ``faces_down_to`` gives the order of
+    ascending vertex lists."""
+
+    @staticmethod
+    def _assert_list_order(poly, name):
+        faces = poly.faces_down_to(0)
+        assert list(faces) == sorted(faces, key=lambda f: (f[0], polytope._set_bits(f[2]))), name
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+    def test_delta_q(self, k):
+        self._assert_list_order(build_delta_Q(2 * k), k)
+
+    def test_n8_covers(self):
+        fam = build_family(4, "Z")
+        for fid, pair in fam.boundary.items():
+            self._assert_list_order(pair.polytope, fid)
