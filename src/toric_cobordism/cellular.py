@@ -611,12 +611,12 @@ def homology(
     One sweep eliminates the boundaries from the top degree down to the
     lowest degree asked for (at least 1).  The pivots of the boundary
     d + 1 sit on d-cells tau, on a block of row combinations that is
-    invertible over the ring (unimodular over Z, unit triangular over
-    GF(2)).  Since d o d = 0, each row tau of the boundary d is then a
-    combination of its other rows, so those rows are skipped: the
-    nonzero invariant factors, and the rank, stay the same.  A degree
-    with no cells passes no pivots down.  A degree from 0 up to below
-    ``cc.lowest_degree`` raises: its boundary was never built.
+    unit triangular on both rings, hence invertible.  Since d o d = 0,
+    each row tau of the boundary d is then a combination of its other
+    rows, so those rows are skipped: the nonzero invariant factors, and
+    the rank, stay the same.  A degree with no cells passes no pivots
+    down.  A degree from 0 up to below ``cc.lowest_degree`` raises: its
+    boundary was never built.
     """
     wanted = sorted(set(degrees)) if degrees is not None else list(range(cc.dim + 1))
     unbuilt = [d for d in wanted if 0 <= d < cc.lowest_degree]

@@ -60,6 +60,11 @@ def _is_integer(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _all_integers(v: Sequence) -> bool:
+    """``_is_integer`` on every entry, tested once per entry type."""
+    return all(issubclass(t, int) and t is not bool for t in set(map(type, v)))
+
+
 def json_object(data: dict, key: str) -> dict:
     """``data[key]``, which must be a JSON object."""
     value = data[key]
@@ -100,7 +105,7 @@ class CharacteristicFunction:
         canon = {}
         for fid, vec in self.vectors.items():
             v = tuple(vec)
-            if not all(map(_is_integer, v)):
+            if not _all_integers(v):
                 raise InvalidPair(f"vector on {fid} has a non-integer entry: {list(v)!r}")
             if len(v) != self.rank:
                 raise DimensionMismatch(

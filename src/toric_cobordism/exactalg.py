@@ -8,7 +8,6 @@ pure (safe to call concurrently).
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -297,12 +296,8 @@ def invariant_factors(m: Iterable[Iterable[int]]) -> tuple[int, ...]:
     with no rows skipped; they are built here, so the elimination works
     on them without a copy.
     """
-    rows: dict[int, dict[int, int]] = {}
-    for i, row in enumerate(m):
-        r = {j: int(x) for j, x in enumerate(row) if x != 0}
-        if r:
-            rows[i] = r
-    return _eliminate_units(rows)[0]
+    rows = ({j: int(x) for j, x in enumerate(row) if x} for row in m)
+    return _eliminate_units([r for r in rows if r])[0]
 
 
 def unit_pivot_elimination(
@@ -311,105 +306,91 @@ def unit_pivot_elimination(
     """Invariant factors of sparse integer rows, and the unit pivot columns.
 
     Row ``i`` of ``matrix`` maps column -> int and is not modified; rows
-    whose index is in ``skip`` are left out.  Unit pivots are eliminated
-    first, shortest row first (see ``_eliminate_units``), until no row
-    left has a +-1 entry; that nonunit core is finished by the dense
-    Smith normal form.  Suitable for the large sparse boundary matrices
-    of chain complexes.
+    whose index is in ``skip`` are left out, and so are zero entries.
+    Each row is reduced against the unit pivots found so far (see
+    ``_eliminate_units``); the rows left with no +-1 entry form a core
+    that the dense Smith normal form finishes.  Suitable for the large
+    sparse boundary matrices of chain complexes.
 
     The second result holds the columns of the unit pivots.  Their
     pivot block, taken over the combinations of rows the elimination
-    formed, is triangular with +-1 on the diagonal, hence unimodular.
+    formed, is unit triangular, hence unimodular.
     """
     skipped = frozenset(skip)
-    rows = {i: dict(row) for i, row in enumerate(matrix) if row and i not in skipped}
+    rows = []
+    for i, row in enumerate(matrix):
+        if i not in skipped:
+            r = dict(row)
+            if 0 in r.values():
+                r = {j: x for j, x in row.items() if x}
+            if r:
+                rows.append(r)
     if rows and (
-        min(map(min, rows.values())) < 0 or max(map(max, rows.values())) >= ncols
+        min(map(min, rows)) < 0 or max(map(max, rows)) >= ncols
     ):
         raise DimensionMismatch(f"a column lies outside 0..{ncols - 1}")
     return _eliminate_units(rows)
 
 
 def _eliminate_units(
-    rows: dict[int, dict[int, int]]
+    rows: list[dict[int, int]]
 ) -> tuple[tuple[int, ...], frozenset[int]]:
     """The elimination behind both routines above; consumes ``rows``.
 
-    A lazy min-heap of (length, row id) hands out rows shortest first,
-    skipping entries whose row is gone or has changed length.  A row
-    pivots on its +-1 entry in the column with the fewest rows; a row
-    with none is pushed again only when a pivot updates it, so once the
-    heap is empty no remaining row has a unit entry.
+    The integer form of ``gf2_basis``: unit pivots keyed by column.  The
+    rows are taken in order, and each is reduced until it has no entry
+    at a key: its entry x at key c takes away x * u times the pivot row
+    of c, u being that pivot's +-1.  Then a row left empty is dropped, a
+    row with a +-1 entry becomes the pivot of the column of its first
+    such entry, and any other row joins the core.  A core row that
+    meets a key opened after it was reduced is reduced again, until no
+    core row meets a key.  A pivot row is kept without its pivot entry.
+
+    Each pivot row is zero at every key opened before it, so the pivot
+    block, in opening order, is triangular with +-1 on the diagonal:
+    unimodular.  It also fixes the reduced row, whatever the order of
+    the subtractions.  The core is zero on every key, so it is the Schur
+    complement, and its dense Smith normal form gives the other factors.
     """
-    if not rows:
-        return (), frozenset()
-
-    cols: dict[int, set[int]] = {}
-    for i, r in rows.items():
-        for j in r:
-            cols.setdefault(j, set()).add(i)
-
-    heap = [(len(r), i) for i, r in rows.items()]
-    heapq.heapify(heap)
-    pivot_cols: list[int] = []
-    while heap:
-        length, pi = heapq.heappop(heap)
-        prow = rows.get(pi)
-        if prow is None or len(prow) != length:
-            continue
-        pj, fewest = None, len(rows) + 1
-        for j, x in prow.items():
-            if (x == 1 or x == -1) and len(cols[j]) < fewest:
-                pj, fewest = j, len(cols[j])
-                if fewest == 1:
+    pivots: dict[int, tuple[int, dict[int, int]]] = {}
+    core: list[dict[int, int]] = []
+    while rows:
+        for r in rows:
+            while hits := r.keys() & pivots.keys():
+                for c in hits:
+                    x = r.pop(c, 0)
+                    if x:
+                        unit, prow = pivots[c]
+                        f = x * unit
+                        for j, y in prow.items():
+                            new = r.get(j, 0) - f * y
+                            if new:
+                                r[j] = new
+                            else:
+                                del r[j]
+            for c, x in r.items():
+                if x == 1 or x == -1:
+                    del r[c]
+                    pivots[c] = (x, r)
                     break
-        if pj is None:
-            continue
-        pval = prow[pj]
-        del rows[pi]
-        for j in prow:
-            cols[j].discard(pi)
-            if not cols[j]:
-                del cols[j]
-        for i in list(cols.get(pj, ())):
-            r = rows[i]
-            factor = r[pj] * pval  # pval is +-1 so this is r[pj]/pval
-            for j, x in prow.items():
-                if j == pj:
-                    continue
-                new = r.get(j, 0) - factor * x
-                if new == 0:
-                    if j in r:
-                        del r[j]
-                        cols[j].discard(i)
-                        if not cols[j]:
-                            del cols[j]
-                else:
-                    if j not in r:
-                        cols.setdefault(j, set()).add(i)
-                    r[j] = new
-            del r[pj]
-            if r:
-                heapq.heappush(heap, (len(r), i))
             else:
-                del rows[i]
-        cols.pop(pj, None)
-        pivot_cols.append(pj)
+                if r:
+                    core.append(r)
+        rows = [r for r in core if not pivots.keys().isdisjoint(r)]
+        if rows:
+            core = [r for r in core if pivots.keys().isdisjoint(r)]
 
-    factors = [1] * len(pivot_cols)
-    if rows:
+    factors = [1] * len(pivots)
+    if core:
         # dense finish on the (small) nonunit core
-        live_cols = sorted({j for r in rows.values() for j in r})
+        live_cols = sorted({j for r in core for j in r})
         index = {j: k for k, j in enumerate(live_cols)}
-        dense = [
-            [0] * len(live_cols) for _ in range(len(rows))
-        ]
-        for k, (_, r) in enumerate(sorted(rows.items())):
+        dense = [[0] * len(live_cols) for _ in core]
+        for k, r in enumerate(core):
             for j, x in r.items():
                 dense[k][index[j]] = x
-        core = smith_normal_form(dense)
-        factors.extend(core.invariant_factors)
-    return tuple(factors), frozenset(pivot_cols)
+        factors.extend(smith_normal_form(dense).invariant_factors)
+    return tuple(factors), frozenset(pivots)
 
 
 def integer_rank(m: Iterable[Iterable[int]]) -> int:

@@ -7,6 +7,7 @@ from toric_cobordism.charpair import (
     CharacteristicFunction,
     CharacteristicPair,
     DeltaTranslation,
+    InvalidPair,
     MissingVector,
     RingMismatch,
     SearchCapExceeded,
@@ -23,7 +24,7 @@ from toric_cobordism.charpair import (
     verify_delta_translation,
 )
 from toric_cobordism import charpair, exactalg, family
-from toric_cobordism.exactalg import Gf2Matrix, identity_matrix, mat_vec
+from toric_cobordism.exactalg import DimensionMismatch, Gf2Matrix, identity_matrix, mat_vec
 from toric_cobordism.family import build_family
 from toric_cobordism.polytope import SimplePolytope, product, simplex
 
@@ -355,6 +356,71 @@ class TestSignClasses:
         back = CharacteristicPair.from_json_dict(p.to_json_dict())
         assert back.chi.vectors == p.chi.vectors
         assert back.polytope.incidence_key() == p.polytope.incidence_key()
+
+
+class _Int(int):
+    """An int subclass other than bool: accepted as a vector entry."""
+
+
+class TestVectorEntryTypes:
+    """Entries are checked per vector, in order, before the length: any
+    bool, float, string or null raises the non-integer error, and int
+    subclasses other than bool pass and read as ints."""
+
+    ODD = (True, False, 1.5, 0.0, "1", None, [1])
+
+    @staticmethod
+    def _reference_error(rank, vectors):
+        # the per-entry rule: isinstance(x, int) and not isinstance(x, bool)
+        for fid, vec in vectors.items():
+            v = tuple(vec)
+            if not all(isinstance(x, int) and not isinstance(x, bool) for x in v):
+                return InvalidPair, f"vector on {fid} has a non-integer entry: {list(v)!r}"
+            if len(v) != rank:
+                return DimensionMismatch, f"vector on {fid} has length {len(v)}, expected {rank}"
+        return None
+
+    def test_matches_per_entry_rule(self):
+        rng = random.Random(27)
+        pool = (0, 1, -1, 3, _Int(1), _Int(-2)) + self.ODD
+        raised = accepted = 0
+        for _ in range(400):
+            rank = rng.randint(1, 4)
+            vectors = {
+                f"f{i}": [
+                    rng.choice(pool) if rng.random() < 0.15 else rng.randint(-2, 2)
+                    for _ in range(rank + (rng.random() < 0.1))
+                ]
+                for i in range(rng.randint(1, 5))
+            }
+            ring = rng.choice(("Z", "GF2"))
+            want = self._reference_error(rank, vectors)
+            if want is None:
+                chi = CharacteristicFunction(ring, rank, vectors)
+                assert all(type(x) is int for v in chi.vectors.values() for x in v)
+                accepted += 1
+                continue
+            with pytest.raises(want[0]) as err:
+                CharacteristicFunction(ring, rank, vectors)
+            assert str(err.value) == want[1]
+            raised += 1
+        assert raised > 100 and accepted > 100
+
+    @pytest.mark.parametrize("odd", ODD, ids=repr)
+    def test_odd_entry_raises_before_length(self, odd):
+        # the odd entry sits in a vector of the wrong length, after a
+        # good vector and before another vector of the wrong length
+        vectors = {"a": (1, 0), "b": (0, odd, 1), "c": (1,)}
+        with pytest.raises(InvalidPair, match="vector on b has a non-integer entry"):
+            CharacteristicFunction("Z", 2, vectors)
+        with pytest.raises(DimensionMismatch, match="vector on b has length 1"):
+            CharacteristicFunction("Z", 2, {"a": (1, 0), "b": (1,), "c": (0, odd)})
+
+    def test_int_subclass_entries_read_as_ints(self):
+        for ring in ("Z", "GF2"):
+            chi = CharacteristicFunction(ring, 2, {"a": (_Int(-1), _Int(3))})
+            plain = CharacteristicFunction(ring, 2, {"a": (-1, 3)})
+            assert chi.vectors == plain.vectors
 
 
 def renamed(pair, rng):

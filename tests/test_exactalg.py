@@ -292,10 +292,22 @@ class TestUnitPivotElimination:
         assert factors == (1, 1)
         assert len(pivots) == 2
 
+    def test_core_row_meeting_a_later_key_is_reduced_again(self):
+        # The first row has no unit entry and joins the core; the second
+        # then opens key 1, and only reducing the core row on it again
+        # leaves it zero.  Left in the core it would add a factor 2.
+        factors, pivots = unit_pivot_elimination([{0: 2, 1: 2}, {1: 1, 0: 1}], 2)
+        assert factors == (1,)
+        assert pivots == frozenset({1})
+
     # Degrees 7..1 of the top-down Z sweep over an n = 8 small cover:
     # (unit factors, factors > 1, unit pivots), recorded before the
     # pivot order changed.  An order that leaves unit entries to the
     # dense finish keeps the factors but lowers the pivot counts.
+    # The p2 cover and the relative complexes of the k = 3, 4 families
+    # (degrees 2k..1) were added later, their factors recorded by
+    # _reference_invariant_factors in tests/test_cellular.py, with one
+    # pivot per unit factor.
     COVER_SWEEPS = {
         "p1": (
             (127, (2,), 127), (447, (2,), 447), (702, (2, 2), 702), (638, (2, 2), 638),
@@ -305,11 +317,26 @@ class TestUnitPivotElimination:
             (127, (), 127), (384, (2,), 384), (511, (), 511), (384, (2,), 384),
             (175, (), 175), (48, (2,), 48), (7, (), 7),
         ),
+        "p2": (
+            (127, (2,), 127), (447, (2,), 447), (702, (2, 2), 702), (638, (2, 2), 638),
+            (358, (2,), 358), (119, (2, 2), 119), (19, (), 19),
+        ),
+        "rel-k3": (
+            (31, (), 31), (79, (2, 2), 79), (86, (2,), 86), (50, (2, 2, 2), 50),
+            (13, (), 13), (0, (), 0),
+        ),
+        "rel-k4": (
+            (127, (2,), 127), (447, (2,), 447), (702, (2, 2), 702), (638, (2, 2), 638),
+            (365, (2,), 365), (127, (2, 2, 2), 127), (22, (), 22), (0, (), 0),
+        ),
     }
 
     @pytest.mark.parametrize("piece", sorted(COVER_SWEEPS))
     def test_cover_sweep_pivots(self, piece):
-        cc = cover_complex(build_family(4, "GF2").boundary[piece], "Z")
+        if piece.startswith("rel-k"):
+            cc = cover_complex(build_family(int(piece[5:]), "GF2").pair, "Z", relative=True)
+        else:
+            cc = cover_complex(build_family(4, "GF2").boundary[piece], "Z")
         skip = frozenset()
         seen = []
         for d in range(cc.dim, 0, -1):
