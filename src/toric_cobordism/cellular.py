@@ -29,8 +29,8 @@ from numbers import Rational
 from typing import Iterable, Optional, Sequence
 
 from .charpair import RING_GF2, RING_Z, CharacteristicFunction, CharacteristicPair
-from .exactalg import gf2_basis, gf2_pack, unit_pivot_elimination
-from .polytope import SimplePolytope, _set_bits
+from .exactalg import gf2_basis, gf2_pack, set_bits, unit_pivot_elimination
+from .polytope import SimplePolytope
 
 
 class CellularError(ValueError):
@@ -100,11 +100,10 @@ def distinguished_functional(poly: SimplePolytope, n: int, seed: int = 0) -> Lin
     the vertices A_0 and A_{n/2 + 1} of the parent simplex, the
     normalization used for the explicit top boundary computation.
     """
-    bit = {fid: 1 << j for j, fid in enumerate(poly.facet_ids)}
     on = [f"d{i}" for i in range(n + 1) if i not in (0, n // 2 + 1)] + ["p2"]
     try:
-        target = poly.vertex_masks.index(sum(bit[fid] for fid in on))
-    except (KeyError, ValueError):
+        target = poly.vertex_masks.index(poly.facet_mask(on))
+    except ValueError:
         raise CellularError("distinguished edge endpoint not found") from None
     for attempt in range(10_000):
         func = draw_functional(poly, seed * 10_007 + attempt)
@@ -162,9 +161,7 @@ def vertex_indices(
     values = _scaled_values(poly, functional)
     if len(set(values)) != len(values):
         raise TieError("functional does not distinguish the vertices")
-    original = sum(
-        1 << j for j, fid in enumerate(poly.facet_ids) if poly.facet_tags[fid] == "original"
-    )
+    original = poly.facet_mask(fid for fid, tag in poly.facet_tags.items() if tag == "original")
     old_bits = poly.dim - 1
     nv = poly.n_vertices
     indegree = [0] * nv
@@ -324,8 +321,7 @@ def build_quotient_complex(
     if beta.ring != RING_GF2:
         raise CellularError("quotient complexes are built from GF(2) data")
     rank = beta.rank
-    boundary = set(boundary_facets)
-    excluded = sum(1 << j for j, fid in enumerate(poly.facet_ids) if fid in boundary)
+    excluded = poly.facet_mask(boundary_facets)
     floor = _cell_floor(poly, rank, excluded, min_dim)
     if floor > ORACLE_MAX_CELLS:
         raise CellularError(
@@ -337,7 +333,7 @@ def build_quotient_complex(
     else:
         faces = poly.faces_down_to(min_dim, excluded)
     packed = [gf2_pack(beta.vectors.get(fid, ())) for fid in poly.facet_ids]
-    keyed_bases = [gf2_basis(map(packed.__getitem__, _set_bits(fm))) for _, fm, _ in faces]
+    keyed_bases = [gf2_basis(map(packed.__getitem__, set_bits(fm))) for _, fm, _ in faces]
     count = sum(1 << (rank - len(keyed)) for keyed in keyed_bases)
     if count > ORACLE_MAX_CELLS:
         raise CellularError(

@@ -118,12 +118,6 @@ class CharacteristicFunction:
             canon[fid] = v
         object.__setattr__(self, "vectors", canon)
 
-    def vector(self, fid: str) -> tuple[int, ...]:
-        try:
-            return self.vectors[fid]
-        except KeyError:
-            raise MissingVector(fid) from None
-
     def assigned(self) -> frozenset[str]:
         return frozenset(self.vectors)
 
@@ -218,8 +212,8 @@ def validate_pairs(pairs: Sequence[CharacteristicPair]) -> list[ValidityReport]:
     reports = []
     for pair in pairs:
         chi, poly = pair.chi, pair.polytope
-        bit = {fid: 1 << j for j, fid in enumerate(poly.facet_ids)}
-        tagged = [(bit[fid], vec) for fid, vec in sorted(chi.vectors.items())]
+        position = poly.facet_position
+        tagged = [(1 << position[fid], vec) for fid, vec in sorted(chi.vectors.items())]
         packed = {vec: gf2_pack(vec) for _, vec in tagged} if chi.ring == RING_GF2 else None
         assigned = sum(b for b, _ in tagged)
         by_mask: dict[int, Optional[str]] = {0: None}
@@ -480,8 +474,8 @@ def _find_simplex_translation(
     has coefficients adj(B) v / det B in the basis B of the others, and
     the per-column sign pattern is pinned by comparing the entries of
     adj(B) v on both sides, so no sign enumeration is needed.  Each
-    target (basis, W, det W, adj(W) v) is built when the search first
-    reaches it, so a search that accepts early builds few of them.
+    target (basis, W, det W, and adj(W) v if det W != 0) is built on
+    first use, so a search that accepts early builds few of them.
     """
     ring = pair1.ring
     fids1, fids2 = sorted(pair1.polytope.facet_ids), sorted(pair2.polytope.facet_ids)
@@ -493,7 +487,8 @@ def _find_simplex_translation(
         det2 = u = None
         if ring == RING_Z:
             det2, adj2 = exactalg.adjugate(w)
-            u = mat_vec(adj2, pair2.chi.vectors[g2])
+            if det2:
+                u = mat_vec(adj2, pair2.chi.vectors[g2])
         return b2, w, det2, u
 
     for g1 in fids1:

@@ -3,7 +3,9 @@
 All arithmetic is done over arbitrary precision integers or bit packed
 GF(2) rows.  No floating point appears anywhere in the package; every
 result of this module is exact and deterministic, and all functions are
-pure (safe to call concurrently).
+pure (safe to call concurrently).  The package's bit-mask helpers live
+here: ``set_bits`` lists a mask's set bits, ``transpose_bits`` a bit
+matrix's columns.
 """
 
 from __future__ import annotations
@@ -80,14 +82,13 @@ def determinant(m: Iterable[Iterable[int]]) -> int:
     return sign * a[k - 1][k - 1]
 
 
-def adjugate(m: Iterable[Iterable[int]]) -> tuple[int, Matrix]:
-    """(det M, adj M) by fraction-free Gauss-Jordan elimination.
+def adjugate(m: Iterable[Iterable[int]]) -> tuple[int, Optional[Matrix]]:
+    """(det M, adj M) by fraction-free Gauss-Jordan elimination, or
+    (0, None) for a singular M, which has no full set of pivots.
 
     Bareiss's exact division, applied above and below each pivot of
     [M | I], ends at [d I | E] with d the last pivot and E = d M^-1;
-    d = s det M for the sign s of the row swaps, so adj M = s E.  A
-    singular M has no full set of pivots and takes its adjugate from
-    cofactors instead.
+    d = s det M for the sign s of the row swaps, so adj M = s E.
     """
     rows = [list(map(int, row)) for row in m]
     k = len(rows)
@@ -98,15 +99,7 @@ def adjugate(m: Iterable[Iterable[int]]) -> tuple[int, Matrix]:
     for t in range(k):
         piv = next((i for i in range(t, k) if a[i][t]), None)
         if piv is None:
-            # adj M[i][j] is the cofactor of entry (j, i)
-            return 0, tuple(
-                tuple(
-                    (-1) ** (i + j)
-                    * determinant([r[:i] + r[i + 1:] for q, r in enumerate(rows) if q != j])
-                    for j in range(k)
-                )
-                for i in range(k)
-            )
+            return 0, None
         if piv != t:
             a[t], a[piv] = a[piv], a[t]
             sign = -sign
@@ -442,6 +435,29 @@ def gf2_pack(vec: Iterable[int]) -> int:
     return sum((int(x) & 1) << j for j, x in enumerate(vec))
 
 
+def set_bits(mask: int) -> list[int]:
+    """The positions of the set bits of ``mask``, ascending."""
+    bits = []
+    while mask:
+        low = mask & -mask
+        bits.append(low.bit_length() - 1)
+        mask ^= low
+    return bits
+
+
+def transpose_bits(rows: Sequence[int], width: int) -> tuple[int, ...]:
+    """The columns of a bit matrix: bit i of entry j is bit j of ``rows[i]``.
+
+    The rows' binary digit strings, last row first, are transposed by
+    ``zip``, so column j reads as an integer with row 0 lowest.
+    """
+    if not rows:
+        return (0,) * width
+    top = 1 << width
+    digits = [bin(r | top)[3:] for r in reversed(rows)]
+    return tuple(int("".join(col), 2) for col in zip(*digits))[::-1]
+
+
 def gf2_basis(rows: Iterable[int], basis: Optional[dict[int, int]] = None) -> dict[int, int]:
     """XOR basis of the span of bit packed GF(2) rows, keyed by lowest set bit.
 
@@ -467,17 +483,6 @@ def gf2_basis(rows: Iterable[int], basis: Optional[dict[int, int]] = None) -> di
                 break
             v ^= b
     return basis
-
-
-def _gf2_transpose(rows: Iterable[int], ncols: int) -> list[int]:
-    """The bit packed columns (bit i = row i) of bit packed rows."""
-    cols = [0] * ncols
-    for i, r in enumerate(rows):
-        while r:
-            low = r & -r
-            cols[low.bit_length() - 1] |= 1 << i
-            r ^= low
-    return cols
 
 
 def _gf2_tagged_basis(vectors: Sequence[int], width: int) -> dict[int, int]:
@@ -511,15 +516,13 @@ class Gf2Matrix:
         self.rows = [int(r) & mask for r in rows]
 
     @classmethod
-    def from_vectors(cls, vectors: Iterable[Sequence[int]], ncols: int | None = None) -> "Gf2Matrix":
+    def from_vectors(cls, vectors: Iterable[Sequence[int]]) -> "Gf2Matrix":
         vecs = [tuple(v) for v in vectors]
-        if ncols is None:
-            if not vecs:
-                raise DimensionMismatch("cannot infer width of empty matrix")
-            ncols = len(vecs[0])
-        for v in vecs:
-            if len(v) != ncols:
-                raise DimensionMismatch("ragged GF(2) rows")
+        if not vecs:
+            raise DimensionMismatch("cannot infer width of empty matrix")
+        ncols = len(vecs[0])
+        if any(len(v) != ncols for v in vecs):
+            raise DimensionMismatch("ragged GF(2) rows")
         return cls(ncols, map(gf2_pack, vecs))
 
     def row_tuples(self) -> tuple[tuple[int, ...], ...]:
@@ -543,7 +546,7 @@ class Gf2Matrix:
         if len(b) != self.nrows:
             raise DimensionMismatch("rhs length != number of rows")
         # x names the columns that sum to b, zero off the pivot columns
-        columns = _gf2_tagged_basis(_gf2_transpose(self.rows, self.ncols), self.nrows)
+        columns = _gf2_tagged_basis(transpose_bits(self.rows, self.ncols), self.nrows)
         xbits = _gf2_combination(columns, gf2_pack(b), self.nrows)
         if xbits is None:
             return None
@@ -573,11 +576,8 @@ class Gf2Matrix:
         out = []
         for r in self.rows:
             acc = 0
-            rr = r
-            while rr:
-                low = rr & -rr
-                acc ^= other.rows[low.bit_length() - 1]
-                rr ^= low
+            for j in set_bits(r):
+                acc ^= other.rows[j]
             out.append(acc)
         return Gf2Matrix(other.ncols, out)
 
@@ -586,10 +586,9 @@ class Gf2Matrix:
         return tuple(bin(r & xbits).count("1") % 2 for r in self.rows)
 
 
-def solve_gf2(a: Iterable[Sequence[int]] | Gf2Matrix, b: Sequence[int]) -> Optional[tuple[int, ...]]:
+def solve_gf2(a: Iterable[Sequence[int]], b: Sequence[int]) -> Optional[tuple[int, ...]]:
     """Solve A x = b over GF(2); returns a solution tuple or None."""
-    mat = a if isinstance(a, Gf2Matrix) else Gf2Matrix.from_vectors(a)
-    return mat.solve(b)
+    return Gf2Matrix.from_vectors(a).solve(b)
 
 
 def gf2_rank(vectors: Iterable[Sequence[int]]) -> int:

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from . import __version__, exactalg
+from . import __version__, cellular, exactalg
 from .charpair import (
     RING_GF2,
     RING_Z,
@@ -430,8 +430,6 @@ def glue_certificate(
     manifold-level statements that have no combinatorial shadow are
     listed under assumptions.
     """
-    from . import cellular  # deferred: cellular pulls in no family symbols
-
     if kind not in ("complex", "real"):
         raise InvalidKind(f"unknown kind {kind!r}")
     n = 2 * k
@@ -450,10 +448,9 @@ def glue_certificate(
     checks["pair_valid"] = reports[0].ok
     for fid, report in zip(CUT_FACETS, reports[1:]):
         checks[f"boundary_valid_{fid}"] = report.ok
-    on_facet = dict(zip(fam.polytope.facet_ids, fam.polytope.facet_vertex_masks))
-    checks["boundary_disjoint"] = all(
-        not on_facet[a] & on_facet[b] for a in CUT_FACETS for b in CUT_FACETS if a < b
-    )
+    # two facets meet iff some vertex lies on both
+    cut = fam.polytope.facet_mask(CUT_FACETS)
+    checks["boundary_disjoint"] = all((m & cut).bit_count() < 2 for m in fam.polytope.vertex_masks)
 
     std_name = "complex_projective" if kind == "complex" else "real_projective"
     std = standard_pair(std_name, n - 1)

@@ -543,6 +543,67 @@ class TestErrorsReportedFromMain:
         assert exc.value.code == 2
 
 
+class TestInputGuards:
+    """Four guards that no other test reaches: each exits with its code and
+    one line that names the cause."""
+
+    @staticmethod
+    def _write(tmp_path, data):
+        path = tmp_path / "pair.json"
+        path.write_text(json.dumps(data))
+        return str(path)
+
+    def test_two_vertices_on_one_facet_set(self, tmp_path, capsys):
+        from toric_cobordism.charpair import standard_pair
+
+        data = standard_pair("complex_projective", 3).to_json_dict()
+        vertices = data["polytope"]["vertices"]
+        vertices[1]["facets"] = list(vertices[0]["facets"])
+        capsys.readouterr()
+        assert main(["validate", "--in", self._write(tmp_path, data)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+        assert captured.err.endswith(": two vertices lie on the same facet set\n")
+
+    def test_more_vectors_than_the_rank(self, tmp_path, capsys):
+        from toric_cobordism.charpair import CharacteristicFunction, CharacteristicPair
+        from toric_cobordism.polytope import simplex
+
+        vectors = {"d0": (1, 0), "d1": (0, 1), "d2": (1, 1), "d3": (1, -1)}
+        pair = CharacteristicPair(simplex(3), CharacteristicFunction("Z", 2, vectors))
+        capsys.readouterr()
+        assert main(["validate", "--in", self._write(tmp_path, pair.to_json_dict())]) == 1
+        captured = capsys.readouterr()
+        # every vertex of the 3-simplex lies on three facets
+        assert captured.out.splitlines() == [
+            f"pair: vertex {v}: 3 assigned vectors exceed group rank" for v in range(4)
+        ]
+        assert captured.err == ""
+
+    def test_pair1_vectors_do_not_span(self, tmp_path, capsys):
+        from toric_cobordism.charpair import standard_pair
+
+        data = standard_pair("complex_projective", 2).to_json_dict()
+        data["vectors"] = {"d0": [1, 0], "d1": [1, 0]}
+        path = self._write(tmp_path, data)
+        capsys.readouterr()
+        assert main(["equiv", "--pair1", path, "--pair2", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: pair1 has no independent spanning facet set\n"
+
+    def test_r1_not_a_rational(self, capsys):
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(["certify", "--k", "2", "--kind", "complex", "--r1", "abc"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1].endswith("argument --r1: not a rational: 'abc'")
+        assert "Traceback" not in captured.err
+
+
 @pytest.mark.parametrize(
     "command", ["construct", "homology", "oracle", "equiv", "certify"]
 )

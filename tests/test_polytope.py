@@ -1032,7 +1032,7 @@ class TestFaceOrderKey:
     @staticmethod
     def _assert_list_order(poly, name):
         faces = poly.faces_down_to(0)
-        assert list(faces) == sorted(faces, key=lambda f: (f[0], polytope._set_bits(f[2]))), name
+        assert list(faces) == sorted(faces, key=lambda f: (f[0], exactalg.set_bits(f[2]))), name
 
     @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
     def test_delta_q(self, k):
