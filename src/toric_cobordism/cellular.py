@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from math import comb
 from numbers import Rational
+from operator import mul
 from typing import Iterable, Optional, Sequence
 
 from .charpair import RING_GF2, RING_Z, CharacteristicFunction, CharacteristicPair
@@ -73,7 +74,7 @@ class LinearFunctional:
 def _scaled_values(poly: SimplePolytope, functional: LinearFunctional) -> list:
     """The functional at each vertex times ``poly.coord_scale`` > 0,
     which keeps their order and their ties."""
-    return [sum(c * x for c, x in zip(functional.coeffs, p)) for p in poly.int_coords]
+    return [sum(map(mul, functional.coeffs, p)) for p in poly.int_coords]
 
 
 def draw_functional(poly: SimplePolytope, seed: int = 0) -> LinearFunctional:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field
 from itertools import product as iproduct
+from operator import mul, neg
 from typing import Optional, Sequence
 
 from . import exactalg
@@ -74,12 +75,12 @@ def json_object(data: dict, key: str) -> dict:
 
 
 def normalize_sign_class(vec: Sequence[int]) -> tuple[int, ...]:
-    v = tuple(int(x) for x in vec)
+    v = tuple(map(int, vec))
     for x in v:
         if x > 0:
             return v
         if x < 0:
-            return tuple(-y for y in v)
+            return tuple(map(neg, v))
     return v
 
 
@@ -449,7 +450,7 @@ def _divide_exact(rows: Matrix, adj: Matrix, det: int) -> Optional[Matrix]:
     for row in rows:
         out_row = []
         for col in cols:
-            q, r = divmod(sum(x * y for x, y in zip(row, col)), det)
+            q, r = divmod(sum(map(mul, row, col)), det)
             if r:
                 return None
             out_row.append(q)
@@ -459,7 +460,7 @@ def _divide_exact(rows: Matrix, adj: Matrix, det: int) -> Optional[Matrix]:
 
 def _signed(w: Matrix, signs: Sequence[int]) -> Matrix:
     """w with column i multiplied by signs[i]."""
-    return tuple(tuple(s * x for s, x in zip(signs, row)) for row in w)
+    return tuple(tuple(map(mul, signs, row)) for row in w)
 
 
 def _find_simplex_translation(
@@ -659,7 +660,7 @@ def orientation_effect(t: DeltaTranslation) -> int:
     The sign of a gluing (phi, delta) is its polytope factor times
     det(delta).  The polytope factor is not computed: the certificate
     declares it orientation preserving, one of its listed assumptions
-    (the ROADMAP item on orientation assumptions would check it).
+    (ROADMAP item 2, the gluing sign, would compute it).
     """
     if t.ring != RING_Z:
         raise RingMismatch("orientation effect is defined for Z translations")

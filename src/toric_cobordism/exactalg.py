@@ -11,6 +11,7 @@ matrix's columns.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 from typing import Iterable, Optional, Sequence
 
 Matrix = tuple[tuple[int, ...], ...]
@@ -21,7 +22,7 @@ class DimensionMismatch(ValueError):
 
 
 def as_matrix(rows: Iterable[Iterable[int]]) -> Matrix:
-    m = tuple(tuple(int(x) for x in row) for row in rows)
+    m = tuple(tuple(map(int, row)) for row in rows)
     if m:
         width = len(m[0])
         if any(len(r) != width for r in m):
@@ -40,14 +41,14 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
         raise DimensionMismatch(f"{len(a[0])} columns times {len(b)} rows")
     bt = tuple(zip(*b))
     return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
+        tuple(sum(map(mul, row, col)) for col in bt) for row in a
     )
 
 
 def mat_vec(a: Matrix, x: Sequence[int]) -> tuple[int, ...]:
     if a and len(a[0]) != len(x):
         raise DimensionMismatch("matrix/vector size")
-    return tuple(sum(c * v for c, v in zip(row, x)) for row in a)
+    return tuple(sum(map(mul, row, x)) for row in a)
 
 
 # ---------------------------------------------------------------------------
@@ -55,7 +56,13 @@ def mat_vec(a: Matrix, x: Sequence[int]) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 def determinant(m: Iterable[Iterable[int]]) -> int:
-    """Exact determinant by Bareiss fraction-free elimination."""
+    """Exact determinant by Bareiss fraction-free elimination.
+
+    A row whose multiplier f in the pivot column is 0 is skipped while
+    the pivot p equals the previous one, prev: (p x - f y) / prev is then
+    the identity.  Under a new pivot the row is still rescaled by p / prev,
+    a division that is exact like every Bareiss step.
+    """
     a = [list(map(int, row)) for row in m]
     k = len(a)
     if any(len(row) != k for row in a):
@@ -75,8 +82,11 @@ def determinant(m: Iterable[Iterable[int]]) -> int:
                 return 0
         piv = a[t][t]
         for i in range(t + 1, k):
+            f = a[i][t]
+            if f == 0 and piv == prev:
+                continue
             for j in range(t + 1, k):
-                a[i][j] = (a[i][j] * piv - a[i][t] * a[t][j]) // prev
+                a[i][j] = (a[i][j] * piv - f * a[t][j]) // prev
             a[i][t] = 0
         prev = piv
     return sign * a[k - 1][k - 1]
@@ -88,7 +98,9 @@ def adjugate(m: Iterable[Iterable[int]]) -> tuple[int, Optional[Matrix]]:
 
     Bareiss's exact division, applied above and below each pivot of
     [M | I], ends at [d I | E] with d the last pivot and E = d M^-1;
-    d = s det M for the sign s of the row swaps, so adj M = s E.
+    d = s det M for the sign s of the row swaps, so adj M = s E.  As in
+    ``determinant``, a row with f = 0 is skipped while p = prev, where its
+    update is the identity, and rescaled by p / prev under a new pivot.
     """
     rows = [list(map(int, row)) for row in m]
     k = len(rows)
@@ -107,6 +119,8 @@ def adjugate(m: Iterable[Iterable[int]]) -> tuple[int, Optional[Matrix]]:
         for i in range(k):
             if i != t:
                 f = a[i][t]
+                if f == 0 and p == prev:
+                    continue
                 a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], pivot_row)]
         prev = p
     return sign * prev, tuple(tuple(sign * x for x in row[k:]) for row in a)
@@ -430,9 +444,12 @@ def is_direct_summand(vectors: Sequence[Sequence[int]], ambient_rank: int) -> bo
 # GF(2)
 # ---------------------------------------------------------------------------
 
-def gf2_pack(vec: Iterable[int]) -> int:
+def gf2_pack(vec: Sequence[int]) -> int:
     """``vec`` reduced mod 2, bit packed (bit j = entry j)."""
-    return sum((int(x) & 1) << j for j, x in enumerate(vec))
+    bits = 0
+    for x in reversed(vec):
+        bits = bits << 1 | int(x) & 1
+    return bits
 
 
 def set_bits(mask: int) -> list[int]:

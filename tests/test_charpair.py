@@ -345,17 +345,105 @@ class TestOrientationEffect:
         assert orientation_effect(tt) == 1
 
 
+def _per_entry_normalize_sign_class(vec):
+    v = tuple(int(x) for x in vec)
+    for x in v:
+        if x > 0:
+            return v
+        if x < 0:
+            return tuple(-y for y in v)
+    return v
+
+
+def _per_entry_divide_exact(rows, adj, det):
+    cols = tuple(zip(*adj))
+    out = []
+    for row in rows:
+        out_row = []
+        for col in cols:
+            q, r = divmod(sum(x * y for x, y in zip(row, col)), det)
+            if r:
+                return None
+            out_row.append(q)
+        out.append(tuple(out_row))
+    return tuple(out)
+
+
+def _per_entry_signed(w, signs):
+    return tuple(tuple(s * x for s, x in zip(signs, row)) for row in w)
+
+
+def _random_entry(rng):
+    # negative entries, and now and then one past a machine word
+    x = rng.randint(-6, 6)
+    return x * 10**rng.randint(15, 25) if rng.random() < 0.1 else x
+
+
 class TestSignClasses:
     def test_normalize(self):
         assert normalize_sign_class((-1, 2)) == (1, -2)
         assert normalize_sign_class((0, -3)) == (0, 3)
         assert normalize_sign_class((0, 0)) == (0, 0)
 
+    def test_normalize_matches_per_entry_definition(self):
+        class Tagged(int):
+            pass
+
+        rng = random.Random(17)
+        vectors = [
+            (),
+            (0, 0, 0),
+            (-2, 5, -7),
+            (0, -(10**30), 3),
+            (True, False),
+            (False, True, True),
+            (Tagged(-4), Tagged(2)),
+            (Tagged(0), Tagged(3)),
+        ] + [
+            tuple(_random_entry(rng) for _ in range(rng.randint(0, 8)))
+            for _ in range(300)
+        ]
+        for v in vectors:
+            got = normalize_sign_class(v)
+            assert got == _per_entry_normalize_sign_class(v)
+            assert all(type(x) is int for x in got)
+
     def test_json_round_trip(self):
         p = standard_pair("complex_projective", 3)
         back = CharacteristicPair.from_json_dict(p.to_json_dict())
         assert back.chi.vectors == p.chi.vectors
         assert back.polytope.incidence_key() == p.polytope.incidence_key()
+
+
+class TestDeltaKernels:
+    """The per-bijection kernels of the Z search, on seeded integer
+    matrices, against their per-entry definitions."""
+
+    def test_signed_and_divide_exact(self):
+        rng = random.Random(29)
+        inexact = 0
+        for trial in range(400):
+            k = 0 if trial == 0 else 1 if trial == 1 else rng.randint(1, 5)
+            w = tuple(tuple(_random_entry(rng) for _ in range(k)) for _ in range(k))
+            adj = tuple(tuple(_random_entry(rng) for _ in range(k)) for _ in range(k))
+            signs = (1,) + tuple(rng.choice((1, -1)) for _ in range(k - 1))
+            det = rng.choice((1, -1, 2, -2, 3, 10**20, -(10**20) - 3))
+            signed = charpair._signed(w, signs)
+            assert signed == _per_entry_signed(w, signs)
+            got = charpair._divide_exact(signed, adj, det)
+            assert got == _per_entry_divide_exact(signed, adj, det)
+            inexact += got is None
+            # one exact product divides cleanly
+            assert charpair._divide_exact(
+                signed, tuple(tuple(det * x for x in row) for row in adj), det
+            ) == exactalg.mat_mul(signed, adj)
+        assert inexact > 100
+
+    def test_divide_exact_refuses_only_an_inexact_last_entry(self):
+        identity = ((1, 0), (0, 1))
+        assert charpair._divide_exact(((2, 0), (0, 2)), identity, 2) == identity
+        assert charpair._divide_exact(((2, 0), (0, 1)), identity, 2) is None
+        assert charpair._divide_exact(((2, 0), (0, 1)), identity, -2) is None
 
 
 class _Int(int):

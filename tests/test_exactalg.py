@@ -18,11 +18,13 @@ from toric_cobordism.exactalg import (
     invariant_factors,
     is_direct_summand,
     mat_mul,
+    mat_vec,
     permutation_sign,
     smith_normal_form,
     solve_gf2,
     unit_pivot_elimination,
 )
+from toric_cobordism import charpair
 from toric_cobordism.family import build_family
 
 
@@ -610,3 +612,194 @@ class TestAdjugate:
         assert adjugate([]) == (1, ())
         with pytest.raises(DimensionMismatch):
             adjugate([[1, 2, 3], [4, 5, 6]])
+
+
+# ---------------------------------------------------------------------------
+# the kernels against their per-entry definitions
+# ---------------------------------------------------------------------------
+
+def _per_entry_mat_mul(a, b):
+    if not a or not b:
+        return ()
+    bt = tuple(zip(*b))
+    return tuple(
+        tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
+    )
+
+
+def _per_entry_mat_vec(a, x):
+    return tuple(sum(c * v for c, v in zip(row, x)) for row in a)
+
+
+def _per_entry_gf2_pack(vec):
+    return sum((int(x) & 1) << j for j, x in enumerate(vec))
+
+
+def _per_entry_determinant(m):
+    """Bareiss elimination updating every row below the pivot."""
+    a = [list(map(int, row)) for row in m]
+    k = len(a)
+    if k == 0:
+        return 1
+    sign = 1
+    prev = 1
+    for t in range(k - 1):
+        if a[t][t] == 0:
+            for i in range(t + 1, k):
+                if a[i][t] != 0:
+                    a[t], a[i] = a[i], a[t]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        piv = a[t][t]
+        for i in range(t + 1, k):
+            for j in range(t + 1, k):
+                a[i][j] = (a[i][j] * piv - a[i][t] * a[t][j]) // prev
+            a[i][t] = 0
+        prev = piv
+    return sign * a[k - 1][k - 1]
+
+
+def _per_entry_adjugate(m):
+    """Fraction-free Gauss-Jordan on [M | I] updating every other row."""
+    rows = [list(map(int, row)) for row in m]
+    k = len(rows)
+    a = [row + [int(i == j) for j in range(k)] for i, row in enumerate(rows)]
+    sign, prev = 1, 1
+    for t in range(k):
+        piv = next((i for i in range(t, k) if a[i][t]), None)
+        if piv is None:
+            return 0, None
+        if piv != t:
+            a[t], a[piv] = a[piv], a[t]
+            sign = -sign
+        p, pivot_row = a[t][t], a[t]
+        for i in range(k):
+            if i != t:
+                f = a[i][t]
+                a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], pivot_row)]
+        prev = p
+    return sign * prev, tuple(tuple(sign * x for x in row[k:]) for row in a)
+
+
+def _laplace(m):
+    """Cofactor expansion along the row with the fewest nonzero entries."""
+    k = len(m)
+    if k == 0:
+        return 1
+    i = min(range(k), key=lambda r: sum(map(bool, m[r])))
+    rest = m[:i] + m[i + 1:]
+    return sum(
+        (-1) ** (i + j) * x * _laplace([r[:j] + r[j + 1:] for r in rest])
+        for j, x in enumerate(m[i])
+        if x
+    )
+
+
+def _laplace_adjugate(m):
+    k = len(m)
+    return tuple(
+        tuple(
+            (-1) ** (i + j)
+            * _laplace([r[:i] + r[i + 1:] for q, r in enumerate(m) if q != j])
+            for j in range(k)
+        )
+        for i in range(k)
+    )
+
+
+def _random_entry(rng):
+    # negative entries, and now and then one past a machine word
+    x = rng.randint(-9, 9)
+    return x * 10**rng.randint(15, 25) if rng.random() < 0.1 else x
+
+
+def _sparse_non_unit(rng, k):
+    """A k x k matrix, about half zeros, with no entry +-1, so pivots are
+    never +-1 and a row with a zero multiplier must still be rescaled."""
+    return [
+        [rng.choice((-6, -4, -3, -2, 2, 3, 5, 7)) if rng.random() < 0.5 else 0 for _ in range(k)]
+        for _ in range(k)
+    ]
+
+
+def _xi_basis_matrices(k):
+    """The basis matrices of the p3 search at k: one per leftover facet,
+    on both the p3 pair and the standard pair it is compared with."""
+    p3 = build_family(k, "Z").boundary["p3"]
+    std = charpair.standard_pair("complex_projective", 2 * k - 1)
+    for pair in (p3, std):
+        fids = sorted(pair.polytope.facet_ids)
+        for g in fids:
+            yield [list(r) for r in charpair._columns(pair, [f for f in fids if f != g])]
+
+
+class TestKernelsMatchPerEntryDefinitions:
+    def test_mat_vec_and_mat_mul(self):
+        rng = random.Random(2024)
+        shapes = [(0, 0, 0), (1, 1, 1)] + [
+            tuple(rng.randint(1, 6) for _ in range(3)) for _ in range(200)
+        ]
+        for nr, nm, nc in shapes:
+            a = as_matrix([[_random_entry(rng) for _ in range(nm)] for _ in range(nr)])
+            b = as_matrix([[_random_entry(rng) for _ in range(nc)] for _ in range(nm)])
+            x = tuple(_random_entry(rng) for _ in range(nm))
+            assert mat_mul(a, b) == _per_entry_mat_mul(a, b)
+            assert mat_vec(a, x) == _per_entry_mat_vec(a, x)
+        assert mat_vec(((), ()), ()) == (0, 0)
+
+    def test_as_matrix(self):
+        class Tagged(int):
+            pass
+
+        rows = [(True, False, Tagged(-3)), (Tagged(2), -(10**30), 0)]
+        got = as_matrix(rows)
+        assert got == tuple(tuple(int(x) for x in row) for row in rows)
+        assert all(type(x) is int for row in got for x in row)
+        assert as_matrix([]) == ()
+
+    def test_gf2_pack(self):
+        class Tagged(int):
+            pass
+
+        rng = random.Random(7)
+        vectors = [
+            (),
+            (0, 0, 0),
+            (-1, 2, 3),
+            (-3, 0, 0, -2),
+            (True, False, True),
+            (Tagged(3), Tagged(-2), Tagged(5)),
+            (10**30 + 1, -(10**30) - 1, 10**30),
+        ] + [
+            tuple(_random_entry(rng) for _ in range(rng.randint(0, 12)))
+            for _ in range(300)
+        ]
+        for v in vectors:
+            assert gf2_pack(v) == _per_entry_gf2_pack(v)
+            assert gf2_pack(list(v)) == _per_entry_gf2_pack(v)
+
+    def test_determinant_and_adjugate_on_sparse_non_unit_pivots(self):
+        rng = random.Random(31)
+        singular = invertible = 0
+        for _ in range(400):
+            m = _sparse_non_unit(rng, rng.randint(0, 6))
+            d = _laplace(m)
+            assert determinant(m) == _per_entry_determinant(m) == d
+            got = adjugate(m)
+            assert got == _per_entry_adjugate(m)
+            assert got[0] == d
+            if d:
+                assert got[1] == _laplace_adjugate(m)
+            singular += d == 0
+            invertible += d != 0 and len(m) >= 3
+        assert singular > 20 and invertible > 100
+
+    @pytest.mark.parametrize("k", range(2, 9))
+    def test_determinant_and_adjugate_on_the_p3_basis_matrices(self, k):
+        for m in _xi_basis_matrices(k):
+            d = _laplace(m)
+            assert d != 0
+            assert determinant(m) == d
+            assert adjugate(m) == (d, _laplace_adjugate(m))
