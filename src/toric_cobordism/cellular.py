@@ -13,20 +13,23 @@ subface's group adds.
 A complex asked for a few degrees enumerates only the faces and builds
 only the cells and boundaries those degrees read, down to one boundary
 below them, and verifies d o d on every composition it built.  Over
-GF(2) each boundary row is bit packed once per complex, and the packed
-rows serve both the d o d check and the elimination; over Z each row
-one degree down is split once into its columns with + and with -.  The
-two routes cross-check each other wherever both apply.
+GF(2) one pass per degree builds each boundary row as one bit-packed
+int and checks d o d against the packed rows one degree down as it
+goes; the elimination reads the same ints.  Over Z the rows are dicts,
+and the check splits each row one degree down once into its columns
+with + and with -.  The two routes cross-check each other wherever
+both apply.
 """
 
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
+from functools import reduce
 from math import comb
 from numbers import Rational
-from operator import mul
+from operator import mul, xor
 from typing import Iterable, Optional, Sequence
 
 from .charpair import RING_GF2, RING_Z, CharacteristicFunction, CharacteristicPair
@@ -124,10 +127,7 @@ class IndexProfile:
     old_edges: tuple[tuple[int, int], ...]  # (a, b) with a < b
 
     def index_counts(self) -> dict[int, int]:
-        counts: dict[int, int] = {}
-        for i in self.ind:
-            counts[i] = counts.get(i, 0) + 1
-        return counts
+        return dict(Counter(self.ind))
 
     def pair_counts(self) -> dict[int, int]:
         return {j: len(ps) for j, ps in self.pairs.items() if ps}
@@ -182,22 +182,15 @@ def vertex_indices(
     if strict:
         bad = [v for v, c in enumerate(old_per_vertex) if c != 1]
         if bad:
-            raise StrictModeViolation(
-                f"vertices {bad} do not lie on exactly one old edge"
-            )
+            raise StrictModeViolation(f"vertices {bad} do not lie on exactly one old edge")
 
-    pairs: dict[int, list[tuple[int, tuple[int, int]]]] = {
-        j: [] for j in range(1, poly.dim + 1)
-    }
+    pairs: dict[int, list[tuple[int, tuple[int, int]]]] = {j: [] for j in range(1, poly.dim + 1)}
     for v in range(nv):
         for e in old_inward[v]:
             pairs[indegree[v]].append((v, e))
 
     return IndexProfile(
-        functional=functional,
-        ind=tuple(indegree),
-        pairs={j: tuple(ps) for j, ps in pairs.items()},
-        old_edges=tuple(old_edges),
+        functional, tuple(indegree), {j: tuple(ps) for j, ps in pairs.items()}, tuple(old_edges)
     )
 
 
@@ -412,11 +405,18 @@ def _vertex_signs(poly: SimplePolytope) -> list[int]:
 SparseMatrix = list[dict[int, int]]
 
 
+class PackedRow(int):
+    """A GF(2) boundary row, bit c set iff column c; ``len`` counts entries."""
+
+    __slots__ = ()
+    __len__ = int.bit_count
+
+
 @dataclass(frozen=True)
 class ChainComplex:
     """Graded boundary matrices: row r of ``boundaries[d]`` is the
-    boundary of the r-th d-cell, as a sparse map into (d-1)-cells.
-    The rows are read, never modified, once the complex is built.
+    boundary of the r-th d-cell, a sparse map into (d-1)-cells over Z
+    and a ``PackedRow`` over GF(2), read, never modified, once built.
 
     Only the boundaries of degree ``lowest_degree`` and up are built,
     with the cells they touch; below it the counts and matrices are
@@ -425,61 +425,30 @@ class ChainComplex:
 
     ring: str
     cell_counts: tuple[int, ...]
-    boundaries: tuple[SparseMatrix, ...]  # index d: C_d -> C_{d-1}; entry 0 empty
+    boundaries: tuple[Sequence, ...]  # index d: C_d -> C_{d-1}; entry 0 empty
     lowest_degree: int = 0
 
     @property
     def dim(self) -> int:
         return len(self.cell_counts) - 1
 
-    @cached_property
-    def packed_rows(self) -> tuple[tuple[int, ...], ...]:
-        """Over GF(2), the rows of ``boundaries`` bit packed (bit c =
-        entry c mod 2), derived once and shared by d o d and elimination."""
-        packed = []
-        for mat in self.boundaries:
-            rows = []
-            for row in mat:
-                bits = 0
-                for c, v in row.items():
-                    if v & 1:
-                        bits |= 1 << c
-                rows.append(bits)
-            packed.append(tuple(rows))
-        return tuple(packed)
 
+def _face_steps(cw: QuotientCWComplex, lowest: int) -> dict[int, list[tuple[int, int, int, int]]]:
+    """Face index -> [(subface index << rank, low bit of r, r, incidence)]
+    for each face of dimension at least max(1, ``lowest``).
 
-def chain_complex(cw: QuotientCWComplex, ring: str = RING_Z) -> ChainComplex:
-    """Boundary matrices of the quotient complex, with d o d == 0 verified.
-
-    Cell boundaries carry the polytope's incidence numbers, read off the
-    facet order; the vertex signs come from the whole polytope, whose
-    vertices the complex may drop, and subfaces a relative complex drops
-    are skipped.  A subface is found by its facet mask, and an edge's
-    vertex is the one bit of its subface's vertex mask.  The group
-    coordinate steps by one vector: a subface F_{S+j} has
-    G_{S+j} = G_S + <lambda_j>, so its keys are the face's
-    and at most one more, and r, the subface's vector at that key reduced
-    by the face's basis, is the one vector it adds (0 when it adds none).
-    A coset g reduced in the face lies in the subface's coset
-    ``g ^ r if g & lowbit(r) else g``; a stepped cell missing from the
-    complex raises, which guards that derivation.  Each cell (face
-    index, coset) is keyed by the integer ``face_index << group_rank |
-    coset``, which keeps the cell order.  Distinct subfaces give
-    distinct cells, so no entry sums two terms.  A complex whose cells
-    start at ``cw.min_dim`` > 0 has boundaries from degree
-    ``min_dim + 1`` up.
+    Incidences are the polytope's, read off the facet order, with the
+    whole polytope's vertex signs; subfaces a relative complex drops are
+    skipped.  A subface F_{S+j} has G_{S+j} = G_S + <lambda_j>, so r, its
+    vector at its one new key reduced by the face's basis, is the one
+    vector it adds (0 when it adds none).
     """
-    if ring not in (RING_Z, RING_GF2):
-        raise CellularError(f"unknown ring {ring!r}")
     poly = cw.polytope
     rank = cw.group_rank
-    lowest = cw.min_dim + 1 if cw.min_dim else 0
     eps = _vertex_signs(poly) if lowest <= 1 else None
     index = {mask: i for i, (_, mask, _) in enumerate(cw.face_list)}
     bases = cw.face_basis
     keys = [sum(b & -b for b in basis) for basis in bases]
-    # face index -> [(subface index << rank, low bit of r, r, entry)]
     steps: dict[int, list[tuple[int, int, int, int]]] = {}
     for fi, (dim, mask, _) in enumerate(cw.face_list):
         if dim < max(1, lowest):
@@ -499,29 +468,65 @@ def chain_complex(cw: QuotientCWComplex, ring: str = RING_Z) -> ChainComplex:
                         break
                 else:
                     raise ConsistencyError("a subface's group is not its face's plus one vector")
-            subs.append((gi << rank, new, r, sign if ring == RING_Z else 1))
+            subs.append((gi << rank, new, r, sign))
+    return steps
 
-    boundaries: list[SparseMatrix] = [[] for _ in range(max(1, lowest))]
-    for d in range(max(1, lowest), poly.dim + 1):
-        mat: SparseMatrix = []
+
+def chain_complex(cw: QuotientCWComplex, ring: str = RING_Z) -> ChainComplex:
+    """Boundary matrices of the quotient complex, with d o d == 0 verified.
+
+    A cell (face index, coset g) is keyed by the int ``face_index <<
+    group_rank | g``, in cell order.  Along a step of ``_face_steps`` the
+    coset g lies in the subface's coset ``g ^ r if g & lowbit(r) else
+    g``; a stepped cell missing from the complex raises.  Distinct
+    subfaces give distinct cells, so no entry sums two terms and over
+    GF(2) no bit is set twice.  Over GF(2) one pass packs each row and
+    XORs the packed rows one degree down at its columns, and a nonzero
+    XOR (d o d != 0) raises; over Z ``_verify_d_squared`` checks the
+    dict rows.  Cells from ``cw.min_dim`` > 0 up give boundaries from
+    degree ``min_dim + 1`` up.
+    """
+    if ring not in (RING_Z, RING_GF2):
+        raise CellularError(f"unknown ring {ring!r}")
+    rank = cw.group_rank
+    lowest = cw.min_dim + 1 if cw.min_dim else 0
+    steps = _face_steps(cw, lowest)
+    counts = cw.cell_counts()
+    first = max(1, lowest)
+    boundaries: list = [()] * first
+    for d in range(first, cw.polytope.dim + 1):
         lower = {fi << rank | g: i for i, (fi, g) in enumerate(cw.cells[d - 1])}
+        if ring == RING_Z:
+            mat: SparseMatrix = []
+            for fi, g in cw.cells[d]:
+                row: dict[int, int] = {}
+                for base, low, r, sign in steps.get(fi, ()):
+                    col = lower.get(base | (g ^ r if g & low else g))
+                    if col is None:
+                        raise ConsistencyError("boundary cell missing from complex")
+                    row[col] = sign
+                mat.append(row)
+            boundaries.append(mat)
+            continue
+        # the degree below, or zeros where it was not built
+        below = boundaries[d - 1] if d > first else (0,) * counts[d - 1]
+        bit = [1 << c for c in range(counts[d - 1])]
+        rows = []
         for fi, g in cw.cells[d]:
-            row: dict[int, int] = {}
-            for base, low, r, entry in steps.get(fi, ()):
+            bits = acc = 0
+            for base, low, r, _ in steps.get(fi, ()):
                 col = lower.get(base | (g ^ r if g & low else g))
                 if col is None:
                     raise ConsistencyError("boundary cell missing from complex")
-                row[col] = entry
-            mat.append(row)
-        boundaries.append(mat)
-
-    cc = ChainComplex(
-        ring=ring,
-        cell_counts=cw.cell_counts(),
-        boundaries=tuple(boundaries),
-        lowest_degree=lowest,
-    )
-    _verify_d_squared(cc)
+                bits |= bit[col]
+                acc ^= below[col]
+            if acc:
+                raise ConsistencyError("d o d != 0: incidence signs broken")
+            rows.append(bits)
+        boundaries.append(tuple(map(PackedRow, rows)))
+    cc = ChainComplex(ring, counts, tuple(boundaries), lowest)
+    if ring == RING_Z:
+        _verify_d_squared(cc)
     return cc
 
 
@@ -543,23 +548,19 @@ def _signed_columns(row: dict[int, int]) -> tuple[list[int], list[int]]:
 def _verify_d_squared(cc: ChainComplex) -> None:
     """Raise unless every composition of two built boundaries vanishes.
 
-    Over GF(2) a row of d o d is the XOR of the packed rows one degree
-    down that the row's odd entries pick.  Over Z each row one degree
-    down is split once into its signed columns; a row of d o d vanishes
-    iff the columns it reaches with + and with -, counted with
-    multiplicity, are the same multiset.
+    ``chain_complex`` already checks GF(2) in its one packed pass; this
+    is the second route, run after assembly.  Over GF(2) a row of d o d
+    is the XOR of the packed rows one degree down at the row's set
+    bits.  Over Z each row one degree down is split once into its
+    signed columns; a row of d o d vanishes iff the columns it reaches
+    with + and with -, counted with multiplicity, are the same multiset.
     """
     first = max(2, cc.lowest_degree + 1)
     if cc.ring == RING_GF2:
-        packed = cc.packed_rows
         for d in range(first, cc.dim + 1):
-            lower = packed[d - 1]
+            lower = cc.boundaries[d - 1]
             for row in cc.boundaries[d]:
-                acc = 0
-                for mid, c in row.items():
-                    if c & 1:
-                        acc ^= lower[mid]
-                if acc:
+                if reduce(xor, map(lower.__getitem__, set_bits(row)), 0):
                     raise ConsistencyError("d o d != 0: incidence signs broken")
         return
     for d in range(first, cc.dim + 1):
@@ -593,9 +594,7 @@ def _eliminate(
     if cc.cell_counts[d] == 0 or cc.cell_counts[d - 1] == 0:
         return (), frozenset()
     if cc.ring == RING_GF2:
-        basis = gf2_basis(
-            bits for r, bits in enumerate(cc.packed_rows[d]) if r not in skip
-        )
+        basis = gf2_basis(bits for r, bits in enumerate(cc.boundaries[d]) if r not in skip)
         return (1,) * len(basis), frozenset(basis)
     return unit_pivot_elimination(cc.boundaries[d], cc.cell_counts[d - 1], skip)
 

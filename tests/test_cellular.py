@@ -564,7 +564,7 @@ def _reference_homology(cc):
                 cc.boundaries[d], ncols=cc.cell_counts[d - 1]
             )
         else:
-            bits = [sum(1 << c for c, v in row.items() if v % 2) for row in cc.boundaries[d]]
+            bits = [int(row) for row in cc.boundaries[d]]
             factors[d] = (1,) * _reference_gf2_rank(cc.cell_counts[d - 1], bits)
     table = {}
     for d in range(cc.dim + 1):
@@ -702,8 +702,25 @@ class TestHVectorRoute:
 
 # -- the packed GF(2) rows and the integer-keyed assembly ---------------------
 
+def _expanded(row):
+    """A packed GF(2) row as the dict {column: 1}, read off its binary digits."""
+    return {c: 1 for c, digit in enumerate(reversed(bin(row)[2:])) if digit == "1"}
+
+
+def _pack_mod2(row):
+    """A dict row reduced mod 2 and bit packed."""
+    return sum(1 << c for c, v in row.items() if v % 2)
+
+
+def _dict_rows(cc):
+    """The boundary rows as dicts, the GF(2) ones expanded to {column: 1}."""
+    if cc.ring == "GF2":
+        return [[_expanded(r) for r in m] for m in cc.boundaries]
+    return [[dict(r) for r in m] for m in cc.boundaries]
+
+
 def _matrix_digest(cc):
-    rows = [[sorted(r.items()) for r in m] for m in cc.boundaries]
+    rows = [[sorted(r.items()) for r in m] for m in _dict_rows(cc)]
     return hashlib.sha256(json.dumps(rows).encode()).hexdigest()
 
 
@@ -716,6 +733,9 @@ def _n8_complex(piece, ring):
 
 
 def _copy_rows(cc):
+    """Mutable copies of the rows: dicts over Z, lists of ints over GF(2)."""
+    if cc.ring == "GF2":
+        return [list(m) for m in cc.boundaries]
     return [[dict(r) for r in m] for m in cc.boundaries]
 
 
@@ -724,13 +744,15 @@ def _by_hand(cc, rows):
 
 
 def _reference_d_squared_holds(cc):
-    """The dict-based d o d check, entries reduced mod 2 over GF(2)."""
+    """The dict-based d o d check on every built composition, the GF(2)
+    rows expanded to dicts and the sums reduced mod 2."""
     mod = 2 if cc.ring == "GF2" else 0
-    for d in range(2, cc.dim + 1):
-        for row in cc.boundaries[d]:
+    rows = _dict_rows(cc)
+    for d in range(max(2, cc.lowest_degree + 1), cc.dim + 1):
+        for row in rows[d]:
             acc = {}
             for mid, c1 in row.items():
-                for low, c0 in cc.boundaries[d - 1][mid].items():
+                for low, c0 in rows[d - 1][mid].items():
                     acc[low] = acc.get(low, 0) + c1 * c0
             if any(v % mod if mod else v for v in acc.values()):
                 return False
@@ -745,9 +767,55 @@ def _d_squared_holds(cc):
     return True
 
 
+def _drop_lowest_entry(rows, d):
+    """Clear the lowest set bit of the middle packed row of degree d."""
+    r = len(rows[d]) // 2
+    rows[d][r] &= rows[d][r] - 1
+
+
+def _plant_z_fault(rng, cc, rows, d, r):
+    """Drop, negate, add an odd or even entry, or reorient cell r."""
+    row = rows[d][r]
+    col = rng.choice(sorted(row))
+    fault = rng.choice(["drop", "negate", "add odd", "add even", "reorient"])
+    if fault == "drop":
+        del row[col]
+    elif fault == "negate":
+        row[col] = -row[col]
+    elif fault.startswith("add"):
+        row[rng.randrange(cc.cell_counts[d - 1])] = 1 if fault == "add odd" else 2
+    else:
+        # a change of orientation of the cell: negate its row and column
+        rows[d][r] = {c: -v for c, v in row.items()}
+        for upper in rows[d + 1] if d < cc.dim else ():
+            if r in upper:
+                upper[r] = -upper[r]
+
+
+def _plant_gf2_fault(rng, cc, rows, d, r):
+    """Clear a set bit of packed row r, set or flip a random one, or
+    swap cell r with another d-cell: its row and its bit in every row
+    one degree up, a relabelling that keeps d o d = 0."""
+    row = rows[d][r]
+    fault = rng.choice(["drop", "set", "flip", "swap"])
+    if fault == "drop":
+        rows[d][r] = row & ~(1 << rng.choice(sorted(_expanded(row))))
+    elif fault == "set":
+        rows[d][r] = row | 1 << rng.randrange(cc.cell_counts[d - 1])
+    elif fault == "flip":
+        rows[d][r] = row ^ 1 << rng.randrange(cc.cell_counts[d - 1])
+    else:
+        s = rng.randrange(len(rows[d]))
+        rows[d][r], rows[d][s] = rows[d][s], rows[d][r]
+        for i, upper in enumerate(rows[d + 1] if d < cc.dim else ()):
+            if (upper >> r ^ upper >> s) & 1:
+                rows[d + 1][i] = upper ^ (1 << r | 1 << s)
+
+
 class TestPackedPath:
     # sha256 of the sorted rows, recorded with the tuple-keyed assembly
-    # and the dict-based d o d check
+    # and the dict-based d o d check; a packed GF(2) row is expanded to
+    # its sorted [column, 1] pairs
     @pytest.mark.parametrize(
         "piece,ring,digest",
         [
@@ -761,16 +829,21 @@ class TestPackedPath:
         assert _matrix_digest(_n8_complex(piece, ring)) == digest
 
     def test_packed_rows_are_the_dict_rows(self):
-        cc = _n8_complex("p1", "GF2")
-        for mat, packed in zip(cc.boundaries, cc.packed_rows):
-            assert packed == tuple(sum(1 << c for c in row) for row in mat)
+        """The packed rows, expanded, are the reference assembly's dict
+        rows, and a row's len is its number of entries."""
+        pair = _family(4).boundary["p1"]
+        cw = _quotient(pair, False, 0)
+        cc = chain_complex(cw, "GF2")
+        reference = _reference_rows(cw, "GF2")
+        assert _dict_rows(cc) == [list(m) for m in reference]
+        for mat, ref in zip(cc.boundaries, reference):
+            assert [len(row) for row in mat] == [len(row) for row in ref]
 
     @pytest.mark.parametrize("d", range(1, 8))
     def test_dropped_gf2_entry_is_caught(self, d):
         cc = _n8_complex("p1", "GF2")
         rows = _copy_rows(cc)
-        row = rows[d][len(rows[d]) // 2]
-        del row[next(iter(row))]
+        _drop_lowest_entry(rows, d)
         with pytest.raises(ConsistencyError):
             cellular._verify_d_squared(_by_hand(cc, rows))
 
@@ -792,14 +865,17 @@ class TestPackedPath:
         assert homology(by_hand) == homology(cc)
 
     def test_gf2_entries_are_read_mod_2(self):
-        """Odd entries count as 1 and even ones as 0, on both checks."""
+        """The Z rows of the same complex, negated and with an entry 2
+        added, pack mod 2 to the GF(2) rows: odd entries count as 1 and
+        even ones as 0."""
         cc = _n8_complex("p1", "GF2")
-        rows = [[{c: -1 for c in r} for r in m] for m in cc.boundaries]
+        z = _n8_complex("p1", "Z")
+        rows = [[{c: -v for c, v in r.items()} for r in m] for m in z.boundaries]
         row = rows[3][0]
         row[min(set(range(cc.cell_counts[2])) - set(row))] = 2
-        by_hand = _by_hand(cc, rows)
+        by_hand = _by_hand(cc, [tuple(map(_pack_mod2, m)) for m in rows])
         cellular._verify_d_squared(by_hand)
-        assert by_hand.packed_rows == cc.packed_rows
+        assert by_hand.boundaries == cc.boundaries
         assert homology(by_hand) == homology(cc)
 
     @pytest.mark.parametrize("ring", ["Z", "GF2"])
@@ -811,21 +887,10 @@ class TestPackedPath:
             rows = _copy_rows(cc)
             d = rng.randint(1, cc.dim)
             r = rng.randrange(len(rows[d]))
-            row = rows[d][r]
-            col = rng.choice(sorted(row))
-            fault = rng.choice(["drop", "negate", "add odd", "add even", "reorient"])
-            if fault == "drop":
-                del row[col]
-            elif fault == "negate":
-                row[col] = -row[col]
-            elif fault.startswith("add"):
-                row[rng.randrange(cc.cell_counts[d - 1])] = 1 if fault == "add odd" else 2
+            if ring == "GF2":
+                _plant_gf2_fault(rng, cc, rows, d, r)
             else:
-                # a change of orientation of the cell: negate its row and column
-                rows[d][r] = {c: -v for c, v in row.items()}
-                for upper in rows[d + 1] if d < cc.dim else ():
-                    if r in upper:
-                        upper[r] = -upper[r]
+                _plant_z_fault(rng, cc, rows, d, r)
             planted = _by_hand(cc, rows)
             verdicts.append(_d_squared_holds(planted))
             assert verdicts[-1] == _reference_d_squared_holds(planted)
@@ -919,14 +984,16 @@ class TestRestrictedComplex:
             cellular._verify_d_squared(cc)
             for d in (n - 1, n):
                 rows = _copy_rows(cc)
-                row = rows[d][len(rows[d]) // 2]
-                col = next(iter(row))
                 if ring == "Z":
+                    row = rows[d][len(rows[d]) // 2]
+                    col = next(iter(row))
                     row[col] = -row[col]
                 else:
-                    del row[col]
+                    _drop_lowest_entry(rows, d)
+                planted = dataclasses.replace(cc, boundaries=tuple(rows))
+                assert not _reference_d_squared_holds(planted)
                 with pytest.raises(ConsistencyError):
-                    cellular._verify_d_squared(dataclasses.replace(cc, boundaries=tuple(rows)))
+                    cellular._verify_d_squared(planted)
 
     def test_unbuilt_degrees_raise(self):
         fam = _family(3)
@@ -1008,7 +1075,7 @@ def _reference_face_boundaries(cw, lowest_degree):
 def _reference_rows(cw, ring):
     lowest = cw.min_dim + 1 if cw.min_dim else 0
     subfaces = _reference_face_boundaries(cw, lowest)
-    boundaries = [[] for _ in range(max(1, lowest))]
+    boundaries = [() for _ in range(max(1, lowest))]
     for d in range(max(1, lowest), cw.polytope.dim + 1):
         lower = {cell: i for i, cell in enumerate(cw.cells[d - 1])}
         boundaries.append([
@@ -1026,10 +1093,14 @@ class TestSteppedCoset:
         "pair,relative,min_dim", [c[1:] for c in STEP_CASES], ids=[c[0] for c in STEP_CASES]
     )
     def test_step_is_the_full_reduction(self, pair, relative, min_dim):
+        """Over Z the rows are the reference rows; over GF(2) they are
+        the Z rows of the same quotient reduced mod 2."""
         cw = _quotient(pair, relative, min_dim)
-        for ring in ("Z", "GF2"):
-            cc = chain_complex(cw, ring)
-            assert cc.boundaries == _reference_rows(cw, ring)
+        z = chain_complex(cw, "Z")
+        assert z.boundaries == _reference_rows(cw, "Z")
+        gf2 = chain_complex(cw, "GF2")
+        assert gf2.boundaries == tuple(tuple(map(_pack_mod2, m)) for m in z.boundaries)
+        for cc in (z, gf2):
             assert sum(len(row) for mat in cc.boundaries for row in mat)
 
     @pytest.mark.parametrize(
@@ -1050,6 +1121,29 @@ class TestSteppedCoset:
         for ring in ("Z", "GF2"):
             with pytest.raises(ConsistencyError, match="boundary cell missing"):
                 chain_complex(cw, ring)
+
+    @pytest.mark.parametrize(
+        "source,d",
+        [("n8-p1", d) for d in range(2, 8)] + [("rel-k4-min2", d) for d in range(3, 9)],
+    )
+    def test_dropped_step_fails_the_fused_check(self, source, d, monkeypatch):
+        """A face of dimension d loses one subface; the one GF(2) pass
+        finds d o d != 0 in degree d, or in degree d + 1 when the
+        degree below d was not built."""
+        pair, relative, min_dim = next(c[1:] for c in STEP_CASES if c[0] == source)
+        cw = _quotient(pair, relative, min_dim)
+        face_steps = cellular._face_steps
+
+        def planted(*args):
+            steps = face_steps(*args)
+            fi = next(fi for fi in sorted(steps) if cw.face_list[fi][0] == d and steps[fi])
+            steps[fi] = steps[fi][1:]
+            return steps
+
+        chain_complex(cw, "GF2")
+        monkeypatch.setattr(cellular, "_face_steps", planted)
+        with pytest.raises(ConsistencyError, match="d o d != 0"):
+            chain_complex(cw, "GF2")
 
     def test_subgroup_not_one_vector_larger_is_caught(self):
         """A vertex whose planted group lacks its edge's vectors."""
