@@ -308,9 +308,10 @@ def build_quotient_complex(
     so every cell keeps its position in its dimension.  The
     cells are counted before any is built, and a count above
     ``ORACLE_MAX_CELLS`` raises; so does the lower bound ``_cell_floor``,
-    checked before any face is listed.  A representative is reduced iff
-    it has no bit at a key of its face's basis, whose keys are distinct
-    low bits, so that test guards them.
+    checked before any face is listed.  The representatives, the g with
+    no bit at a label (a dict key of ``gf2_basis``), are listed once per
+    label set; they are reduced iff each face's keys, the low bits of its
+    basis vectors, are labels, which is checked face by face.
     """
     if beta.ring != RING_GF2:
         raise CellularError("quotient complexes are built from GF(2) data")
@@ -335,16 +336,19 @@ def build_quotient_complex(
         )
     face_basis = []
     by_dim: list[list[tuple[int, int]]] = [[] for _ in range(poly.dim + 1)]
+    reps_of: dict[int, list[int]] = {}  # label set -> representatives
     for idx, ((dim, _, _), keyed) in enumerate(zip(faces, keyed_bases)):
         basis = tuple(keyed[c] for c in sorted(keyed))
         face_basis.append(basis)
-        # the representatives are the g with zero bits at the keys, ascending
-        reps = [0]
-        for c in range(rank):
-            if c not in keyed:
-                reps += [g | 1 << c for g in reps]
-        keys = sum(b & -b for b in basis)
-        if any(g & keys for g in reps):
+        labels = sum(1 << c for c in keyed)
+        reps = reps_of.get(labels)
+        if reps is None:
+            # the g with zero bits at the labels, ascending
+            reps = reps_of[labels] = [0]
+            for c in range(rank):
+                if not labels >> c & 1:
+                    reps += [g | 1 << c for g in reps]
+        if sum(b & -b for b in basis) & ~labels:
             raise ConsistencyError("a coset representative is not reduced")
         by_dim[dim] += [(idx, g) for g in reps]
     return QuotientCWComplex(
@@ -457,17 +461,15 @@ def _face_steps(cw: QuotientCWComplex, lowest: int) -> dict[int, list[tuple[int,
         for j in range(poly.n_facets):
             if mask >> j & 1 or (gi := index.get(mask | 1 << j)) is None:
                 continue
-            sign = _sign(mask, j)
+            sign = 1 if (mask >> j + 1).bit_count() & 1 else -1
             if dim == 1:
                 sign *= eps[cw.face_list[gi][2].bit_length() - 1]
             new, r = keys[gi] ^ keys[fi], 0
             if new:
-                for b in bases[gi]:
-                    if b & -b == new:
-                        r = _reduce_coset(b, bases[fi])
-                        break
-                else:
+                if new & new - 1 or new & ~keys[gi]:
                     raise ConsistencyError("a subface's group is not its face's plus one vector")
+                # the subface's basis is in ascending key order
+                r = _reduce_coset(bases[gi][(keys[gi] & new - 1).bit_count()], bases[fi])
             subs.append((gi << rank, new, r, sign))
     return steps
 

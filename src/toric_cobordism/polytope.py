@@ -20,7 +20,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, combinations
+from itertools import chain
 from math import gcd, lcm
 from typing import Callable, Collection, Iterable, Iterator, Optional, Sequence
 
@@ -284,11 +284,15 @@ class SimplePolytope:
         ascending vertex list.  The facet mask holds the facets
         containing the face, so the polytope itself has 0.
 
-        In a simple polytope the faces of dimension dim - k through a
-        vertex v correspond to the k-subsets of the dim facets at v, so
-        enumerating the subsets of size at most dim - min_dim of the
-        facets at v outside ``excluded``, per vertex, and deduplicating by
-        vertex mask is exhaustive.  Nothing is cached.
+        In a simple polytope k facets that meet cut out one face, of
+        dimension dim - k, and every face is cut out by the facets
+        containing it.  So the facet sets outside ``excluded`` are built
+        level by level, each extended only by facets of higher position
+        and only while its facets still meet, down to dimension
+        ``min_dim``, and are filed by vertex mask with the first set
+        found kept: the smallest, lexicographically first one, as a walk
+        of the subsets of each vertex's facets would keep.  Nothing is
+        cached.
 
         Two faces of one dimension are never nested, so their ascending
         vertex lists first differ at the lowest vertex where their masks
@@ -300,15 +304,19 @@ class SimplePolytope:
         found: dict[int, tuple[int, int]] = {}  # vertex mask -> (dim, facet mask)
         if min_dim <= self.dim:
             found[all_mask] = (self.dim, 0)
-        for vm in self.vertex_masks:
-            bits = set_bits(vm & ~excluded)
-            for k in range(1, self.dim - min_dim + 1):
-                for sub in combinations(bits, k):
-                    m = all_mask
-                    for j in sub:
-                        m &= fmasks[j]
-                    if m not in found:
-                        found[m] = (self.dim - k, sum(map((1).__lshift__, sub)))
+        free = [(1 << j, fm) for j, fm in enumerate(fmasks) if not excluded >> j & 1]
+        level = [(0, all_mask, 0)]  # (facet mask, vertex mask, next index into free)
+        for dim in range(self.dim - 1, max(min_dim, 0) - 1, -1):
+            deeper = []
+            for sub, vm, start in level:
+                for i in range(start, len(free)):
+                    bit, fm = free[i]
+                    m = vm & fm
+                    if m:
+                        deeper.append((sub | bit, m, i + 1))
+                        if m not in found:
+                            found[m] = (dim, sub | bit)
+            level = deeper
         top = 1 << self.n_vertices
         return tuple(
             sorted(

@@ -1153,6 +1153,42 @@ class TestSteppedCoset:
         with pytest.raises(ConsistencyError, match="plus one vector"):
             chain_complex(planted, "GF2")
 
+    @staticmethod
+    def _interval(edge_basis, vertex_bases):
+        """A rank-3 complex over an interval with the given bases and no
+        cells, so that only the step table can raise."""
+        poly = simplex(1)
+        assert [dim for dim, _, _ in poly.faces] == [0, 0, 1]
+        return cellular.QuotientCWComplex(
+            polytope=poly,
+            group_rank=3,
+            cells=((), ()),
+            face_list=poly.faces,
+            face_basis=(*vertex_bases, edge_basis),
+        )
+
+    @pytest.mark.parametrize("ring", ["Z", "GF2"])
+    def test_two_new_keys_are_caught(self, ring):
+        """The edge has key 0 and one vertex keys 0, 1, 2: both new keys
+        are the vertex's, and reading a vector at them would not raise."""
+        whole = (0b001, 0b010, 0b100)
+        cw = self._interval((0b001,), [(0b001, 0b010), whole])
+        with pytest.raises(ConsistencyError, match="plus one vector"):
+            chain_complex(cw, ring)
+
+    @pytest.mark.parametrize("ring", ["Z", "GF2"])
+    def test_new_key_outside_the_subface_keys_is_caught(self, ring):
+        """The edge has keys 0 and 2 and one vertex only key 2: the new
+        key 0 is the edge's, and the vertex's one vector sits at the
+        index that key would read."""
+        edge = (0b001, 0b100)
+        for vertex_bases in ([(0b100,), (0b001, 0b010, 0b100)], [(0b001, 0b010, 0b100), (0b100,)]):
+            cw = self._interval(edge, vertex_bases)
+            with pytest.raises(ConsistencyError, match="plus one vector"):
+                chain_complex(cw, ring)
+        # the same interval with a vertex one key larger than the edge passes
+        chain_complex(self._interval(edge, [(0b001, 0b010, 0b100)] * 2), ring)
+
 
 class TestRepresentativeCheck:
     def test_key_mask_verdict_is_the_reduction_verdict(self):
@@ -1187,6 +1223,32 @@ class TestRepresentativeCheck:
         monkeypatch.setattr(cellular, "gf2_basis", mislabelled)
         with pytest.raises(ConsistencyError, match="not reduced"):
             build_quotient_complex(fam.polytope, fam.pair.chi)
+
+    def test_one_mislabelled_face_of_a_shared_label_set_is_caught(self, monkeypatch):
+        """One face keyed {0, 2} filed under {1, 2}, the label set of
+        faces listed before it: the representatives listed once for that
+        set do not hide it."""
+        fam = _family(2)
+        cw = build_quotient_complex(fam.polytope, fam.pair.chi)
+        keys = [sum(b & -b for b in basis) for basis in cw.face_basis]
+        first_shared = keys.index(0b110)
+        t = next(i for i, k in enumerate(keys) if k == 0b101 and i > first_shared)
+        assert keys.count(0b110) > 1
+        calls = []
+
+        def mislabelled(rows):
+            keyed = gf2_basis(rows)
+            if len(calls) == t:
+                keyed[1] = keyed.pop(0)
+            calls.append(sorted(keyed))
+            return keyed
+
+        monkeypatch.setattr(cellular, "gf2_basis", mislabelled)
+        with pytest.raises(ConsistencyError, match="not reduced"):
+            build_quotient_complex(fam.polytope, fam.pair.chi)
+        # one call per face, in face order
+        assert len(calls) == len(cw.face_list)
+        assert calls[t] == calls[first_shared] == [1, 2]
 
 
 class TestCellCeiling:

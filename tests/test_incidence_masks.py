@@ -6,6 +6,8 @@ vertex signs were read off ``vertex_masks`` and ``facet_vertex_masks``.
 They run on the k = 2..6 families over both rings, their boundary
 pieces, and the polytopes of ``test_polytope._edge_cases``.  Edges and
 index pairs are compared as id and vertex sets, decoded by ``facesets``.
+Its ``faces_by_vertex_subsets`` is the per-vertex subset walk that the
+level-by-level ``faces_down_to`` replaced.
 """
 
 import functools
@@ -14,7 +16,7 @@ from itertools import islice
 
 import pytest
 
-from facesets import FaceSets, edge_sets, profile_sets
+from facesets import FaceSets, edge_sets, faces_by_vertex_subsets, profile_sets
 from test_polytope import _edge_cases
 from toric_cobordism import cellular
 from toric_cobordism.cellular import (
@@ -27,7 +29,7 @@ from toric_cobordism.cellular import (
 )
 from toric_cobordism.charpair import standard_pair
 from toric_cobordism.family import build_family
-from toric_cobordism.polytope import PolytopeError, SimplePolytope, product, simplex
+from toric_cobordism.polytope import PolytopeError, SimplePolytope, build_delta_Q, product, simplex
 
 # bijections compared per search; the largest searches have ~10^6
 CAP = 12
@@ -437,3 +439,52 @@ class TestCellFloor:
         for m in (2, 5, 22):
             pair = standard_pair("real_projective", m)
             assert cellular._cell_floor(pair.polytope, m, 0, 0) == 3 ** m
+
+
+class TestFacesDownToLevels:
+    """The level-by-level facet sets give the tuple of the walk over the
+    subsets of each vertex's facets, facet masks included."""
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+    def test_delta_q(self, k):
+        poly = build_delta_Q(2 * k)
+        assert poly.faces_down_to(0) == faces_by_vertex_subsets(poly, 0)
+
+    def test_n8_covers_with_permuted_facet_ids(self):
+        rng = random.Random(31)
+        for fid, pair in build_family(4, "GF2").boundary.items():
+            for realized in (True, False):
+                poly = _relabelled(pair.polytope, rng, realized)
+                for m in (0, 3, 7):
+                    got = poly.faces_down_to(m)
+                    assert got == faces_by_vertex_subsets(poly, m), (fid, realized, m)
+                excluded = rng.getrandbits(poly.n_facets)
+                got = poly.faces_down_to(0, excluded)
+                assert got == faces_by_vertex_subsets(poly, 0, excluded), (fid, realized)
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_relative_and_min_dim(self, k):
+        fam = build_family(k, "GF2")
+        poly = fam.polytope
+        free = poly.facet_mask(frozenset(poly.facet_ids) - fam.pair.chi.assigned())
+        assert free
+        for m in range(-1, poly.dim + 2):
+            for excluded in (0, free):
+                got = poly.faces_down_to(m, excluded)
+                assert got == faces_by_vertex_subsets(poly, m, excluded), (m, excluded)
+
+    def test_first_found_facet_set_is_kept(self):
+        """Facets a and b both hold vertices 0, 1 and 2, so {a}, {b} and
+        {a, b} cut out one vertex mask: the first set, {a}, is kept, and
+        {b} once a is excluded."""
+        vertices = ["abc", "abd", "abe", "cde", "cdf", "cef", "def"]
+        poly = SimplePolytope(3, [(f, "") for f in "abcdef"], [(None, v) for v in vertices])
+        a, b = poly.facet_mask("a"), poly.facet_mask("b")
+        assert poly.facet_vertex_masks[0] == poly.facet_vertex_masks[1] == 0b111
+        for m in range(-1, 5):
+            for excluded in (0, a, b, a | b, poly.facet_mask("cf")):
+                got = poly.faces_down_to(m, excluded)
+                assert got == faces_by_vertex_subsets(poly, m, excluded), (m, excluded)
+        faces = {vm: (dim, fm) for dim, fm, vm in poly.faces_down_to(0)}
+        assert faces[0b111] == (2, a)
+        assert {vm: (dim, fm) for dim, fm, vm in poly.faces_down_to(0, a)}[0b111] == (2, b)
