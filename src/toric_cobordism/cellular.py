@@ -7,9 +7,9 @@ outright as finite regular CW complexes (one cell per coset and face)
 whose chain complexes are handed to exact Smith normal form or GF(2)
 rank computations.  A face is the polytope's (dim, facet mask, vertex
 mask) triple, so a subface is found by its facet mask and an isotropy
-group by the facet positions it sets.  ``chain_complex`` steps each
-boundary entry's coset into its subface's by the one vector the
-subface's group adds.
+group by the facet positions it sets: one packed vector per facet
+gives each face's group and the one vector each subface's group adds,
+by which ``chain_complex`` steps a boundary entry's coset.
 A complex asked for a few degrees enumerates only the faces and builds
 only the cells and boundaries those degrees read, down to one boundary
 below them, and verifies d o d on every composition it built.  Over
@@ -238,9 +238,9 @@ def table_to_json(table: HomologyTable) -> list[dict]:
 def _reduce_coset(g: int, basis: tuple[int, ...]) -> int:
     """The representative of g + span(basis) with zero bits at the keys.
 
-    ``basis`` is a ``gf2_basis`` in ascending key order.  Its vector of
-    key c is zero below bit c, so clearing bit c leaves the lower keys
-    clear and the result is unique in the coset.
+    Each vector of ``basis`` is zero at the keys (low bits) of the ones
+    before it, so clearing the keys in turn leaves the earlier ones
+    clear, and no nonzero vector of the span is zero at every key.
     """
     for b in basis:
         low = b & -b
@@ -256,23 +256,19 @@ class QuotientCWComplex:
     Identifications act only on the group coordinate, so every closed
     cell embeds and the incidence numbers are the polytope's own.  The
     faces are the polytope's (dim, facet mask, vertex mask) triples
-    that the complex keeps, in the order of ``SimplePolytope.faces``.
+    that the complex keeps, in the order of ``SimplePolytope.faces_down_to``.
     """
 
     polytope: SimplePolytope
     group_rank: int
     cells: tuple[tuple[tuple[int, int], ...], ...]  # per dim: (face_index, coset)
     face_list: tuple[tuple[int, int, int], ...]  # (dim, facet mask, vertex mask)
-    face_basis: tuple[tuple[int, ...], ...]  # XOR basis of G_F per face, ascending keys
+    face_basis: tuple[tuple[int, ...], ...]  # XOR basis of G_F per face, as _reduce_coset reads it
+    facet_vectors: tuple[int, ...]  # lambda_j bit packed, per facet position
     min_dim: int = 0  # cells below this dimension are not built
 
     def cell_counts(self) -> tuple[int, ...]:
         return tuple(len(c) for c in self.cells)
-
-    def euler_characteristic(self) -> int:
-        if self.min_dim:
-            raise CellularError(f"no cells below dimension {self.min_dim} were built")
-        return sum((-1) ** d * len(c) for d, c in enumerate(self.cells))
 
 
 def _cell_floor(poly: SimplePolytope, rank: int, excluded: int, min_dim: int) -> int:
@@ -298,24 +294,29 @@ def build_quotient_complex(
 ) -> QuotientCWComplex:
     """Cells of the GF(2) quotient space, optionally relative.
 
-    The isotropy subgroup of a face is spanned by the vectors of its
-    assigned facets, packed once per facet position and read off the
-    face's facet mask.  With ``boundary_facets`` given, faces whose facet
-    mask meets theirs are dropped, which computes the pair relative to
-    that part of the boundary.  Neither those faces nor the faces below
-    ``min_dim`` are ever enumerated (``poly.faces_down_to`` walks only
-    the facets outside the boundary); the kept faces keep their order,
-    so every cell keeps its position in its dimension.  The
-    cells are counted before any is built, and a count above
-    ``ORACLE_MAX_CELLS`` raises; so does the lower bound ``_cell_floor``,
-    checked before any face is listed.  The representatives, the g with
-    no bit at a label (a dict key of ``gf2_basis``), are listed once per
-    label set; they are reduced iff each face's keys, the low bits of its
-    basis vectors, are labels, which is checked face by face.
+    With ``boundary_facets`` given, faces whose facet mask meets theirs
+    are dropped, which computes the pair relative to that part of the
+    boundary.  Neither those faces nor the faces below ``min_dim`` are
+    ever enumerated (``poly.faces_down_to`` walks only the facets
+    outside the boundary); the kept faces keep their order, so every
+    cell keeps its position in its dimension.  The cells are counted
+    before any is built, and a count above ``ORACLE_MAX_CELLS`` raises;
+    so do the 2^rank cells of the polytope face and the lower bound
+    ``_cell_floor``, both before any face is listed.  Top down, the
+    isotropy group G_S of the face cut out by S is G_{S-j} + <lambda_j>
+    for j the highest position in S: its basis is the parent's, plus
+    lambda_j reduced by it when that is nonzero, whose low bit is a new
+    key.  The representatives, the g with no bit at a key (label), are
+    listed once per label set.
     """
     if beta.ring != RING_GF2:
         raise CellularError("quotient complexes are built from GF(2) data")
     rank = beta.rank
+    if rank >= ORACLE_MAX_CELLS.bit_length():
+        raise CellularError(
+            f"the complex would have at least 2^{rank} cells,"
+            f" more than the ceiling {ORACLE_MAX_CELLS}"
+        )
     excluded = poly.facet_mask(boundary_facets)
     floor = _cell_floor(poly, rank, excluded, min_dim)
     if floor > ORACLE_MAX_CELLS:
@@ -323,24 +324,25 @@ def build_quotient_complex(
             f"the complex would have at least {floor} cells,"
             f" more than the ceiling {ORACLE_MAX_CELLS}"
         )
-    if min_dim <= 0 and not excluded:
-        faces = poly.faces
-    else:
-        faces = poly.faces_down_to(min_dim, excluded)
-    packed = [gf2_pack(beta.vectors.get(fid, ())) for fid in poly.facet_ids]
-    keyed_bases = [gf2_basis(map(packed.__getitem__, set_bits(fm))) for _, fm, _ in faces]
-    count = sum(1 << (rank - len(keyed)) for keyed in keyed_bases)
+    faces = poly.faces_down_to(min_dim, excluded)
+    vectors = tuple(gf2_pack(beta.vectors.get(fid, ())) for fid in poly.facet_ids)
+    basis_of: dict[int, tuple[int, ...]] = {0: ()}  # facet mask -> basis
+    for _, mask, _ in reversed(faces):
+        if mask:
+            j = mask.bit_length() - 1
+            basis = basis_of[mask ^ 1 << j]
+            r = _reduce_coset(vectors[j], basis)
+            basis_of[mask] = basis + (r,) if r else basis
+    face_basis = tuple(basis_of[mask] for _, mask, _ in faces)
+    count = sum(1 << (rank - len(basis)) for basis in face_basis)
     if count > ORACLE_MAX_CELLS:
         raise CellularError(
             f"the complex would have {count} cells, more than the ceiling {ORACLE_MAX_CELLS}"
         )
-    face_basis = []
     by_dim: list[list[tuple[int, int]]] = [[] for _ in range(poly.dim + 1)]
     reps_of: dict[int, list[int]] = {}  # label set -> representatives
-    for idx, ((dim, _, _), keyed) in enumerate(zip(faces, keyed_bases)):
-        basis = tuple(keyed[c] for c in sorted(keyed))
-        face_basis.append(basis)
-        labels = sum(1 << c for c in keyed)
+    for idx, ((dim, _, _), basis) in enumerate(zip(faces, face_basis)):
+        labels = sum(b & -b for b in basis)
         reps = reps_of.get(labels)
         if reps is None:
             # the g with zero bits at the labels, ascending
@@ -348,15 +350,14 @@ def build_quotient_complex(
             for c in range(rank):
                 if not labels >> c & 1:
                     reps += [g | 1 << c for g in reps]
-        if sum(b & -b for b in basis) & ~labels:
-            raise ConsistencyError("a coset representative is not reduced")
         by_dim[dim] += [(idx, g) for g in reps]
     return QuotientCWComplex(
         polytope=poly,
         group_rank=rank,
         cells=tuple(tuple(c) for c in by_dim),
-        face_list=tuple(faces),
-        face_basis=tuple(face_basis),
+        face_list=faces,
+        face_basis=face_basis,
+        facet_vectors=vectors,
         min_dim=min_dim,
     )
 
@@ -443,18 +444,17 @@ def _face_steps(cw: QuotientCWComplex, lowest: int) -> dict[int, list[tuple[int,
 
     Incidences are the polytope's, read off the facet order, with the
     whole polytope's vertex signs; subfaces a relative complex drops are
-    skipped.  A subface F_{S+j} has G_{S+j} = G_S + <lambda_j>, so r, its
-    vector at its one new key reduced by the face's basis, is the one
-    vector it adds (0 when it adds none).
+    skipped.  A subface F_{S+j} has G_{S+j} = G_S + <lambda_j>, so r,
+    lambda_j reduced by the face's basis, is the one vector it adds (0
+    when it adds none), and the low bit of r is its one new key.
     """
     poly = cw.polytope
     rank = cw.group_rank
     eps = _vertex_signs(poly) if lowest <= 1 else None
     index = {mask: i for i, (_, mask, _) in enumerate(cw.face_list)}
-    bases = cw.face_basis
-    keys = [sum(b & -b for b in basis) for basis in bases]
+    vectors = cw.facet_vectors
     steps: dict[int, list[tuple[int, int, int, int]]] = {}
-    for fi, (dim, mask, _) in enumerate(cw.face_list):
+    for fi, ((dim, mask, _), basis) in enumerate(zip(cw.face_list, cw.face_basis)):
         if dim < max(1, lowest):
             continue
         steps[fi] = subs = []
@@ -464,13 +464,8 @@ def _face_steps(cw: QuotientCWComplex, lowest: int) -> dict[int, list[tuple[int,
             sign = 1 if (mask >> j + 1).bit_count() & 1 else -1
             if dim == 1:
                 sign *= eps[cw.face_list[gi][2].bit_length() - 1]
-            new, r = keys[gi] ^ keys[fi], 0
-            if new:
-                if new & new - 1 or new & ~keys[gi]:
-                    raise ConsistencyError("a subface's group is not its face's plus one vector")
-                # the subface's basis is in ascending key order
-                r = _reduce_coset(bases[gi][(keys[gi] & new - 1).bit_count()], bases[fi])
-            subs.append((gi << rank, new, r, sign))
+            r = _reduce_coset(vectors[j], basis)
+            subs.append((gi << rank, r & -r, r, sign))
     return steps
 
 

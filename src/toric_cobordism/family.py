@@ -192,6 +192,8 @@ class FamilyDescriptor:
         k = data["k"]
         if type(k) is not int or n != 2 * k:
             raise FamilyError(f"k = {k!r} does not match n = {n!r}: n must be 2k")
+        if poly.dim != n:
+            raise FamilyError(f"the polytope has dimension {poly.dim}, not n = {n}")
         ring = data["ring"]
         vectors = {fid: tuple(v) for fid, v in json_object(data, "vectors").items()}
         chi = CharacteristicFunction(ring, n - 1, vectors)

@@ -404,6 +404,24 @@ class TestInputContract:
         assert "n must be 2k" in err
         self._assert_rejected(["validate", "--in", str(fam)], capsys)
 
+    def test_family_n_is_the_polytope_dimension(self, tmp_path, capsys):
+        """n = 2000 over the n = 4 polytope once reported a reflection
+        count built for n = 2000; the file is now refused as it is read."""
+        fam = tmp_path / "fam2.json"
+        main(["construct", "--k", "2", "--ring", "z2", "--out", str(fam)])
+        data = read(fam)
+        data["n"], data["k"], data["vectors"] = 2000, 1000, {}
+        fam.write_text(json.dumps(data))
+        for argv in (
+            ["homology", "--in", str(fam), "--oracle"],
+            ["homology", "--in", str(fam)],
+            ["validate", "--in", str(fam)],
+            ["oracle", "--in", str(fam), "--relative", "--ring", "z"],
+        ):
+            with _time_limit(1, argv[0]):
+                err = self._assert_rejected(argv, capsys)
+            assert "the polytope has dimension 4, not n = 2000" in err
+
     def test_deeply_nested_json(self, tmp_path, capsys):
         """A nesting deeper than the JSON decoder recurses is unreadable input."""
         deep = tmp_path / "deep.json"
@@ -771,15 +789,16 @@ class TestOversizedRank:
     def _padded(vectors, rank):
         return {fid: v + [0] * (rank - len(v)) for fid, v in vectors.items()}
 
-    def _assert_ceiling(self, argv, capsys):
+    def _assert_ceiling(self, argv, capsys, ceiling=4194304):
         capsys.readouterr()
         with _time_limit(CALL_TIME_LIMIT_S, argv[0]):
             assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: the complex would have ")
-        assert "more than the ceiling 4194304" in captured.err
+        assert f"more than the ceiling {ceiling}" in captured.err
         assert captured.err.count("\n") == 1
+        return captured.err
 
     @pytest.mark.parametrize("ring", ["z", "z2"])
     def test_pair(self, tmp_path, ring, capsys):
@@ -802,16 +821,37 @@ class TestOversizedRank:
         path.write_text(json.dumps(standard_pair("real_projective", 22).to_json_dict()))
         self._assert_ceiling(["oracle", "--in", str(path), "--ring", "z2"], capsys)
 
-    def test_family(self, tmp_path, z2_family_file, capsys):
-        # n = 40 over the n = 4 polytope: the family's rank n - 1 is 39
-        data = read(z2_family_file)
-        data["k"], data["n"] = 20, 40
-        data["vectors"] = self._padded(data["vectors"], 39)
-        z2_family_file.write_text(json.dumps(data))
-        self._assert_ceiling(["homology", "--in", str(z2_family_file), "--oracle"], capsys)
+    @pytest.mark.parametrize("rank", [5000, 20000, 10**12])
+    def test_huge_rank(self, tmp_path, rank, capsys):
+        """The polytope face alone has 2^rank cells, so the rank is refused
+        before any power of two is formed: the floor's digits once filled
+        the error line, overflowed the int-to-string limit, or ran out of
+        memory."""
+        from toric_cobordism.family import build_family
+
+        data = build_family(2, "GF2").boundary["p3"].to_json_dict()
+        data["rank"], data["vectors"] = rank, {}
+        path = tmp_path / "huge-rank.json"
+        path.write_text(json.dumps(data))
+        for ring in ("z", "z2"):
+            err = self._assert_ceiling(["oracle", "--in", str(path), "--ring", ring], capsys)
+            assert err.startswith(f"error: the complex would have at least 2^{rank} cells,")
+            assert len(err) < 200
+
+    def test_family(self, tmp_path, z2_family_file, capsys, monkeypatch):
+        """A valid n = 4 family under a ceiling of 8 cells, the 2^3 of its
+        polytope face."""
+        from toric_cobordism import cellular
+
+        monkeypatch.setattr(cellular, "ORACLE_MAX_CELLS", 8)
+        self._assert_ceiling(
+            ["homology", "--in", str(z2_family_file), "--oracle"], capsys, ceiling=8
+        )
         for ring in ("z", "z2"):
             self._assert_ceiling(
-                ["oracle", "--in", str(z2_family_file), "--relative", "--ring", ring], capsys
+                ["oracle", "--in", str(z2_family_file), "--relative", "--ring", ring],
+                capsys,
+                ceiling=8,
             )
 
 
