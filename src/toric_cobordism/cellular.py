@@ -16,9 +16,9 @@ below them, and verifies d o d on every composition it built.  Over
 GF(2) one pass per degree builds each boundary row as one bit-packed
 int and checks d o d against the packed rows one degree down as it
 goes; the elimination reads the same ints.  Over Z the rows are dicts,
-and the check splits each row one degree down once into its columns
-with + and with -.  The two routes cross-check each other wherever
-both apply.
+and the same pass also lists each row's columns with + and with -, and
+checks d o d against those lists one degree down.  The two routes
+cross-check each other wherever both apply.
 """
 
 from __future__ import annotations
@@ -27,9 +27,10 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
+from itertools import chain
 from math import comb
 from numbers import Rational
-from operator import mul, xor
+from operator import itemgetter, mul, xor
 from typing import Iterable, Optional, Sequence
 
 from .charpair import RING_GF2, RING_Z, CharacteristicFunction, CharacteristicPair
@@ -421,7 +422,9 @@ class PackedRow(int):
 class ChainComplex:
     """Graded boundary matrices: row r of ``boundaries[d]`` is the
     boundary of the r-th d-cell, a sparse map into (d-1)-cells over Z
-    and a ``PackedRow`` over GF(2), read, never modified, once built.
+    (its columns in the order of the face's steps, which the unit-pivot
+    elimination reads) and a ``PackedRow`` over GF(2), read, never
+    modified, once built.
 
     Only the boundaries of degree ``lowest_degree`` and up are built,
     with the cells they touch; below it the counts and matrices are
@@ -475,34 +478,68 @@ def chain_complex(cw: QuotientCWComplex, ring: str = RING_Z) -> ChainComplex:
     A cell (face index, coset g) is keyed by the int ``face_index <<
     group_rank | g``, in cell order.  Along a step of ``_face_steps`` the
     coset g lies in the subface's coset ``g ^ r if g & lowbit(r) else
-    g``; a stepped cell missing from the complex raises.  Distinct
+    g``; a stepped cell missing from the complex raises, and so does a
+    step whose sign is not +-1 (checked once per step).  Distinct
     subfaces give distinct cells, so no entry sums two terms and over
     GF(2) no bit is set twice.  Over GF(2) one pass packs each row and
     XORs the packed rows one degree down at its columns, and a nonzero
-    XOR (d o d != 0) raises; over Z ``_verify_d_squared`` checks the
-    dict rows.  Cells from ``cw.min_dim`` > 0 up give boundaries from
-    degree ``min_dim + 1`` up.
+    XOR (d o d != 0) raises.  Over Z the same pass fills each row dict
+    in step order and lists its + and its - columns, kept for one degree
+    down; a row that reaches a column twice raises, and so does one whose
+    columns reached through those lists with + and with - differ as
+    multisets (d o d != 0), the verdict of ``_verify_d_squared``.  Cells
+    from ``cw.min_dim`` > 0 up give boundaries from degree ``min_dim +
+    1`` up.
     """
     if ring not in (RING_Z, RING_GF2):
         raise CellularError(f"unknown ring {ring!r}")
     rank = cw.group_rank
     lowest = cw.min_dim + 1 if cw.min_dim else 0
     steps = _face_steps(cw, lowest)
+    if not set(map(itemgetter(3), chain.from_iterable(steps.values()))) <= {1, -1}:
+        raise ConsistencyError("an incidence sign is not +-1")
     counts = cw.cell_counts()
     first = max(1, lowest)
     boundaries: list = [()] * first
+    # Z: each cell's columns with +1 and with -1, this degree and the one below
+    pluses: list[list[int]] = []
+    minuses: list[list[int]] = []
     for d in range(first, cw.polytope.dim + 1):
         lower = {fi << rank | g: i for i, (fi, g) in enumerate(cw.cells[d - 1])}
         if ring == RING_Z:
+            plus_of, minus_of, pluses, minuses = pluses, minuses, [], []
             mat: SparseMatrix = []
             for fi, g in cw.cells[d]:
                 row: dict[int, int] = {}
+                plus: list[int] = []
+                minus: list[int] = []
                 for base, low, r, sign in steps.get(fi, ()):
                     col = lower.get(base | (g ^ r if g & low else g))
                     if col is None:
                         raise ConsistencyError("boundary cell missing from complex")
                     row[col] = sign
+                    if sign == 1:
+                        plus.append(col)
+                    else:
+                        minus.append(col)
+                if len(row) != len(plus) + len(minus):
+                    raise ConsistencyError("a boundary cell is reached twice")
+                if d > first:
+                    pos: list[int] = []
+                    neg: list[int] = []
+                    for col in plus:
+                        pos += plus_of[col]
+                        neg += minus_of[col]
+                    for col in minus:
+                        pos += minus_of[col]
+                        neg += plus_of[col]
+                    pos.sort()
+                    neg.sort()
+                    if pos != neg:
+                        raise ConsistencyError("d o d != 0: incidence signs broken")
                 mat.append(row)
+                pluses.append(plus)
+                minuses.append(minus)
             boundaries.append(mat)
             continue
         # the degree below, or zeros where it was not built
@@ -521,10 +558,7 @@ def chain_complex(cw: QuotientCWComplex, ring: str = RING_Z) -> ChainComplex:
                 raise ConsistencyError("d o d != 0: incidence signs broken")
             rows.append(bits)
         boundaries.append(tuple(map(PackedRow, rows)))
-    cc = ChainComplex(ring, counts, tuple(boundaries), lowest)
-    if ring == RING_Z:
-        _verify_d_squared(cc)
-    return cc
+    return ChainComplex(ring, counts, tuple(boundaries), lowest)
 
 
 def _signed_columns(row: dict[int, int]) -> tuple[list[int], list[int]]:
@@ -545,11 +579,12 @@ def _signed_columns(row: dict[int, int]) -> tuple[list[int], list[int]]:
 def _verify_d_squared(cc: ChainComplex) -> None:
     """Raise unless every composition of two built boundaries vanishes.
 
-    ``chain_complex`` already checks GF(2) in its one packed pass; this
-    is the second route, run after assembly.  Over GF(2) a row of d o d
-    is the XOR of the packed rows one degree down at the row's set
-    bits.  Over Z each row one degree down is split once into its
-    signed columns; a row of d o d vanishes iff the columns it reaches
+    ``chain_complex`` checks both rings in its one assembly pass; this
+    is the second route, run on rows already built (or built by hand),
+    on both rings.  Over GF(2) a row of d o d is the XOR of the packed
+    rows one degree down at the row's set bits.  Over Z each row one
+    degree down is split once into its signed columns, each repeated
+    |entry| times; a row of d o d vanishes iff the columns it reaches
     with + and with -, counted with multiplicity, are the same multiset.
     """
     first = max(2, cc.lowest_degree + 1)

@@ -353,6 +353,11 @@ def _eliminate_units(
     meets a key opened after it was reduced is reduced again, until no
     core row meets a key.  A pivot row is kept without its pivot entry.
 
+    The pivot is the first +-1 entry in insertion order: on the n = 8
+    p1 cover's Z sweep that makes 20,420 pivot-row entry updates, the
+    least or greatest such column about 1.7 times as many and the last
+    one over 260 million, so row builders keep their entries' order.
+
     Each pivot row is zero at every key opened before it, so the pivot
     block, in opening order, is triangular with +-1 on the diagonal:
     unimodular.  It also fixes the reduced row, whatever the order of

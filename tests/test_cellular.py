@@ -1102,6 +1102,38 @@ def _reference_rows(cw, ring):
     return tuple(boundaries)
 
 
+# Faces whose steps a test plants a fault in: every degree of the closed
+# n = 8 p1 cover (a 7-manifold), and every built degree of the relative
+# k = 4 complex restricted to cells of dimension 2 and up.
+PLANT_CASES = [("n8-p1", d) for d in range(1, 8)] + [("rel-k4-min2", d) for d in range(3, 9)]
+
+
+def _step_case(source):
+    return _quotient(*next(c[1:] for c in STEP_CASES if c[0] == source))
+
+
+def _planted_steps(source, d, change, monkeypatch):
+    """The quotient complex of ``source``, with ``change`` applied to the
+    step list of its first d-face that has steps, and the second-route
+    ``_verify_d_squared`` made a no-op, so only the assembly pass checks."""
+    cw = _step_case(source)
+    face_steps = cellular._face_steps
+
+    def planted(*args):
+        steps = face_steps(*args)
+        fi = next(fi for fi in sorted(steps) if cw.face_list[fi][0] == d and steps[fi])
+        steps[fi] = change(steps[fi])
+        return steps
+
+    monkeypatch.setattr(cellular, "_face_steps", planted)
+    monkeypatch.setattr(cellular, "_verify_d_squared", lambda cc: None)
+    return cw
+
+
+def _with_sign(step, sign):
+    return (*step[:3], sign)
+
+
 class TestSteppedCoset:
     @pytest.mark.parametrize(
         "pair,relative,min_dim", [c[1:] for c in STEP_CASES], ids=[c[0] for c in STEP_CASES]
@@ -1136,28 +1168,17 @@ class TestSteppedCoset:
             with pytest.raises(ConsistencyError, match="boundary cell missing"):
                 chain_complex(cw, ring)
 
-    @pytest.mark.parametrize(
-        "source,d",
-        [("n8-p1", d) for d in range(2, 8)] + [("rel-k4-min2", d) for d in range(3, 9)],
-    )
+    @pytest.mark.parametrize("source,d", PLANT_CASES)
     def test_dropped_step_fails_the_fused_check(self, source, d, monkeypatch):
-        """A face of dimension d loses one subface; the one GF(2) pass
-        finds d o d != 0 in degree d, or in degree d + 1 when the
-        degree below d was not built."""
-        pair, relative, min_dim = next(c[1:] for c in STEP_CASES if c[0] == source)
-        cw = _quotient(pair, relative, min_dim)
-        face_steps = cellular._face_steps
-
-        def planted(*args):
-            steps = face_steps(*args)
-            fi = next(fi for fi in sorted(steps) if cw.face_list[fi][0] == d and steps[fi])
-            steps[fi] = steps[fi][1:]
-            return steps
-
-        chain_complex(cw, "GF2")
-        monkeypatch.setattr(cellular, "_face_steps", planted)
-        with pytest.raises(ConsistencyError, match="d o d != 0"):
-            chain_complex(cw, "GF2")
+        """A face of dimension d loses one subface; the one assembly
+        pass finds d o d != 0 in degree d, or in degree d + 1 when the
+        degree below d was not built, on both rings."""
+        for ring in ("Z", "GF2"):
+            chain_complex(_step_case(source), ring)
+        cw = _planted_steps(source, d, lambda subs: subs[1:], monkeypatch)
+        for ring in ("Z", "GF2"):
+            with pytest.raises(ConsistencyError, match="d o d != 0"):
+                chain_complex(cw, ring)
 
     @pytest.mark.parametrize("k,piece", [(3, "p1"), (3, "p3"), (4, "p1"), (4, "p3")])
     def test_flipped_facet_vector_bit_is_caught(self, k, piece):
@@ -1176,6 +1197,69 @@ class TestSteppedCoset:
                         chain_complex(planted, ring)
                 flips += 1
         assert flips == len(cw.facet_vectors) * cw.group_rank
+
+    @pytest.mark.parametrize(
+        "pair,relative,min_dim", [c[1:] for c in STEP_CASES], ids=[c[0] for c in STEP_CASES]
+    )
+    def test_z_rows_keep_the_step_order(self, pair, relative, min_dim):
+        """Each Z row lists its columns in the order of its face's steps.
+        The unit-pivot elimination takes a row's first +-1 entry as its
+        pivot, so this order fixes how much fill the sweep makes."""
+        cw = _quotient(pair, relative, min_dim)
+        lowest = cw.min_dim + 1 if cw.min_dim else 0
+        steps = cellular._face_steps(cw, lowest)
+        cc = chain_complex(cw, "Z")
+        rank = cw.group_rank
+        for d in range(max(1, lowest), cc.dim + 1):
+            lower = {fi << rank | g: i for i, (fi, g) in enumerate(cw.cells[d - 1])}
+            for (fi, g), row in zip(cw.cells[d], cc.boundaries[d]):
+                assert list(row) == [
+                    lower[base | (g ^ r if g & low else g)] for base, low, r, _ in steps.get(fi, ())
+                ]
+
+
+class TestInPassZCheck:
+    """Faults planted in one face's steps, which the Z assembly pass
+    finds by itself: a flipped sign breaks d o d, a subface reached twice
+    gives a row with fewer entries than its +/- lists, and a sign other
+    than +-1 is refused before any row is built."""
+
+    @pytest.mark.parametrize("source,d", PLANT_CASES)
+    def test_flipped_sign_fails_only_over_z(self, source, d, monkeypatch):
+        """GF(2) reads no sign, so its rows, and its check, are unchanged."""
+        unplanted = chain_complex(_step_case(source), "GF2")
+        cw = _planted_steps(
+            source, d, lambda subs: [_with_sign(subs[0], -subs[0][3]), *subs[1:]], monkeypatch
+        )
+        with pytest.raises(ConsistencyError, match="d o d != 0"):
+            chain_complex(cw, "Z")
+        assert chain_complex(cw, "GF2") == unplanted
+
+    @pytest.mark.parametrize("source,d", PLANT_CASES)
+    def test_duplicated_step_is_caught(self, source, d, monkeypatch):
+        """Over Z the row has one entry where its +/- lists have two.
+        Over GF(2) the doubled column cancels in the XOR of the rows one
+        degree down, which is seen only where that degree was built: in
+        the lowest built degree the row's bit is set twice, to the same
+        row."""
+        unplanted = chain_complex(_step_case(source), "GF2")
+        cw = _planted_steps(source, d, lambda subs: [subs[0], *subs], monkeypatch)
+        with pytest.raises(ConsistencyError, match="reached twice"):
+            chain_complex(cw, "Z")
+        if d > max(1, unplanted.lowest_degree):
+            with pytest.raises(ConsistencyError, match="d o d != 0"):
+                chain_complex(cw, "GF2")
+        else:
+            assert chain_complex(cw, "GF2") == unplanted
+
+    @pytest.mark.parametrize("source,d", [("n8-p1", 1), ("n8-p1", 5), ("rel-k4-min2", 3)])
+    def test_sign_two_is_refused(self, source, d, monkeypatch):
+        cw = _planted_steps(
+            source, d, lambda subs: [*subs[:-1], _with_sign(subs[-1], 2)], monkeypatch
+        )
+        for ring in ("Z", "GF2"):
+            with pytest.raises(ConsistencyError, match="not \\+-1"):
+                chain_complex(cw, ring)
 
 
 class TestRepresentativeCheck:
