@@ -9,7 +9,9 @@ rank computations.  A face is the polytope's (dim, facet mask, vertex
 mask) triple, so a subface is found by its facet mask and an isotropy
 group by the facet positions it sets: one packed vector per facet
 gives each face's group and the one vector each subface's group adds,
-by which ``chain_complex`` steps a boundary entry's coset.
+by which ``chain_complex`` steps a boundary entry's coset.  Each face
+one degree down lists its cells' columns by coset, so a boundary entry
+is one read of its subface's list at the stepped coset.
 A complex asked for a few degrees enumerates only the faces and builds
 only the cells and boundaries those degrees read, down to one boundary
 below them, and verifies d o d on every composition it built.  Over
@@ -450,6 +452,8 @@ def _face_steps(cw: QuotientCWComplex, lowest: int) -> dict[int, list[tuple[int,
     skipped.  A subface F_{S+j} has G_{S+j} = G_S + <lambda_j>, so r,
     lambda_j reduced by the face's basis, is the one vector it adds (0
     when it adds none), and the low bit of r is its one new key.
+    ``chain_complex`` reads the subface index back (``>> rank``) once per
+    face, to bind the step to that subface's coset list.
     """
     poly = cw.polytope
     rank = cw.group_rank
@@ -472,24 +476,39 @@ def _face_steps(cw: QuotientCWComplex, lowest: int) -> dict[int, list[tuple[int,
     return steps
 
 
+def _coset_lists(
+    cells: Sequence[tuple[int, int]], faces: Iterable[int], size: int
+) -> dict[int, list]:
+    """Face index -> a list of ``size`` entries, for each of ``faces``:
+    at coset g the column of the cell (face, g) in ``cells``, and None
+    at every other g."""
+    lists = {fi: [None] * size for fi in faces}
+    for col, (fi, g) in enumerate(cells):
+        lists[fi][g] = col
+    return lists
+
+
 def chain_complex(cw: QuotientCWComplex, ring: str = RING_Z) -> ChainComplex:
     """Boundary matrices of the quotient complex, with d o d == 0 verified.
 
-    A cell (face index, coset g) is keyed by the int ``face_index <<
-    group_rank | g``, in cell order.  Along a step of ``_face_steps`` the
+    One degree at a time, each face of the degree below gets a list of
+    2^group_rank entries (``_coset_lists``): at coset g the column of the
+    cell (face, g), None elsewhere.  Each face's steps (``_face_steps``)
+    are bound to their subfaces' lists once per face.  Along a step the
     coset g lies in the subface's coset ``g ^ r if g & lowbit(r) else
-    g``; a stepped cell missing from the complex raises, and so does a
-    step whose sign is not +-1 (checked once per step).  Distinct
-    subfaces give distinct cells, so no entry sums two terms and over
-    GF(2) no bit is set twice.  Over GF(2) one pass packs each row and
-    XORs the packed rows one degree down at its columns, and a nonzero
-    XOR (d o d != 0) raises.  Over Z the same pass fills each row dict
-    in step order and lists its + and its - columns, kept for one degree
-    down; a row that reaches a column twice raises, and so does one whose
-    columns reached through those lists with + and with - differ as
-    multisets (d o d != 0), the verdict of ``_verify_d_squared``.  Cells
-    from ``cw.min_dim`` > 0 up give boundaries from degree ``min_dim +
-    1`` up.
+    g``, so an entry is one list read; a None there, or a subface with
+    no list one degree down, raises "boundary cell missing from complex",
+    and so does a step whose sign is not +-1 (checked once per step).
+    Distinct subfaces give distinct cells, so no entry sums two terms
+    and over GF(2) no bit is set twice.  Over GF(2) one pass packs each
+    row (a ``PackedRow`` as soon as it is built) and XORs the packed
+    rows one degree down at its columns, and a nonzero XOR (d o d != 0)
+    raises.  Over Z the same pass fills each row dict in step order and
+    lists its + and its - columns, kept for one degree down; a row that
+    reaches a column twice raises, and so does one whose columns reached
+    through those lists with + and with - differ as multisets (d o d !=
+    0), the verdict of ``_verify_d_squared``.  Cells from ``cw.min_dim``
+    > 0 up give boundaries from degree ``min_dim + 1`` up.
     """
     if ring not in (RING_Z, RING_GF2):
         raise CellularError(f"unknown ring {ring!r}")
@@ -504,8 +523,16 @@ def chain_complex(cw: QuotientCWComplex, ring: str = RING_Z) -> ChainComplex:
     # Z: each cell's columns with +1 and with -1, this degree and the one below
     pluses: list[list[int]] = []
     minuses: list[list[int]] = []
+    faces_at: list[list[int]] = [[] for _ in counts]
+    for fi, (dim, _, _) in enumerate(cw.face_list):
+        faces_at[dim].append(fi)
+    missing = [None] * (1 << rank)  # the list of a subface with no cell one degree down
     for d in range(first, cw.polytope.dim + 1):
-        lower = {fi << rank | g: i for i, (fi, g) in enumerate(cw.cells[d - 1])}
+        lists = _coset_lists(cw.cells[d - 1], faces_at[d - 1], 1 << rank)
+        bound = {  # each face's steps, bound to their subfaces' coset lists
+            fi: [(lists.get(b >> rank, missing), low, r, s) for b, low, r, s in steps[fi]]
+            for fi in faces_at[d]
+        }
         if ring == RING_Z:
             plus_of, minus_of, pluses, minuses = pluses, minuses, [], []
             mat: SparseMatrix = []
@@ -513,8 +540,8 @@ def chain_complex(cw: QuotientCWComplex, ring: str = RING_Z) -> ChainComplex:
                 row: dict[int, int] = {}
                 plus: list[int] = []
                 minus: list[int] = []
-                for base, low, r, sign in steps.get(fi, ()):
-                    col = lower.get(base | (g ^ r if g & low else g))
+                for table, low, r, sign in bound[fi]:
+                    col = table[g ^ r if g & low else g]
                     if col is None:
                         raise ConsistencyError("boundary cell missing from complex")
                     row[col] = sign
@@ -548,16 +575,16 @@ def chain_complex(cw: QuotientCWComplex, ring: str = RING_Z) -> ChainComplex:
         rows = []
         for fi, g in cw.cells[d]:
             bits = acc = 0
-            for base, low, r, _ in steps.get(fi, ()):
-                col = lower.get(base | (g ^ r if g & low else g))
+            for table, low, r, _ in bound[fi]:
+                col = table[g ^ r if g & low else g]
                 if col is None:
                     raise ConsistencyError("boundary cell missing from complex")
                 bits |= bit[col]
                 acc ^= below[col]
             if acc:
                 raise ConsistencyError("d o d != 0: incidence signs broken")
-            rows.append(bits)
-        boundaries.append(tuple(map(PackedRow, rows)))
+            rows.append(PackedRow(bits))
+        boundaries.append(tuple(rows))
     return ChainComplex(ring, counts, tuple(boundaries), lowest)
 
 

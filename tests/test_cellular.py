@@ -37,6 +37,7 @@ from toric_cobordism.charpair import (
     orientable_small_cover,
     standard_pair,
 )
+from toric_cobordism.cli import main
 from toric_cobordism.exactalg import gf2_basis, smith_normal_form
 from toric_cobordism.family import (
     build_family,
@@ -1260,6 +1261,69 @@ class TestInPassZCheck:
         for ring in ("Z", "GF2"):
             with pytest.raises(ConsistencyError, match="not \\+-1"):
                 chain_complex(cw, ring)
+
+
+def _repointed(source, dim):
+    """A step change that points a face's first step at the first face of
+    dimension ``dim`` of ``source``, keeping its coset step and sign."""
+    cw = _step_case(source)
+    gi = next(fi for fi, (fdim, _, _) in enumerate(cw.face_list) if fdim == dim)
+    return lambda subs: [(gi << cw.group_rank, *subs[0][1:]), *subs[1:]]
+
+
+# (source, d, down): the first step of a d-face pointed at a face of
+# dimension d - down, two down only where the complex has such a face
+# (rel-k4-min2 keeps no 1-face).
+MISSING_CASES = [(s, d, 0) for s, d in PLANT_CASES] + [
+    (s, d, 2) for s, d in PLANT_CASES if d >= 2 and (s, d) != ("rel-k4-min2", 3)
+]
+
+
+class TestCosetLists:
+    @pytest.mark.parametrize(
+        "pair,relative,min_dim", [c[1:] for c in STEP_CASES], ids=[c[0] for c in STEP_CASES]
+    )
+    def test_lists_give_the_cell_columns(self, pair, relative, min_dim):
+        """Read at each face's cosets, the lists one degree below each
+        built boundary give the columns 0..count - 1 in cell order, and
+        None at every other coset."""
+        cw = _quotient(pair, relative, min_dim)
+        size = 1 << cw.group_rank
+        lowest = cw.min_dim + 1 if cw.min_dim else 0
+        for d in range(max(1, lowest), cw.polytope.dim + 1):
+            cells = cw.cells[d - 1]
+            faces = [fi for fi, (dim, _, _) in enumerate(cw.face_list) if dim == d - 1]
+            lists = cellular._coset_lists(cells, faces, size)
+            assert [lists[fi][g] for fi, g in cells] == list(range(len(cells)))
+            cosets = {}
+            for fi, g in cells:
+                cosets.setdefault(fi, set()).add(g)
+            assert lists.keys() == cosets.keys()
+            for fi, table in lists.items():
+                assert len(table) == size
+                assert [g for g in range(size) if table[g] is not None] == sorted(cosets[fi])
+
+    @pytest.mark.parametrize("source,d,down", MISSING_CASES)
+    def test_step_outside_the_degree_below_is_missing(self, source, d, down, monkeypatch):
+        """A subface with no coset list raises the checked error, not a
+        lookup error, on both rings."""
+        cw = _planted_steps(source, d, _repointed(source, d - down), monkeypatch)
+        for ring in ("Z", "GF2"):
+            with pytest.raises(ConsistencyError, match="boundary cell missing from complex"):
+                chain_complex(cw, ring)
+
+    @pytest.mark.parametrize("down", [0, 2])
+    def test_missing_subface_fails_the_cli_check(self, down, tmp_path, monkeypatch, capsys):
+        """The planted step on the closed n = 8 p1 cover read from a pair
+        file: the oracle exits 1 with the one error line, on both rings."""
+        path = tmp_path / "n8-p1.json"
+        path.write_text(json.dumps(_family(4).boundary["p1"].to_json_dict()))
+        _planted_steps("n8-p1", 5, _repointed("n8-p1", 5 - down), monkeypatch)
+        for ring in ("z", "z2"):
+            assert main(["oracle", "--in", str(path), "--ring", ring]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == "check failed: boundary cell missing from complex\n"
 
 
 class TestRepresentativeCheck:
