@@ -17,10 +17,13 @@ only the cells and boundaries those degrees read, down to one boundary
 below them, and verifies d o d on every composition it built.  Over
 GF(2) one pass per degree builds each boundary row as one bit-packed
 int and checks d o d against the packed rows one degree down as it
-goes; the elimination reads the same ints.  Over Z the rows are dicts,
-and the same pass also lists each row's columns with + and with -, and
-checks d o d against those lists one degree down.  The two routes
-cross-check each other wherever both apply.
+goes; the elimination reads the same ints.  Over Z the rows are dicts;
+the same pass packs each row too and checks d o d mod 2 the same way,
+and one signed d o d on the face lattice checks the signs.  A face two
+down is reached only along the two orders of its two new facets, so
+the packed check puts both paths on one cell and the face check makes
+their signs cancel, which is d o d over Z.  The two routes cross-check
+each other wherever both apply.
 """
 
 from __future__ import annotations
@@ -444,19 +447,16 @@ class ChainComplex:
 
 
 def _face_steps(cw: QuotientCWComplex, lowest: int) -> dict[int, list[tuple[int, int, int, int]]]:
-    """Face index -> [(subface index << rank, low bit of r, r, incidence)]
-    for each face of dimension at least max(1, ``lowest``).
+    """Face index -> [(subface index, low bit of r, r, incidence)] for
+    each face of dimension at least max(1, ``lowest``).
 
     Incidences are the polytope's, read off the facet order, with the
     whole polytope's vertex signs; subfaces a relative complex drops are
     skipped.  A subface F_{S+j} has G_{S+j} = G_S + <lambda_j>, so r,
     lambda_j reduced by the face's basis, is the one vector it adds (0
     when it adds none), and the low bit of r is its one new key.
-    ``chain_complex`` reads the subface index back (``>> rank``) once per
-    face, to bind the step to that subface's coset list.
     """
     poly = cw.polytope
-    rank = cw.group_rank
     eps = _vertex_signs(poly) if lowest <= 1 else None
     index = {mask: i for i, (_, mask, _) in enumerate(cw.face_list)}
     vectors = cw.facet_vectors
@@ -472,7 +472,7 @@ def _face_steps(cw: QuotientCWComplex, lowest: int) -> dict[int, list[tuple[int,
             if dim == 1:
                 sign *= eps[cw.face_list[gi][2].bit_length() - 1]
             r = _reduce_coset(vectors[j], basis)
-            subs.append((gi << rank, r & -r, r, sign))
+            subs.append((gi, r & -r, r, sign))
     return steps
 
 
@@ -488,6 +488,19 @@ def _coset_lists(
     return lists
 
 
+def _check_face_signs(steps: dict, faces: Iterable[int]) -> None:
+    """Raise unless d o d vanishes on the face lattice: from each of
+    ``faces``, every face two dimensions down is reached by exactly two
+    paths through ``steps``, and their sign products cancel."""
+    for fi in faces:
+        paths: dict[int, list[int]] = {}
+        for gi, _, _, s in steps[fi]:
+            for hi, _, _, t in steps[gi]:
+                paths.setdefault(hi, []).append(s * t)
+        if any(len(signs) != 2 or sum(signs) for signs in paths.values()):
+            raise ConsistencyError("d o d != 0: incidence signs broken")
+
+
 def chain_complex(cw: QuotientCWComplex, ring: str = RING_Z) -> ChainComplex:
     """Boundary matrices of the quotient complex, with d o d == 0 verified.
 
@@ -500,15 +513,18 @@ def chain_complex(cw: QuotientCWComplex, ring: str = RING_Z) -> ChainComplex:
     no list one degree down, raises "boundary cell missing from complex",
     and so does a step whose sign is not +-1 (checked once per step).
     Distinct subfaces give distinct cells, so no entry sums two terms
-    and over GF(2) no bit is set twice.  Over GF(2) one pass packs each
-    row (a ``PackedRow`` as soon as it is built) and XORs the packed
-    rows one degree down at its columns, and a nonzero XOR (d o d != 0)
-    raises.  Over Z the same pass fills each row dict in step order and
-    lists its + and its - columns, kept for one degree down; a row that
-    reaches a column twice raises, and so does one whose columns reached
-    through those lists with + and with - differ as multisets (d o d !=
-    0), the verdict of ``_verify_d_squared``.  Cells from ``cw.min_dim``
-    > 0 up give boundaries from degree ``min_dim + 1`` up.
+    and over GF(2) no bit is set twice.  On both rings one pass packs
+    each row into an int (over GF(2), a ``PackedRow``, the row itself)
+    and XORs the packed rows one degree down at its columns; a nonzero
+    XOR (d o d != 0 mod 2) raises.  Over Z the pass also fills each row
+    dict in step order, a row that reaches a column twice raises, and
+    ``_check_face_signs`` then runs d o d on the degree's faces.  A face
+    two down is reached only along the two orders of its two new facets,
+    and cells of distinct faces are distinct columns, so the XOR
+    vanishes iff both paths land on one cell, and then their signs
+    cancel iff the face check holds: the verdict of ``_verify_d_squared``.
+    Cells from ``cw.min_dim`` > 0 up give boundaries from degree
+    ``min_dim + 1`` up.
     """
     if ring not in (RING_Z, RING_GF2):
         raise CellularError(f"unknown ring {ring!r}")
@@ -520,71 +536,55 @@ def chain_complex(cw: QuotientCWComplex, ring: str = RING_Z) -> ChainComplex:
     counts = cw.cell_counts()
     first = max(1, lowest)
     boundaries: list = [()] * first
-    # Z: each cell's columns with +1 and with -1, this degree and the one below
-    pluses: list[list[int]] = []
-    minuses: list[list[int]] = []
     faces_at: list[list[int]] = [[] for _ in counts]
     for fi, (dim, _, _) in enumerate(cw.face_list):
         faces_at[dim].append(fi)
     missing = [None] * (1 << rank)  # the list of a subface with no cell one degree down
+    below: Sequence[int] = (0,) * counts[first - 1]  # packed rows one degree down, or zeros
     for d in range(first, cw.polytope.dim + 1):
         lists = _coset_lists(cw.cells[d - 1], faces_at[d - 1], 1 << rank)
         bound = {  # each face's steps, bound to their subfaces' coset lists
-            fi: [(lists.get(b >> rank, missing), low, r, s) for b, low, r, s in steps[fi]]
+            fi: [(lists.get(gi, missing), low, r, s) for gi, low, r, s in steps[fi]]
             for fi in faces_at[d]
         }
+        bit = [1 << c for c in range(counts[d - 1])]
+        packed: list[int] = []
         if ring == RING_Z:
-            plus_of, minus_of, pluses, minuses = pluses, minuses, [], []
             mat: SparseMatrix = []
             for fi, g in cw.cells[d]:
                 row: dict[int, int] = {}
-                plus: list[int] = []
-                minus: list[int] = []
-                for table, low, r, sign in bound[fi]:
+                bits = acc = 0
+                subs = bound[fi]
+                for table, low, r, sign in subs:
                     col = table[g ^ r if g & low else g]
                     if col is None:
                         raise ConsistencyError("boundary cell missing from complex")
                     row[col] = sign
-                    if sign == 1:
-                        plus.append(col)
-                    else:
-                        minus.append(col)
-                if len(row) != len(plus) + len(minus):
+                    bits |= bit[col]
+                    acc ^= below[col]
+                if len(row) != len(subs):
                     raise ConsistencyError("a boundary cell is reached twice")
-                if d > first:
-                    pos: list[int] = []
-                    neg: list[int] = []
-                    for col in plus:
-                        pos += plus_of[col]
-                        neg += minus_of[col]
-                    for col in minus:
-                        pos += minus_of[col]
-                        neg += plus_of[col]
-                    pos.sort()
-                    neg.sort()
-                    if pos != neg:
-                        raise ConsistencyError("d o d != 0: incidence signs broken")
+                if acc:
+                    raise ConsistencyError("d o d != 0: incidence signs broken")
                 mat.append(row)
-                pluses.append(plus)
-                minuses.append(minus)
+                packed.append(bits)
+            if d > first:
+                _check_face_signs(steps, faces_at[d])
             boundaries.append(mat)
-            continue
-        # the degree below, or zeros where it was not built
-        below = boundaries[d - 1] if d > first else (0,) * counts[d - 1]
-        bit = [1 << c for c in range(counts[d - 1])]
-        rows = []
-        for fi, g in cw.cells[d]:
-            bits = acc = 0
-            for table, low, r, _ in bound[fi]:
-                col = table[g ^ r if g & low else g]
-                if col is None:
-                    raise ConsistencyError("boundary cell missing from complex")
-                bits |= bit[col]
-                acc ^= below[col]
-            if acc:
-                raise ConsistencyError("d o d != 0: incidence signs broken")
-            rows.append(PackedRow(bits))
-        boundaries.append(tuple(rows))
+        else:
+            for fi, g in cw.cells[d]:
+                bits = acc = 0
+                for table, low, r, _ in bound[fi]:
+                    col = table[g ^ r if g & low else g]
+                    if col is None:
+                        raise ConsistencyError("boundary cell missing from complex")
+                    bits |= bit[col]
+                    acc ^= below[col]
+                if acc:
+                    raise ConsistencyError("d o d != 0: incidence signs broken")
+                packed.append(PackedRow(bits))
+            boundaries.append(tuple(packed))
+        below = packed
     return ChainComplex(ring, counts, tuple(boundaries), lowest)
 
 

@@ -1210,20 +1210,20 @@ class TestSteppedCoset:
         lowest = cw.min_dim + 1 if cw.min_dim else 0
         steps = cellular._face_steps(cw, lowest)
         cc = chain_complex(cw, "Z")
-        rank = cw.group_rank
         for d in range(max(1, lowest), cc.dim + 1):
-            lower = {fi << rank | g: i for i, (fi, g) in enumerate(cw.cells[d - 1])}
+            lower = {cell: i for i, cell in enumerate(cw.cells[d - 1])}
             for (fi, g), row in zip(cw.cells[d], cc.boundaries[d]):
                 assert list(row) == [
-                    lower[base | (g ^ r if g & low else g)] for base, low, r, _ in steps.get(fi, ())
+                    lower[gi, g ^ r if g & low else g] for gi, low, r, _ in steps.get(fi, ())
                 ]
 
 
 class TestInPassZCheck:
     """Faults planted in one face's steps, which the Z assembly pass
-    finds by itself: a flipped sign breaks d o d, a subface reached twice
-    gives a row with fewer entries than its +/- lists, and a sign other
-    than +-1 is refused before any row is built."""
+    finds by itself: a flipped sign breaks d o d on the face lattice, a
+    subface reached twice gives a row with fewer entries than its face
+    has steps, and a sign other than +-1 is refused before any row is
+    built."""
 
     @pytest.mark.parametrize("source,d", PLANT_CASES)
     def test_flipped_sign_fails_only_over_z(self, source, d, monkeypatch):
@@ -1238,7 +1238,7 @@ class TestInPassZCheck:
 
     @pytest.mark.parametrize("source,d", PLANT_CASES)
     def test_duplicated_step_is_caught(self, source, d, monkeypatch):
-        """Over Z the row has one entry where its +/- lists have two.
+        """Over Z the row has one entry where its face has two steps.
         Over GF(2) the doubled column cancels in the XOR of the rows one
         degree down, which is seen only where that degree was built: in
         the lowest built degree the row's bit is set twice, to the same
@@ -1263,12 +1263,91 @@ class TestInPassZCheck:
                 chain_complex(cw, ring)
 
 
+def _faces_of_dim(cw, d):
+    return [fi for fi, (dim, _, _) in enumerate(cw.face_list) if dim == d]
+
+
+# Hand-built step tables over faces 0 (top), 1 and 2 (one down) and 3 (two
+# down), as (subface, low bit, r, sign): the face check reads only the
+# subfaces and the signs.
+def _lattice(*paths):
+    """Face 0 steps to faces 1 and 2 with sign +1; ``paths`` lists, per
+    one-down face, the signs of its steps to face 3."""
+    return {
+        0: [(1, 0, 0, 1), (2, 0, 0, 1)],
+        **{gi: [(3, 0, 0, t) for t in signs] for gi, signs in enumerate(paths, 1)},
+    }
+
+
+class TestFaceSigns:
+    @pytest.mark.parametrize(
+        "pair,relative,min_dim", [c[1:] for c in STEP_CASES], ids=[c[0] for c in STEP_CASES]
+    )
+    def test_every_step_table_passes(self, pair, relative, min_dim):
+        """Every face of every degree above the lowest built boundary."""
+        cw = _quotient(pair, relative, min_dim)
+        lowest = cw.min_dim + 1 if cw.min_dim else 0
+        steps = cellular._face_steps(cw, lowest)
+        checked = 0
+        for d in range(max(1, lowest) + 1, cw.polytope.dim + 1):
+            faces = _faces_of_dim(cw, d)
+            cellular._check_face_signs(steps, faces)
+            checked += len(faces)
+        assert checked
+
+    def test_two_cancelling_paths_pass(self):
+        cellular._check_face_signs(_lattice([1], [-1]), [0])
+
+    @pytest.mark.parametrize(
+        "paths",
+        [([1, 1], [-1, -1]), ([1], [1]), ([1], [])],
+        ids=["four-paths", "same-sign", "one-path"],
+    )
+    def test_other_paths_are_refused(self, paths):
+        """Four paths with signs + + - - sum to zero, but a face two down
+        is reached along the two orders of two facets only.  (Two paths
+        through one face are one row reaching a column twice, which the
+        assembly pass refuses before this check.)"""
+        with pytest.raises(ConsistencyError, match="d o d != 0"):
+            cellular._check_face_signs(_lattice(*paths), [0])
+
+    @pytest.mark.parametrize("d", range(1, 8))
+    def test_every_flipped_sign_is_caught(self, d, monkeypatch):
+        """For each d-face of the closed n = 8 p1 cover in turn, its first
+        step's sign flipped: the Z assembly pass raises, and so does
+        ``_verify_d_squared`` on the reference rows with that entry
+        flipped in each of the face's cells."""
+        cw = _step_case("n8-p1")
+        steps = cellular._face_steps(cw, 0)
+        subfaces = _reference_face_boundaries(cw, 0)
+        reference = _reference_rows(cw, "Z")
+        counts = cw.cell_counts()
+        cellular._verify_d_squared(ChainComplex("Z", counts, reference))
+        faces = _faces_of_dim(cw, d)
+        assert faces
+        for fi in faces:
+            first = steps[fi][0]
+            planted = {**steps, fi: [_with_sign(first, -first[3]), *steps[fi][1:]]}
+            monkeypatch.setattr(cellular, "_face_steps", lambda *args: planted)
+            with pytest.raises(ConsistencyError, match="d o d != 0"):
+                chain_complex(cw, "Z")
+            gi = subfaces[fi][0][0]
+            rows = list(reference)
+            rows[d] = [
+                {c: -v if cw.cells[d - 1][c][0] == gi else v for c, v in row.items()}
+                if cell[0] == fi else row
+                for cell, row in zip(cw.cells[d], reference[d])
+            ]
+            with pytest.raises(ConsistencyError, match="d o d != 0"):
+                cellular._verify_d_squared(ChainComplex("Z", counts, tuple(rows)))
+
+
 def _repointed(source, dim):
     """A step change that points a face's first step at the first face of
     dimension ``dim`` of ``source``, keeping its coset step and sign."""
     cw = _step_case(source)
-    gi = next(fi for fi, (fdim, _, _) in enumerate(cw.face_list) if fdim == dim)
-    return lambda subs: [(gi << cw.group_rank, *subs[0][1:]), *subs[1:]]
+    gi = _faces_of_dim(cw, dim)[0]
+    return lambda subs: [(gi, *subs[0][1:]), *subs[1:]]
 
 
 # (source, d, down): the first step of a d-face pointed at a face of
@@ -1292,8 +1371,7 @@ class TestCosetLists:
         lowest = cw.min_dim + 1 if cw.min_dim else 0
         for d in range(max(1, lowest), cw.polytope.dim + 1):
             cells = cw.cells[d - 1]
-            faces = [fi for fi, (dim, _, _) in enumerate(cw.face_list) if dim == d - 1]
-            lists = cellular._coset_lists(cells, faces, size)
+            lists = cellular._coset_lists(cells, _faces_of_dim(cw, d - 1), size)
             assert [lists[fi][g] for fi, g in cells] == list(range(len(cells)))
             cosets = {}
             for fi, g in cells:
