@@ -14,7 +14,7 @@ import functools
 from dataclasses import dataclass, field
 from itertools import product as iproduct
 from operator import mul, neg
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from . import exactalg
 from .exactalg import (
@@ -26,6 +26,7 @@ from .exactalg import (
     gf2_pack,
     is_direct_summand,
     mat_vec,
+    unit_coordinate,
 )
 from .polytope import SimplePolytope, facet_polytope, simplex
 
@@ -201,13 +202,12 @@ def validate_pairs(pairs: Sequence[CharacteristicPair]) -> list[ValidityReport]:
     vertices suffices: every face contains a vertex, and a subset of a
     basis again spans a summand.  A vertex is read as its facet mask
     (``vertex_masks``) restricted to the assigned facets, and each
-    distinct restricted mask of a pair is decided once.  The pairs share
-    one verdict table keyed by the ring, the rank and the vectors in
-    sorted facet order, so each distinct vector set is tested once
+    distinct restricted mask of a pair is decided once (``_z_failure``,
+    ``_gf2_failure``).  The pairs share one verdict table keyed by the
+    vectors a verdict reads, so each distinct vector set is tested once
     across all of them, and two pairs that give the same facet ids
     different vectors never share a verdict.  A failure is reported at
-    every vertex carrying it.  Over GF(2) each vector of a pair is bit
-    packed once.
+    every vertex carrying it.
     """
     verdicts: dict[tuple, Optional[str]] = {}
     reports = []
@@ -215,18 +215,14 @@ def validate_pairs(pairs: Sequence[CharacteristicPair]) -> list[ValidityReport]:
         chi, poly = pair.chi, pair.polytope
         position = poly.facet_position
         tagged = [(1 << position[fid], vec) for fid, vec in sorted(chi.vectors.items())]
-        packed = {vec: gf2_pack(vec) for _, vec in tagged} if chi.ring == RING_GF2 else None
         assigned = sum(b for b, _ in tagged)
+        failure = (_z_failure if chi.ring == RING_Z else _gf2_failure)(chi.rank, tagged, verdicts)
         by_mask: dict[int, Optional[str]] = {0: None}
         failures = []
         for i, mask in enumerate(poly.vertex_masks):
             key = mask & assigned
             if key not in by_mask:
-                vecs = tuple(vec for b, vec in tagged if key & b)
-                shared = (chi.ring, chi.rank, vecs)
-                if shared not in verdicts:
-                    verdicts[shared] = _basis_failure(chi, vecs, packed)
-                by_mask[key] = verdicts[shared]
+                by_mask[key] = failure(key)
             if by_mask[key]:
                 failures.append((i, by_mask[key]))
         reports.append(ValidityReport(
@@ -237,20 +233,59 @@ def validate_pairs(pairs: Sequence[CharacteristicPair]) -> list[ValidityReport]:
     return reports
 
 
-def _basis_failure(
-    chi: CharacteristicFunction, vecs: Sequence, packed: Optional[dict]
-) -> Optional[str]:
-    """Why ``vecs`` fail the basis condition, or None if they pass;
-    ``packed`` holds each GF(2) vector bit packed."""
-    if len(vecs) > chi.rank:
-        return f"{len(vecs)} assigned vectors exceed group rank"
-    if chi.ring == RING_Z:
-        if is_direct_summand(vecs, chi.rank):
+def _z_failure(rank: int, tagged: list, verdicts: dict) -> Callable[[int], Optional[str]]:
+    """Why the Z vectors of a facet mask fail, or None.  Each unit +-e_c of
+    ``tagged`` (facet bit, vector) is filed once under the bit of c.  A
+    mask's unit coordinates are all less those whose facets it lacks; it
+    holds more units than unit coordinates iff two share one.  The core
+    is decided once per core and unit coordinates."""
+    unit_of = {}  # facet bit -> bit of its unit coordinate
+    on: dict[int, int] = {}  # coordinate bit -> the unit facets on it
+    core = []
+    for b, vec in tagged:
+        c = unit_coordinate(vec)
+        if c is None:
+            core.append((b, vec))
+        else:
+            unit_of[b] = 1 << c
+            on[1 << c] = on.get(1 << c, 0) | b
+    units, all_coords = sum(unit_of), sum(on)
+
+    def failure(key: int) -> Optional[str]:
+        if key.bit_count() > rank:
+            return f"{key.bit_count()} assigned vectors exceed group rank"
+        coords, lacking = all_coords, units & ~key
+        while lacking:
+            b = lacking & -lacking
+            lacking ^= b
+            if not key & on[unit_of[b]]:
+                coords &= ~unit_of[b]
+        shared = (tuple([vec for b, vec in core if key & b]), coords)
+        if shared not in verdicts:
+            verdicts[shared] = is_direct_summand(shared[0], rank, coords)
+        if verdicts[shared] and (key & units).bit_count() == coords.bit_count():
             return None
         return "facet vectors at this vertex do not span a direct summand"
-    if len(exactalg.gf2_basis(map(packed.__getitem__, vecs))) == len(vecs):
-        return None
-    return "facet vectors at this vertex are dependent mod 2"
+
+    return failure
+
+
+def _gf2_failure(rank: int, tagged: list, verdicts: dict) -> Callable[[int], Optional[str]]:
+    """Why the GF(2) vectors of a facet mask fail, or None if they pass;
+    each vector is bit packed once, and verdicts are keyed by the packed
+    vectors."""
+    packed = [(b, gf2_pack(vec)) for b, vec in tagged]
+
+    def failure(key: int) -> Optional[str]:
+        vecs = tuple([p for b, p in packed if key & b])
+        if len(vecs) > rank:
+            return f"{len(vecs)} assigned vectors exceed group rank"
+        shared = (RING_GF2, rank, vecs)
+        if shared not in verdicts:
+            verdicts[shared] = len(exactalg.gf2_basis(vecs)) == len(vecs)
+        return None if verdicts[shared] else "facet vectors at this vertex are dependent mod 2"
+
+    return failure
 
 
 def orientable_small_cover(pair: CharacteristicPair) -> bool:

@@ -409,9 +409,17 @@ def integer_rank(m: Iterable[Iterable[int]]) -> int:
     return len(invariant_factors(m))
 
 
-def is_direct_summand(vectors: Sequence[Sequence[int]], ambient_rank: int) -> bool:
-    """True iff the vectors span a direct summand of Z^ambient_rank of
-    rank equal to the number of vectors (all invariant factors 1).
+def unit_coordinate(v: Sequence[int]) -> Optional[int]:
+    """The coordinate c with v = +-e_c, or None when v is no unit vector."""
+    if v.count(0) == len(v) - 1 and (1 in v or -1 in v):
+        return v.index(1) if 1 in v else v.index(-1)
+    return None
+
+
+def is_direct_summand(vectors: Sequence[Sequence[int]], ambient_rank: int, units: int = 0) -> bool:
+    """True iff the vectors, with e_c for each set bit c of ``units``,
+    span a direct summand of Z^ambient_rank of rank equal to their number
+    (all invariant factors 1).
 
     A unit vector +-e_c is split off together with coordinate c first:
     Z^r / <e_c : c in C> is Z^(r-|C|) on the other coordinates, so the
@@ -425,22 +433,20 @@ def is_direct_summand(vectors: Sequence[Sequence[int]], ambient_rank: int) -> bo
             raise DimensionMismatch(
                 f"vector length {len(v)} != ambient rank {ambient_rank}"
             )
-    if len(vectors) > ambient_rank:
+    if len(vectors) + units.bit_count() > ambient_rank:
         return False
-    units: set[int] = set()
     core = []
     for v in vectors:
-        # one nonzero entry, and it is +-1
-        if v.count(0) == ambient_rank - 1 and (1 in v or -1 in v):
-            c = v.index(1) if 1 in v else v.index(-1)
-            if c in units:
-                return False
-            units.add(c)
-        else:
+        c = unit_coordinate(v)
+        if c is None:
             core.append(v)
+        elif units >> c & 1:
+            return False
+        else:
+            units |= 1 << c
     if not core:
         return True
-    kept = [j for j in range(ambient_rank) if j not in units]
+    kept = [j for j in range(ambient_rank) if not units >> j & 1]
     fs = invariant_factors([[v[j] for j in kept] for v in core])
     return len(fs) == len(core) and all(f == 1 for f in fs)
 

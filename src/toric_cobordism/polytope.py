@@ -484,6 +484,10 @@ class SimplePolytope:
         return images
 
     def is_simplex_lattice(self) -> bool:
+        """Whether the face lattice is a simplex's: dim + 1 facets give all
+        dim + 1 vertices.  Each vertex lies on dim facets and every facet
+        holds at least dim vertices; were the vertex off facet j missing,
+        the dim facets through it would each hold at most dim - 1."""
         return self.n_facets == self.dim + 1
 
     # -- serialization -----------------------------------------------------

@@ -755,6 +755,73 @@ class TestValidateMatchesReference:
         assert failed >= 40 and shared >= 20, (failed, shared)
 
 
+def _per_vertex_reports(pair):
+    """``validate`` by ``is_direct_summand`` on each vertex's vectors."""
+    chi, failures = pair.chi, []
+    for i, fs in enumerate(pair.polytope.vertex_facets):
+        vecs = [chi.vectors[f] for f in sorted(fs & chi.assigned())]
+        if len(vecs) > chi.rank:
+            failures.append((i, f"{len(vecs)} assigned vectors exceed group rank"))
+        elif not exactalg.is_direct_summand(vecs, chi.rank):
+            failures.append((i, "facet vectors at this vertex do not span a direct summand"))
+    return charpair.ValidityReport(not failures, pair.polytope.n_vertices, tuple(failures))
+
+
+class TestUnitSplit:
+    """``validate_pairs`` classifies each pair's units once; on mutations of
+    xi it gives what ``is_direct_summand`` gives at every vertex."""
+
+    MUTATIONS = ("shared unit", "negated unit", "two ones", "core row", "two pairs")
+
+    @staticmethod
+    def _mutated(base, kind, rng):
+        rank, vectors = base.chi.rank, dict(base.chi.vectors)
+        fids = sorted(vectors)
+        units = [f for f in fids if exactalg.unit_coordinate(vectors[f]) is not None]
+        core = [f for f in fids if f not in units]
+        fid = rng.choice(core if kind == "core row" else fids)
+        vec = [0] * rank
+        if kind == "shared unit":
+            vec = list(vectors[rng.choice([u for u in units if u != fid])])
+        elif kind == "negated unit":
+            vec[rng.randrange(rank)] = -1
+        elif kind == "two ones":
+            a, b = rng.sample(range(rank), 2)
+            vec[a], vec[b] = rng.choice((1, -1)), rng.choice((1, -1))
+        else:
+            vec = list(vectors[fid])
+            vec[rng.randrange(rank)] += rng.choice((-1, 1, 2))
+        vectors[fid] = tuple(vec)
+        return CharacteristicPair(base.polytope, CharacteristicFunction("Z", rank, vectors))
+
+    def test_matches_per_vertex_reference(self):
+        rng = random.Random(3611)
+        outcomes = {kind: set() for kind in self.MUTATIONS}
+        for k in range(2, 7):
+            base = build_family(k, "Z").pair
+            for trial in range(8):
+                for kind in self.MUTATIONS:
+                    pair = self._mutated(base, "core row" if kind == "two pairs" else kind, rng)
+                    pairs = _certificate_pairs(pair)
+                    if kind == "two pairs":
+                        # same facet ids, one vector apart: no verdict is shared
+                        pairs = _certificate_pairs(base) + pairs
+                    got = validate_pairs(pairs)
+                    assert got == [_per_vertex_reports(p) for p in pairs], (k, kind, trial)
+                    outcomes[kind].add(all(r.ok for r in got))
+        # two units on one coordinate always meet at some vertex; every
+        # other kind both passes and fails
+        assert outcomes == {
+            kind: {False} if kind == "shared unit" else {True, False} for kind in self.MUTATIONS
+        }
+
+    def test_unit_coordinate(self):
+        assert exactalg.unit_coordinate((0, -1, 0)) == 1
+        assert exactalg.unit_coordinate((0, 0, 1)) == 2
+        for v in ((0, 0, 0), (0, 2, 0), (1, 1, 0), (1, -1, 0)):
+            assert exactalg.unit_coordinate(v) is None
+
+
 # -- reference: the unpruned search -------------------------------------------
 #
 # _reference_isomorphisms is SimplePolytope.iter_isomorphisms and

@@ -38,6 +38,9 @@ from toric_cobordism.family import (
     xi,
     xi_rows,
 )
+from toric_cobordism.polytope import SimplePolytope, product, simplex
+
+from test_golden_digests import GOLDEN, _digest, certify_commands
 
 EVEN_NS = (4, 6, 8, 10)
 
@@ -315,7 +318,10 @@ class TestCertificates:
             glue_certificate(4, "real")
 
     def test_each_claim_is_checked_once(self, monkeypatch):
-        """Four pairs validated, three translations verified, none in the build.
+        """Four pairs validated, none in the build.  Two translations are
+        verified when the gluing is (phi, h) onto p2 itself (4 | n): (phi,
+        h) once, for both ``p1_p2_isomorphic`` and ``gluing_verifies``, and
+        the p3 witness.  Three when the gluing composes the flip (n = 4l + 2).
 
         A real certificate validates the same four pairs and counts
         reflections once.
@@ -354,11 +360,14 @@ class TestCertificates:
         )
         build_family(2, "Z")
         assert calls == {"validate": 0, "verify": 0, "reflections": 0}
-        cert = glue_certificate(2, "complex")
-        assert cert.ok
-        assert calls == {"validate": 4, "verify": 3, "reflections": 0}
-        # each of the four pairs exactly once
-        assert as_json(validated) == four_pairs(2, "Z")
+        for k, verified in ((2, 2), (3, 3)):
+            calls.update(validate=0, verify=0)
+            validated.clear()
+            cert = glue_certificate(k, "complex")
+            assert cert.ok
+            assert calls == {"validate": 4, "verify": verified, "reflections": 0}
+            # each of the four pairs exactly once
+            assert as_json(validated) == four_pairs(k, "Z")
         for k in (3, 5):
             calls.update(validate=0, reflections=0)
             validated.clear()
@@ -401,6 +410,27 @@ class TestCertificates:
         assert sorted(c for c, good in data["validation"].items() if not good) == failed
         assert captured.err.splitlines() == [f"check failed: {c}" for c in failed]
         assert data["gluing"]["orientation_effect"] is None
+
+    def test_planted_wrong_product_map_fails_its_check(self, monkeypatch, capsys):
+        """A facet map that is no isomorphism onto the product fails
+        ``p1_is_simplex_product`` alone."""
+        rule = family.product_facet_map
+
+        def swapped(k):
+            fmap = rule(k)
+            fmap["d0"], fmap[f"d{k}"] = fmap[f"d{k}"], fmap["d0"]
+            return fmap
+
+        monkeypatch.setattr(family, "product_facet_map", swapped)
+        capsys.readouterr()
+        assert main(["certify", "--kind", "complex", "--k", "2"]) == 1
+        captured = capsys.readouterr()
+        data = json.loads(captured.out)
+        assert data["ok"] is False
+        assert [c for c, good in data["validation"].items() if not good] == [
+            "p1_is_simplex_product"
+        ]
+        assert captured.err.splitlines() == ["check failed: p1_is_simplex_product"]
 
     @pytest.mark.parametrize("plant", ["mu", "mu_rows", "oracle"])
     def test_planted_false_real_claim_fails_its_checks(self, plant, monkeypatch, capsys):
@@ -468,3 +498,38 @@ class TestCertificates:
             2, "complex", r1=Fraction(1, 8), r2=Fraction(1, 5)
         )
         assert cert.ok
+
+
+class TestRuleWitnesses:
+    """The certificate reads p3's simplex type and p1's product type off
+    rules; the isomorphism search is their second route."""
+
+    @pytest.mark.parametrize("k", range(2, 13))
+    def test_rules_agree_with_the_search(self, k):
+        fam = build_family(k)
+        p1, p2, p3 = (fam.boundary[fid].polytope for fid in CUT_FACETS)
+        assert p3.is_simplex_lattice()
+        assert p3.is_combinatorially_isomorphic(simplex(2 * k - 1)) is not None
+        reference = product(simplex(k - 1), simplex(k))
+        assert p1.vertex_map(reference, family.product_facet_map(k)) is not None
+        assert p1.is_combinatorially_isomorphic(reference) is not None
+        # negative controls: the pieces p1 and p2 are no simplices, and
+        # the rule with L.d0 and R.d0 swapped is no isomorphism
+        assert not p1.is_simplex_lattice() and not p2.is_simplex_lattice()
+        swapped = family.product_facet_map(k)
+        swapped["d0"], swapped[f"d{k}"] = swapped[f"d{k}"], swapped["d0"]
+        assert p1.vertex_map(reference, swapped) is None
+
+    def test_certify_runs_no_isomorphism_search(self, monkeypatch):
+        """With the search made to raise, every certificate of the golden
+        suite is still ok and byte identical."""
+        def no_search(self, other, accept=None):
+            raise AssertionError("glue_certificate ran an isomorphism search")
+
+        monkeypatch.setattr(SimplePolytope, "iter_isomorphisms", no_search)
+        for k in range(2, 7):
+            assert glue_certificate(k, "complex").ok
+        for k in (3, 5):
+            assert glue_certificate(k, "real").ok
+        for cmd in certify_commands():
+            assert _digest(cmd.split()) == GOLDEN[cmd], cmd
