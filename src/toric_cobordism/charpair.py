@@ -19,7 +19,6 @@ from typing import Callable, Optional, Sequence
 from . import exactalg
 from .exactalg import (
     DimensionMismatch,
-    Gf2Matrix,
     Matrix,
     as_matrix,
     det_sign,
@@ -292,15 +291,16 @@ def orientable_small_cover(pair: CharacteristicPair) -> bool:
     """Orientability of the small cover of a valid GF(2) pair.
 
     True iff some y satisfies <y, beta(F)> = 1 for every assigned facet
-    F, which is the basis criterion for orientability.  The pair must
-    pass ``validate``; this is not checked here, and on an invalid pair
-    the answer means nothing.
+    F, which is the basis criterion for orientability: y is a sum of
+    the columns of the vectors, solved for the all-ones target.  The
+    pair must pass ``validate``; this is not checked here, and on an
+    invalid pair the answer means nothing.
     """
     if pair.ring != RING_GF2:
         raise RingMismatch("orientability test needs a GF(2) pair")
-    fids = sorted(pair.chi.vectors)
-    rows = [pair.chi.vectors[f] for f in fids]
-    return exactalg.solve_gf2(rows, [1] * len(rows)) is not None
+    rows = [gf2_pack(pair.chi.vectors[f]) for f in sorted(pair.chi.vectors)]
+    columns = exactalg.transpose_bits(rows, pair.chi.rank)
+    return exactalg.gf2_solve(columns, [(1 << len(rows)) - 1], len(rows))[0] is not None
 
 
 def restrict(pair: CharacteristicPair, fid: str) -> CharacteristicPair:
@@ -380,10 +380,13 @@ def _apply_delta(ring: str, delta: Matrix, vec: Sequence[int]) -> tuple[int, ...
 
 
 def _is_invertible(ring: str, delta) -> bool:
+    """Over Z, |det delta| = 1; over GF(2), delta is square, not empty,
+    and its packed rows have full ``gf2_basis`` rank."""
+    if ring == RING_GF2:
+        rows = [gf2_pack(r) for r in delta if len(r) == len(delta)]
+        return 0 < len(rows) == len(delta) == len(exactalg.gf2_basis(rows))
     try:
-        if ring == RING_Z:
-            return abs(exactalg.determinant(delta)) == 1
-        return Gf2Matrix.from_vectors(delta).inverse() is not None
+        return abs(exactalg.determinant(delta)) == 1
     except DimensionMismatch:
         return False
 
@@ -493,6 +496,15 @@ def _divide_exact(rows: Matrix, adj: Matrix, det: int) -> Optional[Matrix]:
     return tuple(out)
 
 
+def _gf2_delta(b_rows: Sequence[int], w: Matrix) -> Matrix:
+    """The delta with delta B = W over GF(2), for an invertible B given by
+    its packed rows: row i of delta names the rows of B that sum to row
+    i of W, so no inverse or product is formed."""
+    n = len(b_rows)
+    xs = exactalg.gf2_solve(b_rows, map(gf2_pack, w), n)
+    return tuple(tuple(x >> j & 1 for j in range(n)) for x in xs)
+
+
 def _signed(w: Matrix, signs: Sequence[int]) -> Matrix:
     """w with column i multiplied by signs[i]."""
     return tuple(tuple(map(mul, signs, row)) for row in w)
@@ -531,9 +543,9 @@ def _find_simplex_translation(
         b1 = [f for f in fids1 if f != g1]
         v = _columns(pair1, b1)
         if ring == RING_GF2:
-            vinv = Gf2Matrix.from_vectors(v).inverse()
-            if vinv is None:
+            if not _is_invertible(ring, v):
                 continue
+            v_rows = [gf2_pack(r) for r in v]
         else:
             det1, adj1 = exactalg.adjugate(v)
             if det1 == 0:
@@ -544,7 +556,7 @@ def _find_simplex_translation(
             fmap = {f: g for f, g in zip(b1, b2)}
             fmap[g1] = g2
             if ring == RING_GF2:
-                delta = Gf2Matrix.from_vectors(w).mul(vinv).row_tuples()
+                delta = _gf2_delta(v_rows, w)
             else:
                 # equal |det| is what makes delta unimodular
                 if abs(det2) != abs(det1):
@@ -603,12 +615,13 @@ def find_delta_translation(
     to a GF(2) one, so the relations are necessary over both rings.
 
     The matrix B whose columns are rank-many independent facet vectors
-    of pair1 is inverted once per search: over GF(2) directly, over Z
-    as (det B, adj B) by fraction-free elimination.  A bijection sends
-    B to the matrix W of the image vectors, and delta = W S B^-1 for a
-    diagonal sign pattern S.  Over GF(2), S = I and the relations span
-    every linear relation among pair1's vectors, so delta = W B^-1
-    carries every vector of a surviving bijection.  Over Z, the mod-2
+    of pair1 is prepared once per search: over GF(2) its rows are
+    packed, over Z it is inverted as (det B, adj B) by fraction-free
+    elimination.  A bijection sends B to the matrix W of the image
+    vectors, and delta = W S B^-1 for a diagonal sign pattern S.  Over
+    GF(2), S = I, delta B = W is solved row by row (``_gf2_delta``), and
+    the relations span every linear relation among pair1's vectors, so
+    delta carries every vector of a surviving bijection.  Over Z, the mod-2
     relations cannot see signs: the first sign is pinned to +1 (delta
     and -delta give the same sign classes) and the 2^(rank-1) patterns
     are tried in turn.  Pinning the rest from the vectors would save
@@ -638,7 +651,7 @@ def find_delta_translation(
         raise InvalidPair("pair1 has no independent spanning facet set")
     b = _columns(pair1, basis)
     if ring == RING_GF2:
-        binv = Gf2Matrix.from_vectors(b).inverse()
+        b_rows = [gf2_pack(r) for r in b]
     else:
         det_b, adj_b = exactalg.adjugate(b)
     patterns = [(1,) + signs for signs in iproduct((1, -1), repeat=len(basis) - 1)]
@@ -670,8 +683,7 @@ def find_delta_translation(
             )
         w = _columns(pair2, [fmap[f] for f in basis])
         if ring == RING_GF2:
-            delta = Gf2Matrix.from_vectors(w).mul(binv).row_tuples()
-            t = DeltaTranslation(ring, fmap, delta)
+            t = DeltaTranslation(ring, fmap, _gf2_delta(b_rows, w))
             if verify_delta_translation(pair1, pair2, t):
                 return t
             continue

@@ -3,9 +3,11 @@
 All arithmetic is done over arbitrary precision integers or bit packed
 GF(2) rows.  No floating point appears anywhere in the package; every
 result of this module is exact and deterministic, and all functions are
-pure (safe to call concurrently).  The package's bit-mask helpers live
-here: ``set_bits`` lists a mask's set bits, ``transpose_bits`` a bit
-matrix's columns.
+pure (safe to call concurrently).  Over GF(2) there is one elimination,
+``gf2_basis``, and one solve on it, ``gf2_solve``: ranks, invertibility
+and every A x = b of the package go through these two.  The package's
+bit-mask helpers live here: ``set_bits`` lists a mask's set bits,
+``transpose_bits`` a bit matrix's columns.
 """
 
 from __future__ import annotations
@@ -496,7 +498,8 @@ def gf2_basis(rows: Iterable[int], basis: Optional[dict[int, int]] = None) -> di
 
     Every GF(2) elimination of the package is this one.  A tag bit above
     the row width on each row records which rows a basis vector sums: a
-    row that depends on the rows before it opens a key on its tags.
+    row that depends on the rows before it opens a key on its tags, and
+    ``gf2_solve`` reads solutions off the tags.
 
     A given ``basis`` is extended in place by the rows.
     """
@@ -513,111 +516,32 @@ def gf2_basis(rows: Iterable[int], basis: Optional[dict[int, int]] = None) -> di
     return basis
 
 
-def _gf2_tagged_basis(vectors: Sequence[int], width: int) -> dict[int, int]:
-    """``gf2_basis`` of vectors of ``width`` bits, vector j tagged with
-    bit width + j.  The keys below ``width`` are the vectors independent
-    of the vectors before them, the pivots Gauss-Jordan picks."""
-    return gf2_basis(v | (1 << (width + j)) for j, v in enumerate(vectors))
+def gf2_solve(rows: Sequence[int], targets: Iterable[int], width: int) -> list[Optional[int]]:
+    """For each bit packed target, the rows that sum to it, bit packed by
+    row index (bit i = ``rows[i]``), or None if it lies outside their span.
 
-
-def _gf2_combination(basis: dict[int, int], b: int, width: int) -> Optional[int]:
-    """The pivot vectors of a tagged basis that sum to b, bit packed by
-    tag, or None if b is not in their span: b is reduced on the keys
-    below ``width`` and the tag bits left over name the vectors."""
-    v = b
-    while v & ((1 << width) - 1):
-        p = basis.get((v & -v).bit_length() - 1)
-        if p is None:
-            return None
-        v ^= p
-    return v >> width
-
-
-class Gf2Matrix:
-    """Dense GF(2) matrix with bit packed rows (bit j = column j)."""
-
-    __slots__ = ("ncols", "rows")
-
-    def __init__(self, ncols: int, rows: Iterable[int]):
-        self.ncols = ncols
-        mask = (1 << ncols) - 1
-        self.rows = [int(r) & mask for r in rows]
-
-    @classmethod
-    def from_vectors(cls, vectors: Iterable[Sequence[int]]) -> "Gf2Matrix":
-        vecs = [tuple(v) for v in vectors]
-        if not vecs:
-            raise DimensionMismatch("cannot infer width of empty matrix")
-        ncols = len(vecs[0])
-        if any(len(v) != ncols for v in vecs):
-            raise DimensionMismatch("ragged GF(2) rows")
-        return cls(ncols, map(gf2_pack, vecs))
-
-    def row_tuples(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(
-            tuple((r >> j) & 1 for j in range(self.ncols)) for r in self.rows
-        )
-
-    @property
-    def nrows(self) -> int:
-        return len(self.rows)
-
-    def rank(self) -> int:
-        return len(gf2_basis(self.rows))
-
-    def solve(self, b: Sequence[int]) -> Optional[tuple[int, ...]]:
-        """One solution x of A x = b over GF(2), or None.
-
-        Free variables are set to zero; the returned solution is
-        re-checked by multiplication before being returned.
-        """
-        if len(b) != self.nrows:
-            raise DimensionMismatch("rhs length != number of rows")
-        # x names the columns that sum to b, zero off the pivot columns
-        columns = _gf2_tagged_basis(transpose_bits(self.rows, self.ncols), self.nrows)
-        xbits = _gf2_combination(columns, gf2_pack(b), self.nrows)
-        if xbits is None:
-            return None
-        for r, bv in zip(self.rows, b):
-            if bin(r & xbits).count("1") % 2 != int(bv) % 2:
+    One ``gf2_basis`` of the rows of ``width`` bits, row i tagged with bit
+    width + i: the keys below ``width`` are the rows independent of the
+    rows before them, the pivots Gauss-Jordan picks.  A target is reduced
+    on those keys and the tag bits left over name the rows, zero off the
+    pivot rows.  Every solution is re-checked by summing its rows.
+    """
+    basis = gf2_basis(r | 1 << (width + i) for i, r in enumerate(rows))
+    low = (1 << width) - 1
+    out: list[Optional[int]] = []
+    for b in targets:
+        v = b
+        while v & low:
+            p = basis.get((v & -v).bit_length() - 1)
+            if p is None:
+                out.append(None)
+                break
+            v ^= p
+        else:
+            x, total = v >> width, 0
+            for i in set_bits(x):
+                total ^= rows[i]
+            if total != b:
                 raise AssertionError("GF(2) solver produced a bad solution")
-        return tuple((xbits >> j) & 1 for j in range(self.ncols))
-
-    def inverse(self) -> Optional["Gf2Matrix"]:
-        """A^-1, or None when A is singular.
-
-        Row i of A^-1 names the rows of A that sum to e_i, solved for
-        every i on one tagged basis of the rows (the columns of A^T).
-        """
-        if self.nrows != self.ncols:
-            raise DimensionMismatch("inverse of a non-square matrix")
-        n = self.ncols
-        rows = _gf2_tagged_basis(self.rows, n)
-        inv = [_gf2_combination(rows, 1 << i, n) for i in range(n)]
-        if None in inv:
-            return None
-        return Gf2Matrix(n, inv)
-
-    def mul(self, other: "Gf2Matrix") -> "Gf2Matrix":
-        if self.ncols != other.nrows:
-            raise DimensionMismatch("GF(2) product size mismatch")
-        out = []
-        for r in self.rows:
-            acc = 0
-            for j in set_bits(r):
-                acc ^= other.rows[j]
-            out.append(acc)
-        return Gf2Matrix(other.ncols, out)
-
-    def matvec(self, x: Sequence[int]) -> tuple[int, ...]:
-        xbits = gf2_pack(x)
-        return tuple(bin(r & xbits).count("1") % 2 for r in self.rows)
-
-
-def solve_gf2(a: Iterable[Sequence[int]], b: Sequence[int]) -> Optional[tuple[int, ...]]:
-    """Solve A x = b over GF(2); returns a solution tuple or None."""
-    return Gf2Matrix.from_vectors(a).solve(b)
-
-
-def gf2_rank(vectors: Iterable[Sequence[int]]) -> int:
-    return Gf2Matrix.from_vectors(vectors).rank()
+            out.append(x)
+    return out

@@ -33,7 +33,7 @@ from .charpair import (
     validate_pairs,
     verify_delta_translation,
 )
-from .exactalg import Gf2Matrix, as_matrix
+from .exactalg import as_matrix, gf2_pack
 from .polytope import SimplePolytope, build_delta_Q, product, simplex
 
 CUT_FACETS = ("p1", "p2", "p3")
@@ -327,18 +327,17 @@ def reflection_count(n: int) -> tuple[int, int]:
     half = n // 2
     mus = mu_rows(n)
     span_indices = [j for j in range(n + 1) if j not in (half - 1, n)]
-    cols = [mus[j] for j in span_indices]
-    mat = Gf2Matrix.from_vectors(list(zip(*cols)))
-
     expected = {
         half - 1: set(range(half - 1)) | {half},
         n: set(range(half, n)),
     }
-    for target_j, expect in expected.items():
-        sol = mat.solve(mus[target_j])
+    sols = exactalg.gf2_solve(
+        [gf2_pack(mus[j]) for j in span_indices], [gf2_pack(mus[j]) for j in expected], n - 1
+    )
+    for (target_j, expect), sol in zip(expected.items(), sols):
         if sol is None:
             raise ExpansionMismatch(f"row {target_j} is not in the auxiliary span")
-        support = {span_indices[i] for i, bit in enumerate(sol) if bit}
+        support = {span_indices[i] for i in exactalg.set_bits(sol)}
         if len(support) != half or support != expect:
             raise ExpansionMismatch(
                 f"row {target_j} expands with support {sorted(support)},"

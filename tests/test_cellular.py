@@ -38,7 +38,7 @@ from toric_cobordism.charpair import (
     standard_pair,
 )
 from toric_cobordism.cli import main
-from toric_cobordism.exactalg import gf2_basis, smith_normal_form
+from toric_cobordism.exactalg import gf2_basis, gf2_pack, smith_normal_form
 from toric_cobordism.family import (
     build_family,
     reflection_count,
@@ -273,8 +273,6 @@ class TestQuotientComplex:
     def test_absolute_count_formula_n4(self):
         fam = build_family(2, "GF2")
         cw = build_quotient_complex(fam.polytope, fam.pair.chi)
-        from toric_cobordism.exactalg import gf2_rank
-
         expect = [0] * (fam.n + 1)
         for face in face_sets(fam.polytope, fam.polytope.faces):
             vecs = [
@@ -282,7 +280,7 @@ class TestQuotientComplex:
                 for f in face.facets
                 if f in fam.pair.chi.vectors
             ]
-            rank = gf2_rank(vecs) if vecs else 0
+            rank = _reference_gf2_rank(3, [gf2_pack(v) for v in vecs])
             expect[face.dim] += 2 ** (3 - rank)
         assert list(cw.cell_counts()) == expect
 

@@ -24,7 +24,7 @@ from toric_cobordism.charpair import (
     verify_delta_translation,
 )
 from toric_cobordism import charpair, exactalg, family
-from toric_cobordism.exactalg import DimensionMismatch, Gf2Matrix, identity_matrix, mat_vec
+from toric_cobordism.exactalg import DimensionMismatch, gf2_basis, gf2_pack, identity_matrix, mat_mul, mat_vec
 from toric_cobordism.family import build_family
 from toric_cobordism.polytope import SimplePolytope, product, simplex
 
@@ -37,6 +37,10 @@ def gf2_pair(vectors):
 
 
 RP2 = gf2_pair([(1, 0), (0, 1), (1, 1)])
+
+
+def _gf2_rank(vectors):
+    return len(gf2_basis(map(gf2_pack, vectors)))
 
 
 def square_pair():
@@ -171,8 +175,6 @@ class TestOrientability:
 
     def test_group_basis_change_invariance(self):
         rng = random.Random(2)
-        from toric_cobordism.exactalg import Gf2Matrix
-
         for pair in (RP2, square_pair(), standard_pair("real_projective", 3)):
             want = orientable_small_cover(pair)
             m = pair.chi.rank
@@ -181,11 +183,11 @@ class TestOrientability:
                     rows = [
                         tuple(rng.randint(0, 1) for _ in range(m)) for _ in range(m)
                     ]
-                    g = Gf2Matrix.from_vectors(rows)
-                    if g.inverse() is not None:
+                    if _gf2_rank(rows) == m:
                         break
                 moved = {
-                    fid: g.matvec(v) for fid, v in pair.chi.vectors.items()
+                    fid: tuple(x % 2 for x in mat_vec(rows, v))
+                    for fid, v in pair.chi.vectors.items()
                 }
                 changed = CharacteristicPair(
                     pair.polytope, CharacteristicFunction("GF2", m, moved)
@@ -310,6 +312,22 @@ class TestTranslations:
         assert find_delta_translation(*pairs) is None
         assert not verify_delta_translation(*pairs, t)
         assert pairs[0].polytope.vertex_map(pairs[1].polytope, t.facet_map) is None
+
+    @pytest.mark.parametrize(
+        "delta, invertible",
+        [
+            ((), False),
+            (((1, 0), (1,)), False),
+            (((1, 0, 0), (0, 1, 0)), False),
+            (((1, 1), (1, 1)), False),
+            (((3, 0), (0, 1)), True),
+            (((1, 0), (0, -1)), True),
+            (((2, 0), (0, 1)), False),
+        ],
+    )
+    def test_gf2_invertibility_verdicts(self, delta, invertible):
+        # square with full rank mod 2; empty, ragged and non-square are not
+        assert charpair._is_invertible("GF2", delta) is invertible
 
 
 class TestOrientationEffect:
@@ -702,7 +720,7 @@ def _reference_basis_failure(chi, vecs):
         if len(fs) == len(vecs) and all(f == 1 for f in fs):
             return None
         return "facet vectors at this vertex do not span a direct summand"
-    if exactalg.gf2_rank(vecs) == len(vecs):
+    if _gf2_rank(vecs) == len(vecs):
         return None
     return "facet vectors at this vertex are dependent mod 2"
 
@@ -910,13 +928,28 @@ def _reference_isomorphisms(self, other):
     yield from backtrack(0)
 
 
+def _dense_gf2_inverse(m):
+    """Gauss-Jordan inverse of a square matrix over GF(2), or None."""
+    n = len(m)
+    aug = [[x % 2 for x in row] + [int(i == j) for j in range(n)] for i, row in enumerate(m)]
+    for c in range(n):
+        piv = next((r for r in range(c, n) if aug[r][c]), None)
+        if piv is None:
+            return None
+        aug[c], aug[piv] = aug[piv], aug[c]
+        for r in range(n):
+            if r != c and aug[r][c]:
+                aug[r] = [x ^ y for x, y in zip(aug[r], aug[c])]
+    return tuple(tuple(row[n:]) for row in aug)
+
+
 def _reference_find_delta_translation(pair1, pair2):
     """The bijection loop only: neither pair may take the simplex path."""
     ring = pair1.ring
     basis = charpair._independent_assigned_facets(pair1)
     b = charpair._columns(pair1, basis)
     if ring == "GF2":
-        binv = Gf2Matrix.from_vectors(b).inverse()
+        binv = _dense_gf2_inverse(b)
     else:
         det_b, adj_b = exactalg.adjugate(b)
     patterns = [(1,) + signs for signs in iproduct((1, -1), repeat=len(basis) - 1)]
@@ -928,7 +961,7 @@ def _reference_find_delta_translation(pair1, pair2):
             continue
         w = charpair._columns(pair2, [fmap[f] for f in basis])
         if ring == "GF2":
-            candidates = [Gf2Matrix.from_vectors(w).mul(binv).row_tuples()]
+            candidates = [tuple(tuple(x % 2 for x in row) for row in mat_mul(w, binv))]
         elif abs(exactalg.determinant(w)) != abs(det_b):
             continue
         else:
@@ -1055,8 +1088,8 @@ class TestMod2Relations:
         for pair in (fam.pair, *(fam.boundary[p] for p in ("p1", "p2", "p3"))):
             relations = charpair._mod2_relations(pair)
             assert relations == _reference_mod2_relations(pair)
-            assert len(relations) == len(pair.chi.vectors) - exactalg.gf2_rank(
-                list(pair.chi.vectors.values())
+            assert len(relations) == len(pair.chi.vectors) - _gf2_rank(
+                pair.chi.vectors.values()
             )
 
     def test_repeated_and_summing_vectors(self):
@@ -1072,7 +1105,7 @@ class TestMod2Relations:
 # candidate recomputes the rank of all chosen vectors plus itself.
 
 def _reference_independent_assigned_facets(pair):
-    rank_of = exactalg.gf2_rank if pair.ring == "GF2" else exactalg.integer_rank
+    rank_of = _gf2_rank if pair.ring == "GF2" else exactalg.integer_rank
     chosen = []
     for fid in sorted(pair.chi.vectors):
         cand = chosen + [fid]

@@ -6,22 +6,22 @@ import pytest
 from toric_cobordism.cellular import cover_complex
 from toric_cobordism.exactalg import (
     DimensionMismatch,
-    Gf2Matrix,
     adjugate,
     as_matrix,
     det_sign,
     determinant,
     gf2_basis,
     gf2_pack,
-    gf2_rank,
+    gf2_solve,
     identity_matrix,
     invariant_factors,
     is_direct_summand,
     mat_mul,
     mat_vec,
     permutation_sign,
+    set_bits,
     smith_normal_form,
-    solve_gf2,
+    transpose_bits,
     unit_pivot_elimination,
 )
 from toric_cobordism import charpair
@@ -175,13 +175,44 @@ def _summand_by_smith(vectors, ambient_rank):
     return len(fs) == len(vectors) and all(f == 1 for f in fs)
 
 
+def _solve_gf2(a, b):
+    """One x with A x = b over GF(2), or None: b as a sum of A's columns."""
+    rows = [gf2_pack(r) for r in a]
+    nc = len(a[0])
+    x = gf2_solve(transpose_bits(rows, nc), [gf2_pack(b)], len(rows))[0]
+    return None if x is None else tuple((x >> j) & 1 for j in range(nc))
+
+
+def _gf2_matvec(rows, x):
+    """A x over GF(2), A given by its packed rows."""
+    xbits = gf2_pack(x)
+    return tuple((r & xbits).bit_count() % 2 for r in rows)
+
+
+def _gf2_inverse(rows, n):
+    """A^-1 as packed rows: row i names the rows of A that sum to e_i."""
+    inv = gf2_solve(rows, [1 << i for i in range(n)], n)
+    return None if None in inv else inv
+
+
+def _gf2_product(a, b):
+    """A B over GF(2), both given by their packed rows."""
+    out = []
+    for r in a:
+        acc = 0
+        for j in set_bits(r):
+            acc ^= b[j]
+        out.append(acc)
+    return out
+
+
 class TestGf2:
     def test_identity_all_ones(self):
-        assert solve_gf2(identity_matrix(4), [1, 1, 1, 1]) == (1, 1, 1, 1)
+        assert _solve_gf2(identity_matrix(4), [1, 1, 1, 1]) == (1, 1, 1, 1)
 
     def test_no_solution(self):
         rows = [(1, 0), (0, 1), (1, 1)]
-        assert solve_gf2(rows, [1, 1, 1]) is None
+        assert _solve_gf2(rows, [1, 1, 1]) is None
         # exhaustive confirmation over GF(2)^2
         for x0 in (0, 1):
             for x1 in (0, 1):
@@ -190,7 +221,7 @@ class TestGf2:
 
     def test_repeated_rows(self):
         rows = [(1, 0), (0, 1), (1, 0), (0, 1)]
-        assert solve_gf2(rows, [1, 1, 1, 1]) == (1, 1)
+        assert _solve_gf2(rows, [1, 1, 1, 1]) == (1, 1)
 
     def test_solution_always_verifies(self):
         rng = random.Random(3)
@@ -200,7 +231,7 @@ class TestGf2:
                 tuple(rng.randint(0, 1) for _ in range(nc)) for _ in range(nr)
             ]
             b = [rng.randint(0, 1) for _ in range(nr)]
-            x = solve_gf2(rows, b)
+            x = _solve_gf2(rows, b)
             if x is not None:
                 for row, bv in zip(rows, b):
                     assert sum(r * v for r, v in zip(row, x)) % 2 == bv
@@ -213,14 +244,12 @@ class TestGf2:
                     )
 
     def test_rank_and_inverse(self):
-        m = Gf2Matrix.from_vectors([(1, 1, 0), (0, 1, 1), (0, 0, 1)])
-        assert m.rank() == 3
-        inv = m.inverse()
+        m = [gf2_pack(r) for r in [(1, 1, 0), (0, 1, 1), (0, 0, 1)]]
+        assert len(gf2_basis(m)) == 3
+        inv = _gf2_inverse(m, 3)
         assert inv is not None
-        assert m.mul(inv).row_tuples() == tuple(
-            tuple(1 if i == j else 0 for j in range(3)) for i in range(3)
-        )
-        assert gf2_rank([(1, 1), (1, 1)]) == 1
+        assert _gf2_product(m, inv) == [1, 2, 4]
+        assert len(gf2_basis([gf2_pack((1, 1)), gf2_pack((1, 1))])) == 1
 
 
 def _sparse_matrices(seed=99, count=50):
@@ -363,7 +392,8 @@ class TestGf2Basis:
             }
             rank = len(gf2_basis(self._bits(rows)))
             assert 1 << rank == len(images)
-            assert rank == gf2_rank(rows)
+            # the column rank is the row rank
+            assert rank == len(gf2_basis(transpose_bits(self._bits(rows), nc)))
 
     def test_keys_are_unit_triangular_pivots_in_the_row_space(self):
         for rows, nc in _gf2_matrices():
@@ -371,23 +401,24 @@ class TestGf2Basis:
             for key, v in basis.items():
                 assert v & ((1 << (key + 1)) - 1) == 1 << key
                 target = [(v >> j) & 1 for j in range(nc)]
-                assert solve_gf2(list(zip(*rows)), target) is not None
+                assert _solve_gf2(list(zip(*rows)), target) is not None
 
 
 # -- reference: Gauss-Jordan over GF(2) -----------------------------------------
 #
 # _reference_solve and _reference_inverse are Gf2Matrix.solve and
-# Gf2Matrix.inverse as they stood before both ran through gf2_basis;
-# they are kept here unchanged as the reference for that route.
+# Gf2Matrix.inverse as they stood before both ran through gf2_basis, on
+# plain packed rows of ncols bits; they are kept here as the reference
+# for that route.
 
-def _reference_solve(self, b):
-    if len(b) != self.nrows:
+def _reference_solve(ncols, rows, b):
+    if len(b) != len(rows):
         raise DimensionMismatch("rhs length != number of rows")
-    bbit = 1 << self.ncols
-    aug = [r | (bbit if int(bv) % 2 else 0) for r, bv in zip(self.rows, b)]
+    bbit = 1 << ncols
+    aug = [r | (bbit if int(bv) % 2 else 0) for r, bv in zip(rows, b)]
     pivots = []
     rank = 0
-    for col in range(self.ncols):
+    for col in range(ncols):
         bit = 1 << col
         piv = next((k for k in range(rank, len(aug)) if aug[k] & bit), None)
         if piv is None:
@@ -400,22 +431,22 @@ def _reference_solve(self, b):
         rank += 1
     if any(row == bbit for row in aug):
         return None
-    x = [0] * self.ncols
+    x = [0] * ncols
     for k, col in enumerate(pivots):
         if aug[k] & bbit:
             x[col] = 1
     xbits = sum(bit << j for j, bit in enumerate(x))
-    for r, bv in zip(self.rows, b):
+    for r, bv in zip(rows, b):
         if bin(r & xbits).count("1") % 2 != int(bv) % 2:
             raise AssertionError("GF(2) solver produced a bad solution")
     return tuple(x)
 
 
-def _reference_inverse(self):
-    if self.nrows != self.ncols:
+def _reference_inverse(ncols, rows):
+    if len(rows) != ncols:
         raise DimensionMismatch("inverse of a non-square matrix")
-    n = self.ncols
-    aug = [r | (1 << (n + i)) for i, r in enumerate(self.rows)]
+    n = ncols
+    aug = [r | (1 << (n + i)) for i, r in enumerate(rows)]
     rank = 0
     for col in range(n):
         bit = 1 << col
@@ -427,13 +458,13 @@ def _reference_inverse(self):
             if k != rank and aug[k] & bit:
                 aug[k] ^= aug[rank]
         rank += 1
-    inv_rows = [row >> n for row in aug]
-    return Gf2Matrix(n, inv_rows)
+    return [row >> n for row in aug]
 
 
 def _seeded_systems(count=3000, seed=8):
-    """(A, b) over GF(2): random, rank-deficient by repeated or summed
-    rows and columns, and with b in the column span or not."""
+    """(ncols, A, b) over GF(2), A as packed rows: random, rank-deficient
+    by repeated or summed rows and columns, and with b in the column
+    span or not."""
     rng = random.Random(seed)
     for i in range(count):
         nr, nc = rng.randint(0, 7), rng.randint(0, 7)
@@ -443,25 +474,27 @@ def _seeded_systems(count=3000, seed=8):
         if i % 3 == 2 and nc >= 2:
             a, c = rng.sample(range(nc), 2)
             rows = [r & ~(1 << c) | ((r >> a) & 1) << c for r in rows]
-        m = Gf2Matrix(nc, rows)
         if i % 2:
-            b = m.matvec([rng.randint(0, 1) for _ in range(nc)])
+            b = _gf2_matvec(rows, [rng.randint(0, 1) for _ in range(nc)])
         else:
             b = tuple(rng.randint(0, 1) for _ in range(nr))
-        yield m, b
+        yield nc, rows, b
 
 
-def _brute_force_inverse(m):
-    """Column i is the one x with m x = e_i, found among all 2^n vectors."""
-    n = m.ncols
+def _brute_force_inverse(n, rows):
+    """Column i is the one x with A x = e_i, found among all 2^n vectors."""
     preimage = {}
     for x in range(1 << n):
-        preimage.setdefault(m.matvec([(x >> j) & 1 for j in range(n)]), x)
+        preimage.setdefault(_gf2_matvec(rows, [(x >> j) & 1 for j in range(n)]), x)
     if len(preimage) < 1 << n:
         return None
     unit = [tuple(int(i == r) for r in range(n)) for i in range(n)]
     cols = [preimage[e] for e in unit]
     return tuple(tuple((cols[i] >> r) & 1 for i in range(n)) for r in range(n))
+
+
+def _unpack(rows, n):
+    return tuple(tuple((r >> j) & 1 for j in range(n)) for r in rows)
 
 
 class TestGf2SolveOnTheBasis:
@@ -472,10 +505,12 @@ class TestGf2SolveOnTheBasis:
 
     def test_solve_matches_gauss_jordan(self):
         outcomes = set()
-        for m, b in _seeded_systems():
-            x = m.solve(b)
-            assert x == _reference_solve(m, b)
-            outcomes.add((x is None, m.rank() < min(m.nrows, m.ncols)))
+        for nc, rows, b in _seeded_systems():
+            # x names the columns of A that sum to b
+            xbits = gf2_solve(transpose_bits(rows, nc), [gf2_pack(b)], len(rows))[0]
+            x = None if xbits is None else tuple((xbits >> j) & 1 for j in range(nc))
+            assert x == _reference_solve(nc, rows, b)
+            outcomes.add((x is None, len(gf2_basis(rows)) < min(len(rows), nc)))
         # solvable and unsolvable systems, of full and deficient rank
         assert outcomes == {(False, False), (False, True), (True, False), (True, True)}
 
@@ -484,23 +519,85 @@ class TestGf2SolveOnTheBasis:
         singular = 0
         for _ in range(600):
             n = rng.randint(0, 6)
-            m = Gf2Matrix(n, [rng.getrandbits(n) if n else 0 for _ in range(n)])
-            inv = m.inverse()
-            expected = _brute_force_inverse(m)
+            rows = [rng.getrandbits(n) if n else 0 for _ in range(n)]
+            inv = _gf2_inverse(rows, n)
+            expected = _brute_force_inverse(n, rows)
             assert (inv is None) == (expected is None)
-            ref = _reference_inverse(m)
+            ref = _reference_inverse(n, rows)
             if inv is None:
                 assert ref is None
                 singular += 1
                 continue
-            assert inv.row_tuples() == expected == ref.row_tuples()
-            unit = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-            assert m.mul(inv).row_tuples() == inv.mul(m).row_tuples() == unit
+            assert _unpack(inv, n) == expected == _unpack(ref, n)
+            unit = [1 << i for i in range(n)]
+            assert _gf2_product(rows, inv) == _gf2_product(inv, rows) == unit
         assert 100 < singular < 500
 
     def test_inverse_rejects_non_square(self):
+        # three rows of width 2 span GF(2)^2, yet have no inverse
+        assert not charpair._is_invertible("GF2", ((1, 0), (0, 1), (1, 1)))
         with pytest.raises(DimensionMismatch):
-            Gf2Matrix(2, [1, 2, 3]).inverse()
+            _reference_inverse(2, [1, 2, 3])
+
+
+def _row_sets(seed=37, per_width=120):
+    """(width, packed rows) at widths 0..5: empty, random, and dependent
+    by a repeated row, a sum of two rows or a zero row."""
+    rng = random.Random(seed)
+    for width in range(6):
+        yield width, []
+        for i in range(per_width):
+            rows = [rng.getrandbits(width) if width else 0 for _ in range(rng.randint(1, 7))]
+            if i % 3 == 1 and len(rows) >= 2:
+                rows.append(rows[0] ^ rows[-1])
+            elif i % 3 == 2:
+                rows.insert(rng.randrange(len(rows) + 1), rows[0] if i % 2 else 0)
+            yield width, rows
+
+
+class TestGf2Solve:
+    @staticmethod
+    def _sums(rows):
+        """Every subset of the rows, bit packed by row index, keyed by its sum."""
+        sums = {}
+        for x in range(1 << len(rows)):
+            total = 0
+            for i in set_bits(x):
+                total ^= rows[i]
+            sums.setdefault(total, set()).add(x)
+        return sums
+
+    def test_matches_brute_force_enumeration(self):
+        outcomes = set()
+        for width, rows in _row_sets():
+            sums = self._sums(rows)
+            # the rows independent of the rows before them
+            pivots = {i for i in range(len(rows)) if len(gf2_basis(rows[: i + 1])) > len(gf2_basis(rows[:i]))}
+            targets = list(range(1 << width))
+            for b, x in zip(targets, gf2_solve(rows, targets, width)):
+                if x is None:
+                    assert b not in sums
+                else:
+                    assert x in sums[b] and set(set_bits(x)) <= pivots
+                outcomes.add((x is None, len(gf2_basis(rows)) < len(rows)))
+        # solvable and unsolvable targets, over independent and dependent rows
+        assert outcomes == {(False, False), (False, True), (True, False), (True, True)}
+
+    def test_one_answer_per_target_in_order(self):
+        rows = [0b011, 0b110, 0b101]  # the third is the sum of the first two
+        assert gf2_solve(rows, [0b101, 0b011, 0b000, 0b100, 0b110], 3) == [
+            0b011, 0b001, 0, None, 0b010,
+        ]
+        assert gf2_solve(rows, [], 3) == []
+
+    def test_empty_rows(self):
+        assert gf2_solve([], [0, 1, 0b10], 2) == [0, None, None]
+        assert gf2_solve([], [0], 0) == [0]
+
+    def test_every_solution_is_rechecked(self):
+        # a target wider than the rows reduces to the tags of a wrong sum
+        with pytest.raises(AssertionError, match="bad solution"):
+            gf2_solve([0b01], [0b101], 2)
 
 
 class TestPermutationSign:
