@@ -22,8 +22,10 @@ the same pass packs each row too and checks d o d mod 2 the same way,
 and one signed d o d on the face lattice checks the signs.  A face two
 down is reached only along the two orders of its two new facets, so
 the packed check puts both paths on one cell and the face check makes
-their signs cancel, which is d o d over Z.  The two routes cross-check
-each other wherever both apply.
+their signs cancel, which is d o d over Z.  The second route for
+d o d is the plain dict composition of the built rows in the tests
+(``tests/routes.py``).  The two homology routes cross-check each other
+wherever both apply.
 """
 
 from __future__ import annotations
@@ -31,15 +33,14 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass
-from functools import reduce
 from itertools import chain
 from math import comb
 from numbers import Rational
-from operator import itemgetter, mul, xor
+from operator import itemgetter, mul
 from typing import Iterable, Optional, Sequence
 
 from .charpair import RING_GF2, RING_Z, CharacteristicFunction, CharacteristicPair
-from .exactalg import gf2_basis, gf2_pack, set_bits, unit_pivot_elimination
+from .exactalg import gf2_basis, gf2_pack, unit_pivot_elimination
 from .polytope import SimplePolytope
 
 
@@ -468,7 +469,7 @@ def _face_steps(cw: QuotientCWComplex, lowest: int) -> dict[int, list[tuple[int,
         for j in range(poly.n_facets):
             if mask >> j & 1 or (gi := index.get(mask | 1 << j)) is None:
                 continue
-            sign = 1 if (mask >> j + 1).bit_count() & 1 else -1
+            sign = _sign(mask, j)
             if dim == 1:
                 sign *= eps[cw.face_list[gi][2].bit_length() - 1]
             r = _reduce_coset(vectors[j], basis)
@@ -522,7 +523,8 @@ def chain_complex(cw: QuotientCWComplex, ring: str = RING_Z) -> ChainComplex:
     two down is reached only along the two orders of its two new facets,
     and cells of distinct faces are distinct columns, so the XOR
     vanishes iff both paths land on one cell, and then their signs
-    cancel iff the face check holds: the verdict of ``_verify_d_squared``.
+    cancel iff the face check holds, the verdict the dict composition of
+    ``tests/routes.py`` reaches by the second route.
     Cells from ``cw.min_dim`` > 0 up give boundaries from degree
     ``min_dim + 1`` up.
     """
@@ -586,63 +588,6 @@ def chain_complex(cw: QuotientCWComplex, ring: str = RING_Z) -> ChainComplex:
             boundaries.append(tuple(packed))
         below = packed
     return ChainComplex(ring, counts, tuple(boundaries), lowest)
-
-
-def _signed_columns(row: dict[int, int]) -> tuple[list[int], list[int]]:
-    """The columns of ``row`` with a positive and with a negative entry,
-    each repeated |entry| times."""
-    plus: list[int] = []
-    minus: list[int] = []
-    for col, c in row.items():
-        if c == 1:
-            plus.append(col)
-        elif c == -1:
-            minus.append(col)
-        else:
-            (plus if c > 0 else minus).extend([col] * abs(c))
-    return plus, minus
-
-
-def _verify_d_squared(cc: ChainComplex) -> None:
-    """Raise unless every composition of two built boundaries vanishes.
-
-    ``chain_complex`` checks both rings in its one assembly pass; this
-    is the second route, run on rows already built (or built by hand),
-    on both rings.  Over GF(2) a row of d o d is the XOR of the packed
-    rows one degree down at the row's set bits.  Over Z each row one
-    degree down is split once into its signed columns, each repeated
-    |entry| times; a row of d o d vanishes iff the columns it reaches
-    with + and with -, counted with multiplicity, are the same multiset.
-    """
-    first = max(2, cc.lowest_degree + 1)
-    if cc.ring == RING_GF2:
-        for d in range(first, cc.dim + 1):
-            lower = cc.boundaries[d - 1]
-            for row in cc.boundaries[d]:
-                if reduce(xor, map(lower.__getitem__, set_bits(row)), 0):
-                    raise ConsistencyError("d o d != 0: incidence signs broken")
-        return
-    for d in range(first, cc.dim + 1):
-        lower = [_signed_columns(row) for row in cc.boundaries[d - 1]]
-        for row in cc.boundaries[d]:
-            pos: list[int] = []
-            neg: list[int] = []
-            for mid, c in row.items():
-                plus, minus = lower[mid]
-                if c == 1:
-                    pos += plus
-                    neg += minus
-                elif c == -1:
-                    pos += minus
-                    neg += plus
-                else:
-                    if c < 0:
-                        plus, minus = minus, plus
-                    for _ in range(abs(c)):
-                        pos += plus
-                        neg += minus
-            if len(pos) != len(neg) or sorted(pos) != sorted(neg):
-                raise ConsistencyError("d o d != 0: incidence signs broken")
 
 
 def _eliminate(

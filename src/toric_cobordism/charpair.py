@@ -183,9 +183,6 @@ class ValidityReport:
     checked_vertices: int
     failures: tuple[tuple[int, str], ...] = ()
 
-    def __bool__(self) -> bool:
-        return self.ok
-
 
 def validate(pair: CharacteristicPair) -> ValidityReport:
     """``validate_pairs`` on one pair."""
@@ -380,11 +377,12 @@ def _apply_delta(ring: str, delta: Matrix, vec: Sequence[int]) -> tuple[int, ...
 
 
 def _is_invertible(ring: str, delta) -> bool:
-    """Over Z, |det delta| = 1; over GF(2), delta is square, not empty,
-    and its packed rows have full ``gf2_basis`` rank."""
+    """Over Z, |det delta| = 1; over GF(2), delta is square and its
+    packed rows have full ``gf2_basis`` rank.  Both hold for the empty
+    delta, whose determinant is 1."""
     if ring == RING_GF2:
         rows = [gf2_pack(r) for r in delta if len(r) == len(delta)]
-        return 0 < len(rows) == len(delta) == len(exactalg.gf2_basis(rows))
+        return len(rows) == len(delta) == len(exactalg.gf2_basis(rows))
     try:
         return abs(exactalg.determinant(delta)) == 1
     except DimensionMismatch:
@@ -455,9 +453,12 @@ def identity_translation(pair: CharacteristicPair) -> DeltaTranslation:
 
 def _independent_assigned_facets(pair: CharacteristicPair) -> Optional[list[str]]:
     """rank-many assigned facets whose vectors are independent over the ring:
-    in sorted order, each facet independent of those chosen before it."""
+    in sorted order, each facet independent of those chosen before it.
+    Rank 0 gives the empty list."""
     vectors = pair.chi.vectors
     chosen: list[str] = []
+    if pair.chi.rank == 0:
+        return chosen
     if pair.ring == RING_GF2:
         basis: dict[int, int] = {}
 
@@ -466,7 +467,8 @@ def _independent_assigned_facets(pair: CharacteristicPair) -> Optional[list[str]
     else:
 
         def independent(fid: str) -> bool:
-            return exactalg.integer_rank([vectors[f] for f in chosen + [fid]]) == len(chosen) + 1
+            rank = len(exactalg.invariant_factors([vectors[f] for f in chosen + [fid]]))
+            return rank == len(chosen) + 1
 
     for fid in sorted(vectors):
         if independent(fid):
@@ -654,7 +656,7 @@ def find_delta_translation(
         b_rows = [gf2_pack(r) for r in b]
     else:
         det_b, adj_b = exactalg.adjugate(b)
-    patterns = [(1,) + signs for signs in iproduct((1, -1), repeat=len(basis) - 1)]
+    patterns = [s for s in iproduct((1, -1), repeat=len(basis)) if s[:1] != (-1,)]
     assigned1 = pair1.chi.assigned()
     bits2 = {g: gf2_pack(v) for g, v in pair2.chi.vectors.items()}
     relations = _mod2_relations(pair1)

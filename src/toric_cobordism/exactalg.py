@@ -407,10 +407,6 @@ def _eliminate_units(
     return tuple(factors), frozenset(pivots)
 
 
-def integer_rank(m: Iterable[Iterable[int]]) -> int:
-    return len(invariant_factors(m))
-
-
 def unit_coordinate(v: Sequence[int]) -> Optional[int]:
     """The coordinate c with v = +-e_c, or None when v is no unit vector."""
     if v.count(0) == len(v) - 1 and (1 in v or -1 in v):

@@ -7,10 +7,10 @@ its j) and one per facet (bit v is vertex v), with the integer image of
 its rational vertex coordinates, if known.  ``exactalg.set_bits`` and
 ``exactalg.transpose_bits`` read the masks.  The public constructor
 parses facet ids into masks; simplices, Delta_Q, facets and products
-build theirs directly.  Facet sets, vertex sets, faces and edges are
-computed from the masks on first use and cached: a face is a (dim,
-facet mask, vertex mask) triple and an edge an (a, b, facet mask)
-triple.  Vertices are kept in a canonical order (lexicographic by
+build theirs directly.  Facet sets, vertex sets and edges are computed
+from the masks on first use and cached, faces on each call: a face is
+a (dim, facet mask, vertex mask) triple and an edge an (a, b, facet
+mask) triple.  Vertices are kept in a canonical order (lexicographic by
 coordinates, falling back to sorted facet labels) so that repeated
 constructions are bit-identical.
 """
@@ -133,12 +133,12 @@ class SimplePolytope:
     """Combinatorial simple polytope with optional rational realization.
 
     ``facets`` is a list of (id, tag) pairs; each vertex is a pair of
-    optional coordinates (ints, ``Fraction``s or strings, all divided by
-    ``denominator``) and the facet ids containing it (an id listed twice
-    counts once).  ``vertex_masks`` and its transpose ``facet_vertex_masks``
-    hold the incidence.  A realized polytope stores only ``int_coords``,
-    its coordinates times the least common multiple ``coord_scale`` of
-    their denominators, in vertex order.
+    optional coordinates (ints, ``Fraction``s or strings) and the facet
+    ids containing it (an id listed twice counts once).  ``vertex_masks``
+    and its transpose ``facet_vertex_masks`` hold the incidence.  A
+    realized polytope stores only ``int_coords``, its coordinates times
+    the least common multiple ``coord_scale`` of their denominators, in
+    vertex order.
     """
 
     def __init__(
@@ -146,7 +146,6 @@ class SimplePolytope:
         dim: int,
         facets: Sequence[tuple[str, str]],
         vertices: Sequence[tuple[Optional[Sequence[int | Fraction | str]], Collection[str]]],
-        denominator: int = 1,
     ):
         if not isinstance(dim, int) or isinstance(dim, bool) or dim < 0:
             raise PolytopeError(f"dimension {dim!r} is not a nonnegative integer")
@@ -162,14 +161,13 @@ class SimplePolytope:
             raise PolytopeError("vertex coordinate vectors differ in length")
         if m is None:
             order = _label_order(facet_ids, masks)
-            rows = scale = None
+            rows = None
         else:
             order = sorted(range(len(rows)), key=rows.__getitem__)
             if len(set(rows)) != len(rows):
                 raise PolytopeError("two vertices lie at the same point")
             rows = [rows[i] for i in order]
-            scale = m * denominator
-        self._set_incidence(dim, facet_tags, [masks[i] for i in order], rows, scale)
+        self._set_incidence(dim, facet_tags, [masks[i] for i in order], rows, m)
 
     def _set_incidence(self, dim, facet_tags, masks, rows, scale) -> None:
         """The one initializer: the facet ids are the keys of
@@ -269,20 +267,14 @@ class SimplePolytope:
 
     # -- faces -------------------------------------------------------------
 
-    @cached_property
-    def faces(self) -> tuple[tuple[int, int, int], ...]:
-        """Every nonempty face, including vertices and the polytope itself:
-        ``faces_down_to(0)``, computed once."""
-        return self.faces_down_to(0)
-
     def faces_down_to(
         self, min_dim: int, excluded: int = 0
     ) -> tuple[tuple[int, int, int], ...]:
         """The nonempty faces of dimension at least ``min_dim`` whose facet
         mask misses ``excluded``, as (dim, facet mask, vertex mask)
-        triples, in the order of ``faces``: by dimension, then by
-        ascending vertex list.  The facet mask holds the facets
-        containing the face, so the polytope itself has 0.
+        triples, by dimension, then by ascending vertex list.  The facet
+        mask holds the facets containing the face, so the polytope itself
+        has 0.
 
         In a simple polytope k facets that meet cut out one face, of
         dimension dim - k, and every face is cut out by the facets
@@ -348,7 +340,7 @@ class SimplePolytope:
 
     def f_vector(self) -> tuple[int, ...]:
         counts = [0] * self.dim
-        for dim, _, _ in self.faces:
+        for dim, _, _ in self.faces_down_to(0):
             if dim < self.dim:
                 counts[dim] += 1
         return tuple(counts)

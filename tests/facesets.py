@@ -1,7 +1,7 @@
 """The integer-mask forms of faces, edges and index pairs, decoded into
 facet id and vertex sets.
 
-``SimplePolytope.faces`` gives (dim, facet mask, vertex mask) triples,
+``SimplePolytope.faces_down_to`` gives (dim, facet mask, vertex mask) triples,
 ``SimplePolytope.edge_masks`` gives (a, b, facet mask) triples and an
 ``IndexProfile`` gives (a, b) vertex pairs with a < b; bit j of a facet
 mask is ``facet_ids[j]`` and bit v of a vertex mask is vertex v.  The

@@ -14,6 +14,7 @@ import time
 
 import pytest
 
+from routes import d_squared_holds
 from toric_cobordism import cellular
 from toric_cobordism.charpair import (
     CharacteristicFunction,
@@ -236,7 +237,8 @@ def test_criterion_08_oracle_agreement():
 def test_criterion_09_property_suites():
     start = time.monotonic()
 
-    # d o d = 0 on every generated complex (the builder also verifies)
+    # d o d = 0 on every generated complex, by the dict composition of
+    # routes (the builder also verifies)
     complexes = []
     fam4 = build_family(2, "GF2")
     for fid in ("p1", "p3"):
@@ -249,7 +251,7 @@ def test_criterion_09_property_suites():
     complexes.append(cellular.chain_complex(cw_rel, "Z"))
     complexes.append(cellular.chain_complex(cw_rel, "GF2"))
     for cc in complexes:
-        cellular._verify_d_squared(cc)
+        assert d_squared_holds(cc)
 
     # SNF recomposition identities on 1000 seeded random matrices
     rng = random.Random(20240917)

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from facesets import edge_sets, face_sets, faces_by_vertex_subsets, profile_sets
+from routes import d_squared_holds, dict_rows
 from toric_cobordism import cellular
 from toric_cobordism.cellular import (
     CellularError,
@@ -274,7 +275,7 @@ class TestQuotientComplex:
         fam = build_family(2, "GF2")
         cw = build_quotient_complex(fam.polytope, fam.pair.chi)
         expect = [0] * (fam.n + 1)
-        for face in face_sets(fam.polytope, fam.polytope.faces):
+        for face in face_sets(fam.polytope, fam.polytope.faces_down_to(0)):
             vecs = [
                 fam.pair.chi.vectors[f]
                 for f in face.facets
@@ -715,25 +716,13 @@ class TestHVectorRoute:
 
 # -- the packed GF(2) rows and the integer-keyed assembly ---------------------
 
-def _expanded(row):
-    """A packed GF(2) row as the dict {column: 1}, read off its binary digits."""
-    return {c: 1 for c, digit in enumerate(reversed(bin(row)[2:])) if digit == "1"}
-
-
 def _pack_mod2(row):
     """A dict row reduced mod 2 and bit packed."""
     return sum(1 << c for c, v in row.items() if v % 2)
 
 
-def _dict_rows(cc):
-    """The boundary rows as dicts, the GF(2) ones expanded to {column: 1}."""
-    if cc.ring == "GF2":
-        return [[_expanded(r) for r in m] for m in cc.boundaries]
-    return [[dict(r) for r in m] for m in cc.boundaries]
-
-
 def _matrix_digest(cc):
-    rows = [[sorted(r.items()) for r in m] for m in _dict_rows(cc)]
+    rows = [[sorted(r.items()) for r in m] for m in dict_rows(cc)]
     return hashlib.sha256(json.dumps(rows).encode()).hexdigest()
 
 
@@ -756,73 +745,10 @@ def _by_hand(cc, rows):
     return ChainComplex(cc.ring, cc.cell_counts, tuple(rows))
 
 
-def _reference_d_squared_holds(cc):
-    """The dict-based d o d check on every built composition, the GF(2)
-    rows expanded to dicts and the sums reduced mod 2."""
-    mod = 2 if cc.ring == "GF2" else 0
-    rows = _dict_rows(cc)
-    for d in range(max(2, cc.lowest_degree + 1), cc.dim + 1):
-        for row in rows[d]:
-            acc = {}
-            for mid, c1 in row.items():
-                for low, c0 in rows[d - 1][mid].items():
-                    acc[low] = acc.get(low, 0) + c1 * c0
-            if any(v % mod if mod else v for v in acc.values()):
-                return False
-    return True
-
-
-def _d_squared_holds(cc):
-    try:
-        cellular._verify_d_squared(cc)
-    except ConsistencyError:
-        return False
-    return True
-
-
 def _drop_lowest_entry(rows, d):
     """Clear the lowest set bit of the middle packed row of degree d."""
     r = len(rows[d]) // 2
     rows[d][r] &= rows[d][r] - 1
-
-
-def _plant_z_fault(rng, cc, rows, d, r):
-    """Drop, negate, add an odd or even entry, or reorient cell r."""
-    row = rows[d][r]
-    col = rng.choice(sorted(row))
-    fault = rng.choice(["drop", "negate", "add odd", "add even", "reorient"])
-    if fault == "drop":
-        del row[col]
-    elif fault == "negate":
-        row[col] = -row[col]
-    elif fault.startswith("add"):
-        row[rng.randrange(cc.cell_counts[d - 1])] = 1 if fault == "add odd" else 2
-    else:
-        # a change of orientation of the cell: negate its row and column
-        rows[d][r] = {c: -v for c, v in row.items()}
-        for upper in rows[d + 1] if d < cc.dim else ():
-            if r in upper:
-                upper[r] = -upper[r]
-
-
-def _plant_gf2_fault(rng, cc, rows, d, r):
-    """Clear a set bit of packed row r, set or flip a random one, or
-    swap cell r with another d-cell: its row and its bit in every row
-    one degree up, a relabelling that keeps d o d = 0."""
-    row = rows[d][r]
-    fault = rng.choice(["drop", "set", "flip", "swap"])
-    if fault == "drop":
-        rows[d][r] = row & ~(1 << rng.choice(sorted(_expanded(row))))
-    elif fault == "set":
-        rows[d][r] = row | 1 << rng.randrange(cc.cell_counts[d - 1])
-    elif fault == "flip":
-        rows[d][r] = row ^ 1 << rng.randrange(cc.cell_counts[d - 1])
-    else:
-        s = rng.randrange(len(rows[d]))
-        rows[d][r], rows[d][s] = rows[d][s], rows[d][r]
-        for i, upper in enumerate(rows[d + 1] if d < cc.dim else ()):
-            if (upper >> r ^ upper >> s) & 1:
-                rows[d + 1][i] = upper ^ (1 << r | 1 << s)
 
 
 class TestPackedPath:
@@ -848,7 +774,7 @@ class TestPackedPath:
         cw = _quotient(pair, False, 0)
         cc = chain_complex(cw, "GF2")
         reference = _reference_rows(cw, "GF2")
-        assert _dict_rows(cc) == [list(m) for m in reference]
+        assert dict_rows(cc) == [list(m) for m in reference]
         for mat, ref in zip(cc.boundaries, reference):
             assert [len(row) for row in mat] == [len(row) for row in ref]
 
@@ -857,8 +783,7 @@ class TestPackedPath:
         cc = _n8_complex("p1", "GF2")
         rows = _copy_rows(cc)
         _drop_lowest_entry(rows, d)
-        with pytest.raises(ConsistencyError):
-            cellular._verify_d_squared(_by_hand(cc, rows))
+        assert not d_squared_holds(_by_hand(cc, rows))
 
     @pytest.mark.parametrize("d", range(1, 8))
     def test_flipped_z_sign_is_caught(self, d):
@@ -867,14 +792,13 @@ class TestPackedPath:
         row = rows[d][len(rows[d]) // 2]
         col = next(iter(row))
         row[col] = -row[col]
-        with pytest.raises(ConsistencyError):
-            cellular._verify_d_squared(_by_hand(cc, rows))
+        assert not d_squared_holds(_by_hand(cc, rows))
 
     @pytest.mark.parametrize("ring", ["Z", "GF2"])
     def test_hand_built_complex_gets_the_same_verdict(self, ring):
         cc = _n8_complex(None, ring)
         by_hand = _by_hand(cc, _copy_rows(cc))
-        cellular._verify_d_squared(by_hand)
+        assert d_squared_holds(by_hand)
         assert homology(by_hand) == homology(cc)
 
     def test_gf2_entries_are_read_mod_2(self):
@@ -887,62 +811,9 @@ class TestPackedPath:
         row = rows[3][0]
         row[min(set(range(cc.cell_counts[2])) - set(row))] = 2
         by_hand = _by_hand(cc, [tuple(map(_pack_mod2, m)) for m in rows])
-        cellular._verify_d_squared(by_hand)
+        assert d_squared_holds(by_hand)
         assert by_hand.boundaries == cc.boundaries
         assert homology(by_hand) == homology(cc)
-
-    @pytest.mark.parametrize("ring", ["Z", "GF2"])
-    def test_verdict_matches_the_dict_check_on_planted_faults(self, ring):
-        cc = cover_complex(_family(3).boundary["p1"], ring)
-        rng = random.Random(20261018)
-        verdicts = []
-        for _ in range(60):
-            rows = _copy_rows(cc)
-            d = rng.randint(1, cc.dim)
-            r = rng.randrange(len(rows[d]))
-            if ring == "GF2":
-                _plant_gf2_fault(rng, cc, rows, d, r)
-            else:
-                _plant_z_fault(rng, cc, rows, d, r)
-            planted = _by_hand(cc, rows)
-            verdicts.append(_d_squared_holds(planted))
-            assert verdicts[-1] == _reference_d_squared_holds(planted)
-        assert True in verdicts and False in verdicts
-
-    @pytest.mark.parametrize("source", ["rel-k3", "p3-n8"])
-    def test_verdict_matches_the_dict_check_on_wider_faults(self, source):
-        """Entries of +-2 and +-3, scaled rows, drops and reorientations."""
-        if source == "rel-k3":
-            cc = cover_complex(_family(3).pair, "Z", relative=True)
-        else:
-            cc = _n8_complex("p3", "Z")
-        rng = random.Random(20261019)
-        verdicts = []
-        for _ in range(80):
-            rows = _copy_rows(cc)
-            # the relative complex has no 0-cells, so its edge rows are empty
-            d = rng.randint(2, cc.dim)
-            r = rng.choice([i for i, row in enumerate(rows[d]) if row])
-            row = rows[d][r]
-            fault = rng.choice(["set", "add", "scale", "drop", "reorient"])
-            if fault == "set":
-                row[rng.choice(sorted(row))] = rng.choice([2, -2, 3, -3])
-            elif fault == "add":
-                row[rng.randrange(cc.cell_counts[d - 1])] = rng.choice([2, -2, 3, -3])
-            elif fault == "scale":
-                factor = rng.choice([2, -3])
-                rows[d][r] = {c: factor * v for c, v in row.items()}
-            elif fault == "drop":
-                del row[rng.choice(sorted(row))]
-            else:
-                rows[d][r] = {c: -v for c, v in row.items()}
-                for upper in rows[d + 1] if d < cc.dim else ():
-                    if r in upper:
-                        upper[r] = -upper[r]
-            planted = _by_hand(cc, rows)
-            verdicts.append(_d_squared_holds(planted))
-            assert verdicts[-1] == _reference_d_squared_holds(planted), fault
-        assert True in verdicts and False in verdicts
 
 
 # -- restricted complexes: only the degrees asked for -------------------------
@@ -994,7 +865,7 @@ class TestRestrictedComplex:
             n = pair.polytope.dim
             cc = cover_homology(pair, ring, relative=relative, degrees=[n])[1]
             assert cc.lowest_degree == n - 1
-            cellular._verify_d_squared(cc)
+            assert d_squared_holds(cc)
             for d in (n - 1, n):
                 rows = _copy_rows(cc)
                 if ring == "Z":
@@ -1004,9 +875,7 @@ class TestRestrictedComplex:
                 else:
                     _drop_lowest_entry(rows, d)
                 planted = dataclasses.replace(cc, boundaries=tuple(rows))
-                assert not _reference_d_squared_holds(planted)
-                with pytest.raises(ConsistencyError):
-                    cellular._verify_d_squared(planted)
+                assert not d_squared_holds(planted)
 
     def test_unbuilt_degrees_raise(self):
         fam = _family(3)
@@ -1113,8 +982,7 @@ def _step_case(source):
 
 def _planted_steps(source, d, change, monkeypatch):
     """The quotient complex of ``source``, with ``change`` applied to the
-    step list of its first d-face that has steps, and the second-route
-    ``_verify_d_squared`` made a no-op, so only the assembly pass checks."""
+    step list of its first d-face that has steps."""
     cw = _step_case(source)
     face_steps = cellular._face_steps
 
@@ -1125,7 +993,6 @@ def _planted_steps(source, d, change, monkeypatch):
         return steps
 
     monkeypatch.setattr(cellular, "_face_steps", planted)
-    monkeypatch.setattr(cellular, "_verify_d_squared", lambda cc: None)
     return cw
 
 
@@ -1312,15 +1179,15 @@ class TestFaceSigns:
     @pytest.mark.parametrize("d", range(1, 8))
     def test_every_flipped_sign_is_caught(self, d, monkeypatch):
         """For each d-face of the closed n = 8 p1 cover in turn, its first
-        step's sign flipped: the Z assembly pass raises, and so does
-        ``_verify_d_squared`` on the reference rows with that entry
-        flipped in each of the face's cells."""
+        step's sign flipped: the Z assembly pass raises, and the dict
+        composition of ``routes`` fails on the reference rows with that
+        entry flipped in each of the face's cells."""
         cw = _step_case("n8-p1")
         steps = cellular._face_steps(cw, 0)
         subfaces = _reference_face_boundaries(cw, 0)
         reference = _reference_rows(cw, "Z")
         counts = cw.cell_counts()
-        cellular._verify_d_squared(ChainComplex("Z", counts, reference))
+        assert d_squared_holds(ChainComplex("Z", counts, reference))
         faces = _faces_of_dim(cw, d)
         assert faces
         for fi in faces:
@@ -1336,8 +1203,7 @@ class TestFaceSigns:
                 if cell[0] == fi else row
                 for cell, row in zip(cw.cells[d], reference[d])
             ]
-            with pytest.raises(ConsistencyError, match="d o d != 0"):
-                cellular._verify_d_squared(ChainComplex("Z", counts, tuple(rows)))
+            assert not d_squared_holds(ChainComplex("Z", counts, tuple(rows)))
 
 
 def _repointed(source, dim):
@@ -1443,10 +1309,3 @@ class TestRestrictedFaces:
         n = poly.dim
         table, cc = cover_homology(fam.pair, "Z", relative=True, degrees=[n])
         assert cc.lowest_degree == n - 1
-        assert "faces" not in poly.__dict__
-        # every build walks only the faces it keeps, so no build, not even
-        # one that drops nothing, fills the cache
-        cover_homology(fam.pair, "Z", relative=True)
-        assert "faces" not in poly.__dict__
-        cover_complex(fam.pair, "GF2")
-        assert "faces" not in poly.__dict__

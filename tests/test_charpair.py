@@ -316,7 +316,7 @@ class TestTranslations:
     @pytest.mark.parametrize(
         "delta, invertible",
         [
-            ((), False),
+            ((), True),
             (((1, 0), (1,)), False),
             (((1, 0, 0), (0, 1, 0)), False),
             (((1, 1), (1, 1)), False),
@@ -326,8 +326,11 @@ class TestTranslations:
         ],
     )
     def test_gf2_invertibility_verdicts(self, delta, invertible):
-        # square with full rank mod 2; empty, ragged and non-square are not
+        # square with full rank mod 2; the empty delta, whose determinant
+        # is 1, is invertible on both rings; ragged and non-square are not
         assert charpair._is_invertible("GF2", delta) is invertible
+        if delta == ():
+            assert charpair._is_invertible("Z", delta)
 
 
 class TestOrientationEffect:
@@ -656,6 +659,20 @@ class TestTranslationSearch:
         assert find_delta_translation(p1, padded) is None
         assert find_delta_translation(padded, p1) is None
 
+    @pytest.mark.parametrize("ring", ("Z", "GF2"))
+    def test_rank_zero_pair(self, ring):
+        """A valid rank-0 pair is carried to itself by the empty delta,
+        and to no rank-1 pair."""
+        empty = CharacteristicPair(simplex(2), CharacteristicFunction(ring, 0, {}))
+        rank1 = CharacteristicPair(simplex(2), CharacteristicFunction(ring, 1, {"d0": (1,)}))
+        assert validate(empty).ok and validate(rank1).ok
+        assert charpair._independent_assigned_facets(empty) == []
+        t = find_delta_translation(empty, empty)
+        assert t == identity_translation(empty) and t.delta == ()
+        assert verify_delta_translation(empty, empty, t)
+        assert find_delta_translation(empty, rank1) is None
+        assert find_delta_translation(rank1, empty) is None
+
     def test_simplex_pair_of_higher_rank(self):
         # the closed-form simplex search needs rank == dimension; this
         # pair goes through the bijection search instead
@@ -677,7 +694,7 @@ class TestTranslationSearch:
         pair = CharacteristicPair(
             cube, CharacteristicFunction("GF2", 3, dict(zip(ids, vectors)))
         )
-        assert validate(pair)
+        assert validate(pair).ok
         assert find_delta_translation(pair, pair) == identity_translation(pair)
 
 
@@ -1105,7 +1122,7 @@ class TestMod2Relations:
 # candidate recomputes the rank of all chosen vectors plus itself.
 
 def _reference_independent_assigned_facets(pair):
-    rank_of = _gf2_rank if pair.ring == "GF2" else exactalg.integer_rank
+    rank_of = _gf2_rank if pair.ring == "GF2" else (lambda m: len(exactalg.invariant_factors(m)))
     chosen = []
     for fid in sorted(pair.chi.vectors):
         cand = chosen + [fid]

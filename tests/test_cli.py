@@ -243,6 +243,26 @@ class TestEquiv:
         b.write_text(json.dumps(standard_pair("complex_projective", 3).to_json_dict()))
         assert main(["equiv", "--pair1", str(a), "--pair2", str(b)]) == 1
 
+    @pytest.mark.parametrize("ring", ["Z", "GF2"])
+    def test_rank_zero_pair_against_itself(self, tmp_path, ring):
+        """A rank-0 pair is carried to itself by the empty delta."""
+        from toric_cobordism.charpair import CharacteristicFunction, CharacteristicPair
+        from toric_cobordism.polytope import simplex
+
+        a = tmp_path / "a.json"
+        pair = CharacteristicPair(simplex(2), CharacteristicFunction(ring, 0, {}))
+        a.write_text(json.dumps(pair.to_json_dict()))
+        out = tmp_path / "w.json"
+        assert main(["equiv", "--pair1", str(a), "--pair2", str(a), "--out", str(out)]) == 0
+        assert read(out) == {
+            "translation": {
+                "ring": ring,
+                "facet_map": {"d0": "d0", "d1": "d1", "d2": "d2"},
+                "delta": [],
+            },
+            "verified": True,
+        }
+
 
 class TestCertify:
     def test_complex_k2(self, tmp_path):

@@ -282,11 +282,11 @@ class TestMasks:
                 assert m == sum(1 << v for v in poly.facet_vertices(fid)), name
 
     def test_not_computed_on_construction(self):
-        """The masks are stored; the edges, faces and facet-set view are not built."""
+        """The masks are stored; the edges and facet-set views are not built."""
         poly = build_family(3, "Z").polytope
         for attr in ("vertex_masks", "facet_vertex_masks"):
             assert attr in vars(poly)
-        for attr in ("edge_masks", "faces", "vertex_facets", "_facet_vertex_sets"):
+        for attr in ("edge_masks", "vertex_facets", "_facet_vertex_sets"):
             assert attr not in vars(poly)
 
     def test_edges_order_and_contents(self):

@@ -266,9 +266,9 @@ class TestIsomorphism:
         pr = product(simplex(1), simplex(2))
         iso = p1.is_combinatorially_isomorphic(pr)
         assert iso is not None
-        index = {f.vertices: f.dim for f in face_sets(pr, pr.faces)}
+        index = {f.vertices: f.dim for f in face_sets(pr, pr.faces_down_to(0))}
         vertex_map = p1.vertex_map(pr, iso)
-        for face in face_sets(p1, p1.faces):
+        for face in face_sets(p1, p1.faces_down_to(0)):
             image = frozenset(vertex_map[v] for v in face.vertices)
             assert index[image] == face.dim
 
@@ -447,8 +447,8 @@ class TestHashedEdges:
 
 
 def _reference_faces(poly):
-    """``SimplePolytope.faces`` as it stood when each face's vertex set
-    was read off its mask by testing every vertex bit."""
+    """``SimplePolytope.faces_down_to(0)`` as it stood when each face's
+    vertex set was read off its mask by testing every vertex bit."""
     masks = {fid: sum(1 << i for i in poly.facet_vertices(fid)) for fid in poly.facet_ids}
     all_mask = (1 << poly.n_vertices) - 1
     found = {all_mask: FaceSets(poly.dim, frozenset(), frozenset(range(poly.n_vertices)))}
@@ -472,20 +472,20 @@ class TestFacesBySetBits:
     def test_family_faces_match_the_full_scan(self, k):
         fam = build_family(k, "Z")
         for poly in (fam.polytope, *(pair.polytope for pair in fam.boundary.values())):
-            assert face_sets(poly, poly.faces) == _reference_faces(poly)
+            assert face_sets(poly, poly.faces_down_to(0)) == _reference_faces(poly)
 
     def test_edge_case_faces_match_the_full_scan(self):
         # the full scan takes seconds per polytope above dimension 8
         cases = {name: p for name, p in _edge_cases().items() if p.dim <= 8}
         assert len(cases) > 150
         for name, poly in cases.items():
-            assert face_sets(poly, poly.faces) == _reference_faces(poly), name
+            assert face_sets(poly, poly.faces_down_to(0)) == _reference_faces(poly), name
 
 
 class TestFacesDownTo:
     @staticmethod
     def _assert_filtered(poly, name=None, excluded=0):
-        faces = poly.faces
+        faces = poly.faces_down_to(0)
         for m in range(-1, poly.dim + 2):
             kept = tuple(f for f in faces if f[0] >= m and not f[1] & excluded)
             got = poly.faces_down_to(m, excluded) if excluded else poly.faces_down_to(m)
@@ -522,7 +522,6 @@ class TestFacesDownTo:
     def test_nothing_is_cached(self):
         poly = build_delta_Q(6)
         top = poly.faces_down_to(4)
-        assert "faces" not in poly.__dict__
         dims = [dim for dim, _, _ in top]
         assert dims == sorted(dims)
         assert set(dims) == {4, 5, 6}
@@ -916,11 +915,9 @@ def _public_facet_polytope(poly, fid, rng):
         if g != fid and poly.facet_vertices(g) & fverts
     ]
     keep = {g for g, _ in child_facets}
-    points = poly._int_coords or (None,) * poly.n_vertices
+    points = poly.vertex_coords
     vertices = [(points[i], (poly.vertex_facets[i] - {fid}) & keep) for i in sorted(fverts)]
-    return SimplePolytope(
-        poly.dim - 1, child_facets, _shuffled(rng, vertices), poly.coord_scale or 1
-    )
+    return SimplePolytope(poly.dim - 1, child_facets, _shuffled(rng, vertices))
 
 
 def _public_product(p, q, rng):
@@ -928,16 +925,14 @@ def _public_product(p, q, rng):
     facets = [(f"L.{fid}", p.facet_tags[fid]) for fid in p.facet_ids] + [
         (f"R.{fid}", q.facet_tags[fid]) for fid in q.facet_ids
     ]
-    scale = math.lcm(p.coord_scale, q.coord_scale) if p.has_coords() and q.has_coords() else None
+    realized = p.has_coords() and q.has_coords()
     vertices = []
     for i in range(p.n_vertices):
         for j in range(q.n_vertices):
-            coords = None if scale is None else tuple(
-                scale // p.coord_scale * x for x in p.int_coords[i]
-            ) + tuple(scale // q.coord_scale * y for y in q.int_coords[j])
+            coords = p.vertex_coords[i] + q.vertex_coords[j] if realized else None
             fs = {f"L.{f}" for f in p.vertex_facets[i]} | {f"R.{f}" for f in q.vertex_facets[j]}
             vertices.append((coords, fs))
-    return SimplePolytope(p.dim + q.dim, facets, _shuffled(rng, vertices), scale or 1)
+    return SimplePolytope(p.dim + q.dim, facets, _shuffled(rng, vertices))
 
 
 def _without_coords(poly):

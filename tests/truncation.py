@@ -62,7 +62,7 @@ def truncate(poly: SimplePolytope, cuts: Iterable[tuple[str, Halfspace]]) -> Sim
     image X = D x; the crossing point x_i + t (x_j - x_i) with
     t = v_i / (v_i - v_j) is then (v_i X_j - v_j X_i) / ((v_i - v_j) D),
     another cut's value there is (v_i w_j - v_j w_i) / (v_i - v_j), and
-    every point is put over their least common multiple.
+    every point X / (d D) is passed on as ``Fraction`` coordinates.
     """
     points = poly.int_coords
     values = []  # (fid, the cut's value at each vertex)
@@ -91,8 +91,8 @@ def truncate(poly: SimplePolytope, cuts: Iterable[tuple[str, Halfspace]]) -> Sim
             point = tuple(vi * b - vj * a for a, b in zip(points[i], points[j]))
             edge_facets = poly.vertex_facets[i] & poly.vertex_facets[j]
             ratios.append((point, vi - vj, edge_facets | {fid}))
-    m = lcm(*(d for _, d, _ in ratios))
-    vertices = [(tuple(m // d * x for x in p), fs) for p, d, fs in ratios]
+    scale = poly.coord_scale
+    vertices = [(tuple(Fraction(x, d * scale) for x in p), fs) for p, d, fs in ratios]
     facets = [(g, poly.facet_tags[g]) for g in poly.facet_ids]
     facets += [(fid, "cut") for fid, _ in values]
-    return SimplePolytope(poly.dim, facets, vertices, m * poly.coord_scale)
+    return SimplePolytope(poly.dim, facets, vertices)
